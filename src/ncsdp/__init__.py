@@ -9,7 +9,7 @@ and solve it with the conditional gradient augmented Lagrangian method
 """
 
 from .cgal import CgalConfig, CgalError, SolveReport, min_eigpair, solve
-from .ctp import CtpCertificate, CtpError, ball_coeffs, build_ctp_lp, build_ctp_lp_cs, certify, verify
+from .ctp import CtpCertificate, CtpError, ball_coeffs, certify, verify
 from .free_algebra import (
     CapacityError,
     NcPolynomial,
@@ -17,10 +17,8 @@ from .free_algebra import (
     WordBasis,
     basis_size,
     canonicalize,
-    enumerate_basis,
     evaluate,
     evaluate_scalar,
-    involution,
 )
 from .generator import gen_dense, gen_sparse
 from .lp import LpInstance, LpResult, solve_lp
@@ -32,7 +30,7 @@ from .relaxation import (
     moment_vector_from_evaluation,
     sample_equality_feasible_moments,
 )
-from .sparsity import CliqueAssignmentError, CliqueDecomposition, build_sparse, decompose
+from .sparsity import CliqueAssignmentError, CliqueDecomposition, decompose
 from .standard_form import CountStats, StandardSdp, assemble, count_stats, read_sdp, recover_moments, write_sdp
 
 __version__ = "0.1.0"
@@ -59,19 +57,14 @@ __all__ = [
     "ball_coeffs",
     "basis_size",
     "build",
-    "build_ctp_lp",
-    "build_ctp_lp_cs",
-    "build_sparse",
     "canonicalize",
     "certify",
     "count_stats",
     "decompose",
-    "enumerate_basis",
     "evaluate",
     "evaluate_scalar",
     "gen_dense",
     "gen_sparse",
-    "involution",
     "min_eigpair",
     "minimal_order",
     "moment_vector_from_evaluation",

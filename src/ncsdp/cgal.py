@@ -19,7 +19,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.linalg import eigh_tridiagonal
 
-from .standard_form import SQRT2, StandardSdp
+from .standard_form import StandardSdp
 
 
 class CgalError(Exception):
@@ -166,40 +166,6 @@ def _operator_norm(a_mat) -> float:
     return max(sig, 1e-12)
 
 
-class _BlockView:
-    """Scatter/gather between the svec vector and dense symmetric blocks."""
-
-    def __init__(self, sizes: list[int], offsets: list[int]):
-        self.sizes = sizes
-        self.slices = [slice(offsets[i], offsets[i + 1]) for i in range(len(sizes))]
-        self.iu = []
-        self.ju = []
-        self.scale = []
-        self.diag_index = np.zeros(sum(s * (s + 1) // 2 for s in sizes), dtype=bool)
-        for i, s in enumerate(sizes):
-            iu, ju = np.triu_indices(s)
-            self.iu.append(iu)
-            self.ju.append(ju)
-            sc = np.where(iu == ju, 1.0, SQRT2)
-            self.scale.append(sc)
-            base = offsets[i]
-            self.diag_index[base + np.flatnonzero(iu == ju)] = True
-
-    def matrix(self, x: np.ndarray, i: int) -> np.ndarray:
-        s = self.sizes[i]
-        m = np.zeros((s, s))
-        vals = x[self.slices[i]] / self.scale[i]
-        m[self.iu[i], self.ju[i]] = vals
-        m[self.ju[i], self.iu[i]] = vals
-        return m
-
-    def add_outer(self, x: np.ndarray, i: int, v: np.ndarray, weight: float) -> None:
-        x[self.slices[i]] += weight * self.scale[i] * v[self.iu[i]] * v[self.ju[i]]
-
-    def trace(self, x: np.ndarray) -> float:
-        return float(x[self.diag_index].sum())
-
-
 def solve(sdp: StandardSdp, cfg: CgalConfig | None = None) -> SolveReport:
     """Run the solver until the feasibility and objective-plateau tests pass.
 
@@ -224,7 +190,7 @@ def solve(sdp: StandardSdp, cfg: CgalConfig | None = None) -> SolveReport:
     t0 = time.perf_counter()
     a = float(sdp.trace)
     sizes = sdp.block_sizes
-    view = _BlockView(sizes, sdp.offsets)
+    layout = sdp.layout
     a_mat = sdp.a_mat
     at_mat = a_mat.T.tocsr()
     b = sdp.b
@@ -238,7 +204,7 @@ def solve(sdp: StandardSdp, cfg: CgalConfig | None = None) -> SolveReport:
 
     total = sum(sizes)
     x = np.zeros(sdp.dim)
-    x[view.diag_index] = a / total
+    x[layout.diag] = a / total
     z = np.zeros(a_mat.shape[0])
     ax = a_mat @ x
     b_norm = float(np.linalg.norm(b))
@@ -262,7 +228,7 @@ def solve(sdp: StandardSdp, cfg: CgalConfig | None = None) -> SolveReport:
         v_best: np.ndarray | None = None
         for i in range(len(sizes)):
             lam, v = min_eigpair(
-                view.matrix(g, i),
+                layout.matrix(g, i),
                 tol=eig_tol,
                 rng=rng,
                 dense_cutoff=cfg.dense_cutoff,
@@ -273,7 +239,7 @@ def solve(sdp: StandardSdp, cfg: CgalConfig | None = None) -> SolveReport:
 
         eta = 2.0 / (t + 1.0)
         x *= 1.0 - eta
-        view.add_outer(x, blk_best, v_best, eta * a)
+        layout.add_outer(x, blk_best, v_best, eta * a)
         ax = a_mat @ x
         obj = float(c @ x)
 
@@ -290,12 +256,12 @@ def solve(sdp: StandardSdp, cfg: CgalConfig | None = None) -> SolveReport:
             z = z_new
         rn = rn_scaled * res_scale
 
-        tr = view.trace(x)
+        tr = layout.trace(x)
         if abs(tr - a) > cfg.trace_tol * max(1.0, a):
             raise CgalError(f"trace drifted to {tr!r} against constant {a!r} at iteration {t}")
         if cfg.check_psd:
             for i in range(len(sizes)):
-                w = np.linalg.eigvalsh(view.matrix(x, i))
+                w = np.linalg.eigvalsh(layout.matrix(x, i))
                 min_seen = min(min_seen, float(w[0]))
                 if w[0] < -1e-9 * max(1.0, a):
                     raise CgalError(f"iterate lost psd in block {i} at iteration {t}")

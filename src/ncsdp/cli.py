@@ -136,11 +136,11 @@ def _order(problem: Problem, k: int | None) -> int:
 
 
 def _csv_row(path: str, row: dict) -> None:
-    new = True
     try:
-        new = not open(path).readline()
+        with open(path) as fh:
+            new = not fh.readline()
     except OSError:
-        pass
+        new = True
     with open(path, "a", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         if new:

@@ -349,30 +349,6 @@ def _group_lp_from_rel(rel: Relaxation, group: int) -> tuple[LpInstance, list[in
     return inst, offsets, block_ids, eq_ids
 
 
-def build_ctp_lp(problem, k: int) -> LpInstance:
-    """Trace-identity LP for a problem treated as a single dense group."""
-    from .relaxation import build
-    from .sparsity import CliqueDecomposition
-
-    decomp = CliqueDecomposition(
-        cliques=(tuple(range(1, problem.n + 1)),),
-        ineq_groups=(tuple(range(len(problem.inequalities))),),
-        eq_groups=(tuple(range(len(problem.equalities))),),
-    )
-    rel = build(problem, k, decomp=decomp)
-    inst, _, _, _ = _group_lp_from_rel(rel, 0)
-    return inst
-
-
-def build_ctp_lp_cs(problem, k: int, decomp, group: int) -> LpInstance:
-    """Trace-identity LP restricted to one clique group."""
-    from .relaxation import build
-
-    rel = build(problem, k, decomp=decomp)
-    inst, _, _, _ = _group_lp_from_rel(rel, group)
-    return inst
-
-
 def _certify_group_lp(
     rel: Relaxation, group: int
 ) -> tuple[float, dict[int, np.ndarray], dict[int, np.ndarray]]:
@@ -412,7 +388,6 @@ def certify(rel: Relaxation) -> CtpCertificate:
     LP covers anything unmatched. Raises CtpError when some group admits
     neither.
     """
-    problem = rel.problem
     k = rel.order
     scales: dict[int, np.ndarray] = {}
     mults: dict[int, np.ndarray] = {
@@ -427,55 +402,32 @@ def certify(rel: Relaxation) -> CtpCertificate:
         ineqs = [rel.blocks[i].poly for i in block_ids[1:]]
         eqs = [rel.eq_blocks[j].poly for j in eq_ids]
         nv = len(letters)
+        relabel = {j: i + 1 for i, j in enumerate(letters)}
 
-        if _match_ball(letters, ineqs):
-            coeffs = ball_coeffs(nv, k)
-            scales[block_ids[0]] = np.ones(rel.blocks[block_ids[0]].size)
-            loc = rel.blocks[block_ids[1]]
-            relabel = {j: i + 1 for i, j in enumerate(letters)}
-            diag = np.array(
-                [coeffs[tuple(relabel[a] for a in u)] for u in loc.basis.words]
-            )
-            scales[block_ids[1]] = np.sqrt(diag)
-            traces.append(float(1 + k))
-            provs.append(PROV_BALL)
-            continue
-
-        if _match_polydisc(letters, ineqs):
-            coeffs = ball_coeffs(nv, k)
-            scales[block_ids[0]] = np.ones(rel.blocks[block_ids[0]].size)
-            relabel = {j: i + 1 for i, j in enumerate(letters)}
-            for bi in block_ids[1:]:
-                loc = rel.blocks[bi]
-                diag = np.array(
-                    [coeffs[tuple(relabel[a] for a in u)] for u in loc.basis.words]
-                )
-                scales[bi] = np.sqrt(diag)
-            traces.append(float(1 + k))
-            provs.append(PROV_POLYDISC)
-            continue
-
+        ball = _match_ball(letters, ineqs)
         sq = _match_square_equalities(letters, ineqs, eqs)
-        if sq is not None:
-            scales[block_ids[0]] = np.ones(rel.blocks[block_ids[0]].size)
+        if ball or _match_polydisc(letters, ineqs):
+            coeffs = ball_coeffs(nv, k)
+            for bi in block_ids[1:]:
+                words = rel.blocks[bi].basis.words
+                scales[bi] = np.sqrt([coeffs[tuple(relabel[a] for a in u)] for u in words])
+            trace, prov = float(1 + k), PROV_BALL if ball else PROV_POLYDISC
+        elif sq is not None:
             m_u = square_equality_multipliers(nv, k)
-            relabel = {j: i + 1 for i, j in enumerate(letters)}
             for pos, s in sq.items():
                 ej = eq_ids[pos]
                 words = rel.eq_blocks[ej].basis.words
-                diag = np.array(
-                    [-m_u[tuple(relabel[a] for a in u)] / s for u in words]
-                )
-                mults[ej] = np.diag(diag)
-            traces.append(float(basis_size(k, nv)))
-            provs.append(PROV_SQUARE_EQ)
-            continue
-
-        a_g, g_scales, g_mults = _certify_group_lp(rel, g)
-        scales.update(g_scales)
-        mults.update(g_mults)
-        traces.append(a_g)
-        provs.append(PROV_LP)
+                mults[ej] = np.diag([-m_u[tuple(relabel[a] for a in u)] / s for u in words])
+            trace, prov = float(basis_size(k, nv)), PROV_SQUARE_EQ
+        else:
+            trace, g_scales, g_mults = _certify_group_lp(rel, g)
+            scales.update(g_scales)
+            mults.update(g_mults)
+            prov = PROV_LP
+        # the closed forms keep the moment block unscaled (g_0 = 1)
+        scales.setdefault(block_ids[0], np.ones(rel.blocks[block_ids[0]].size))
+        traces.append(trace)
+        provs.append(prov)
 
     return CtpCertificate(
         order=k,

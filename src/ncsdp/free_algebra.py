@@ -45,11 +45,6 @@ def basis_size(d: int, n: int) -> int:
     return sum(n**i for i in range(d + 1))
 
 
-def involution(w: Word) -> Word:
-    """Reverse of a word; fixes letters and the empty word."""
-    return w[::-1]
-
-
 def canonicalize(w: Word, mode: SymmetryMode = SymmetryMode.STAR_ONLY) -> Word:
     """Graded-lex least representative of the symmetry class of w."""
     rev = w[::-1]
@@ -107,13 +102,6 @@ class WordBasis:
             return self.index[tuple(w)]
         except KeyError:
             raise KeyError(f"word {w} not in basis") from None
-
-
-def enumerate_basis(n: int, d: int, index_limit: int = DEFAULT_INDEX_LIMIT) -> WordBasis:
-    """Basis of all words of degree <= d over letters 1..n."""
-    if n < 1:
-        raise ValueError("need at least one letter")
-    return WordBasis(range(1, n + 1), d, index_limit)
 
 
 class NcPolynomial:
@@ -228,16 +216,6 @@ class NcPolynomial:
             parts.append(f"{self.terms[w]:+g} {mono}")
         tail = " ..." if len(self.terms) > 6 else ""
         return f"NcPolynomial({self.n}, {' '.join(parts)}{tail})"
-
-
-def approx_equal(p: NcPolynomial, q: NcPolynomial, tol: float = 1e-12) -> bool:
-    """Coefficientwise agreement of two polynomials within tol."""
-    if p.n != q.n:
-        return False
-    for w in set(p.terms) | set(q.terms):
-        if abs(p.terms.get(w, 0.0) - q.terms.get(w, 0.0)) > tol:
-            return False
-    return True
 
 
 def word_value(w: Word, mats: Sequence[np.ndarray], dim: int) -> np.ndarray:

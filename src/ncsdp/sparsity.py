@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .free_algebra import NcPolynomial, SymmetryMode, DEFAULT_INDEX_LIMIT
-from .relaxation import Problem, Relaxation, build
+from .relaxation import Problem
 
 
 class CliqueAssignmentError(Exception):
@@ -138,16 +137,3 @@ def decompose(problem: Problem, detect: bool = False) -> CliqueDecomposition:
         return partition_constraints(problem, cliques)
     return dense_decomposition(problem)
 
-
-def build_sparse(
-    problem: Problem,
-    order: int,
-    mode: SymmetryMode = SymmetryMode.STAR_ONLY,
-    decomp: CliqueDecomposition | None = None,
-    detect: bool = False,
-    index_limit: int = DEFAULT_INDEX_LIMIT,
-) -> Relaxation:
-    """Order-k relaxation over an explicit or detected clique cover."""
-    if decomp is None:
-        decomp = decompose(problem, detect=detect)
-    return build(problem, order, mode=mode, decomp=decomp, index_limit=index_limit)

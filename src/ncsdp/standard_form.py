@@ -16,13 +16,17 @@ A(X) = b then say exactly that X comes from a moment vector:
 
 Everything is expressed in svec coordinates: each block's upper triangle,
 row-major, with off-diagonal entries scaled by sqrt(2), so that inner
-products of symmetric matrices become dot products.
+products of symmetric matrices become dot products. `BlockLayout` owns
+that format; assembly, the moment maps, the text format and the solver all
+go through it.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,7 +34,71 @@ import scipy.sparse as sp
 from .ctp import CtpCertificate
 from .relaxation import Relaxation
 
-SQRT2 = math.sqrt(2.0)
+
+class BlockLayout:
+    """The stacked svec layout of a block-diagonal symmetric matrix.
+
+    Blocks follow each other in order; within block i, position
+    offsets[i] + p holds entry (row[p], col[p]), row <= col, of its upper
+    triangle in row-major order. scale is sqrt(2) off the diagonal and 1 on
+    it: svec(M) = scale * M[row, col]. The per-position arrays block, row,
+    col and scale cover all dim positions; diag lists the positions of the
+    diagonal entries. Every array is read-only.
+    """
+
+    def __init__(self, sizes):
+        self.sizes = [int(s) for s in sizes]
+        counts = [s * (s + 1) // 2 for s in self.sizes]
+        self.offsets = [0, *itertools.accumulate(counts)]
+        self.dim = self.offsets[-1]
+        tri = {s: self._triangle(s) for s in set(self.sizes)}
+        self._tri = [tri[s] for s in self.sizes]
+        self.block = np.repeat(np.arange(len(counts)), counts)
+        self.row, self.col, self.scale = (np.concatenate(p) for p in zip(*self._tri))
+        self.diag = np.flatnonzero(self.row == self.col)
+        for arr in (self.block, self.row, self.col, self.scale, self.diag):
+            arr.flags.writeable = False
+
+    @staticmethod
+    def _triangle(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        iu, ju = np.triu_indices(s)
+        return iu, ju, np.where(iu == ju, 1.0, math.sqrt(2.0))
+
+    def index(self, block, r, c):
+        """Position of entry (r, c), r <= c, of a block; accepts index arrays."""
+        s = np.asarray(self.sizes)[block]
+        return np.asarray(self.offsets)[block] + r * s - r * (r - 1) // 2 + (c - r)
+
+    def diag_products(self, diags) -> np.ndarray:
+        """d_i[r] * d_i[c] at every position, from one diagonal d_i per block."""
+        d = np.concatenate(diags)
+        first = np.repeat(np.cumsum([0] + self.sizes[:-1]), np.diff(self.offsets))
+        return d[first + self.row] * d[first + self.col]
+
+    def matrix(self, x: np.ndarray, i: int) -> np.ndarray:
+        """Dense symmetric block i of an svec vector."""
+        iu, ju, scale = self._tri[i]
+        s = self.sizes[i]
+        m = np.zeros((s, s))
+        vals = x[self.offsets[i] : self.offsets[i + 1]] / scale
+        m[iu, ju] = vals
+        m[ju, iu] = vals
+        return m
+
+    def add_outer(self, x: np.ndarray, i: int, v: np.ndarray, weight: float) -> None:
+        """x += weight * svec(v v^T) placed in block i."""
+        iu, ju, scale = self._tri[i]
+        x[self.offsets[i] : self.offsets[i + 1]] += weight * scale * v[iu] * v[ju]
+
+    def trace(self, x: np.ndarray) -> float:
+        return float(x[self.diag].sum())
+
+
+@functools.lru_cache(maxsize=8)
+def _layout(sizes: tuple[int, ...]) -> BlockLayout:
+    # one layout per block-size list: assemble, read_sdp and every solve of
+    # the resulting standard form share it
+    return BlockLayout(sizes)
 
 
 @dataclass
@@ -59,32 +127,19 @@ class StandardSdp:
     scales: tuple[np.ndarray, ...] | None = None
     rel: Relaxation | None = None
     rep_entry: dict[int, tuple[int, int, int]] | None = None
-    offsets: list[int] = field(default_factory=list)
 
-    def __post_init__(self):
-        if not self.offsets:
-            off = [0]
-            for s in self.block_sizes:
-                off.append(off[-1] + s * (s + 1) // 2)
-            self.offsets = off
+    @property
+    def layout(self) -> BlockLayout:
+        """The svec layout of block_sizes."""
+        return _layout(tuple(self.block_sizes))
 
     @property
     def dim(self) -> int:
-        return self.offsets[-1]
+        return self.layout.dim
 
     @property
     def n_rows(self) -> int:
         return self.a_mat.shape[0]
-
-
-def svec_index(offsets: list[int], sizes: list[int], block: int, r: int, c: int) -> int:
-    """Position of entry (r, c), r <= c, in the stacked svec layout."""
-    s = sizes[block]
-    return offsets[block] + r * s - r * (r - 1) // 2 + (c - r)
-
-
-def _entry_scale(r: int, c: int) -> float:
-    return 1.0 if r == c else SQRT2
 
 
 def moment_representatives(rel: Relaxation) -> tuple[dict[int, tuple[int, int, int]], list[tuple[int, int, int, int]]]:
@@ -110,6 +165,18 @@ def moment_representatives(rel: Relaxation) -> tuple[dict[int, tuple[int, int, i
     return rep, dup
 
 
+def _entry_positions(layout: BlockLayout, entries) -> np.ndarray:
+    """svec positions of a list of (block, r, c, ...) tuples."""
+    return layout.index(*np.array([e[:3] for e in entries], dtype=np.intp).reshape(-1, 3).T)
+
+
+def _rep_positions(layout: BlockLayout, rep: dict[int, tuple[int, int, int]]) -> np.ndarray:
+    """svec position of the representative entry of every moment key."""
+    pos = np.empty(len(rep), dtype=np.intp)
+    pos[list(rep)] = _entry_positions(layout, list(rep.values()))
+    return pos
+
+
 def count_stats(rel: Relaxation, cert: CtpCertificate) -> CountStats:
     """Structural counts without materializing the constraint matrix.
 
@@ -130,55 +197,41 @@ def count_stats(rel: Relaxation, cert: CtpCertificate) -> CountStats:
 
 
 def assemble(rel: Relaxation, cert: CtpCertificate) -> StandardSdp:
-    """Materialize the standard form of a certified relaxation."""
-    sizes = [b.size for b in rel.blocks]
-    offsets = [0]
-    for s in sizes:
-        offsets.append(offsets[-1] + s * (s + 1) // 2)
-    scales = cert.block_scales
+    """Materialize the standard form of a certified relaxation.
+
+    Rows are built as (row, svec position, coefficient) terms. The rows up
+    to the last localizing row each own one entry of X with weight
+    1 / (g_r g_c) in moment scale: the pin owns the representative of the
+    empty word, a sharing row its repeated entry, a localizing row its
+    localizing entry. Every other term refers to a moment key and lands on
+    that key's representative entry, with the same weight.
+    """
+    sizes = rel.block_sizes
+    layout = _layout(tuple(sizes))
+    prod = layout.diag_products(cert.block_scales)
+    weight = 1.0 / prod
     rep, dup = moment_representatives(rel)
+    rep_pos = _rep_positions(layout, rep)
 
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    b_vals: list[float] = []
-    nrow = 0
-
-    def put(block: int, r: int, c: int, coeff: float) -> None:
-        rows.append(nrow)
-        cols.append(svec_index(offsets, sizes, block, r, c))
-        vals.append(coeff / _entry_scale(r, c))
-
-    def rep_coeff(key: int) -> tuple[int, int, int, float]:
-        bi, r, c = rep[key]
-        return bi, r, c, 1.0 / (scales[bi][r] * scales[bi][c])
-
-    # pin: the representative of the empty word equals 1 in moment scale
-    bi, r, c = rep[0]
-    put(bi, r, c, 1.0 / (scales[bi][r] * scales[bi][c]))
-    b_vals.append(1.0)
-    nrow += 1
-
-    # sharing rows
-    for bi, r, c, key in dup:
-        put(bi, r, c, 1.0 / (scales[bi][r] * scales[bi][c]))
-        bj, u, v, coeff = rep_coeff(key)
-        put(bj, u, v, -coeff)
-        b_vals.append(0.0)
-        nrow += 1
+    own = [rep_pos[:1], _entry_positions(layout, dup)]
+    key_rows = list(range(1, len(dup) + 1))
+    key_keys = [d[3] for d in dup]
+    key_coeffs = [-1.0] * len(dup)
+    nrow = 1 + len(dup)
 
     # localizing rows
     for i, block in enumerate(rel.blocks):
         if block.is_moment:
             continue
+        own.append(np.arange(layout.offsets[i], layout.offsets[i + 1]))
         for r in range(block.size):
             for c in range(r, block.size):
-                put(i, r, c, 1.0 / (scales[i][r] * scales[i][c]))
                 for key, coeff in rel.entry_form(i, r, c).items():
-                    bj, u, v, s = rep_coeff(key)
-                    put(bj, u, v, -coeff * s)
-                b_vals.append(0.0)
+                    key_rows.append(nrow)
+                    key_keys.append(key)
+                    key_coeffs.append(-coeff)
                 nrow += 1
+    n_own = nrow
 
     # equality rows
     for j, eqb in enumerate(rel.eq_blocks):
@@ -188,47 +241,55 @@ def assemble(rel: Relaxation, cert: CtpCertificate) -> StandardSdp:
                 if not form:
                     continue
                 for key, coeff in form.items():
-                    bj, u, v, s = rep_coeff(key)
-                    put(bj, u, v, coeff * s)
-                b_vals.append(0.0)
+                    key_rows.append(nrow)
+                    key_keys.append(key)
+                    key_coeffs.append(coeff)
                 nrow += 1
-
     zeta = nrow
 
     # per-group partial traces (all groups but the first; the solver keeps
     # the total trace at its constant)
-    for g in range(1, rel.n_groups):
-        for i, block in enumerate(rel.blocks):
-            if block.group != g:
-                continue
-            for r in range(block.size):
-                put(i, r, r, 1.0)
-        b_vals.append(cert.group_traces[g])
-        nrow += 1
+    groups = np.array([b.group for b in rel.blocks])[layout.block[layout.diag]]
+    later = groups > 0
+    trace_pos = layout.diag[later]
+    nrow += rel.n_groups - 1
 
-    dim = offsets[-1]
-    a_mat = sp.csr_matrix(
-        sp.coo_matrix((vals, (rows, cols)), shape=(nrow, dim))
+    own_pos = np.concatenate(own)
+    key_pos = rep_pos[np.array(key_keys, dtype=np.intp)]
+    scale = layout.scale
+    rows = np.concatenate(
+        [np.arange(n_own), np.array(key_rows, dtype=np.intp), zeta - 1 + groups[later]]
     )
-    a_mat.sum_duplicates()
+    cols = np.concatenate([own_pos, key_pos, trace_pos])
+    vals = np.concatenate([
+        weight[own_pos] / scale[own_pos],
+        np.array(key_coeffs) * weight[key_pos] / scale[key_pos],
+        np.ones(trace_pos.size),
+    ])
+    # no (row, position) pair repeats: a row's keys are distinct, so are
+    # their representatives, and an owned entry is never a representative
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nrow))])
+    a_mat = sp.csr_matrix((vals[order], cols[order], indptr), shape=(nrow, layout.dim))
 
-    c_vec = np.zeros(dim)
-    for key, coeff in rel.objective.items():
-        bj, u, v = rep[key]
-        idx = svec_index(offsets, sizes, bj, u, v)
-        c_vec[idx] += coeff / (scales[bj][u] * scales[bj][v]) / _entry_scale(u, v)
+    b = np.zeros(nrow)
+    b[0] = 1.0
+    b[zeta:] = cert.group_traces[1:]
+
+    c_vec = np.zeros(layout.dim)
+    obj_pos = rep_pos[np.array(list(rel.objective), dtype=np.intp)]
+    c_vec[obj_pos] = np.array(list(rel.objective.values())) / prod[obj_pos] / scale[obj_pos]
 
     return StandardSdp(
         block_sizes=sizes,
         c=c_vec,
         a_mat=a_mat,
-        b=np.array(b_vals),
+        b=b,
         trace=cert.trace_constant,
         zeta=zeta,
-        scales=scales,
+        scales=cert.block_scales,
         rel=rel,
         rep_entry=rep,
-        offsets=offsets,
     )
 
 
@@ -236,11 +297,9 @@ def recover_moments(sdp: StandardSdp, x: np.ndarray) -> np.ndarray:
     """Moment vector read off the representative entries of an svec iterate."""
     if sdp.rel is None or sdp.rep_entry is None or sdp.scales is None:
         raise ValueError("moment recovery requires an assembled standard form")
-    y = np.zeros(len(sdp.rel.keys))
-    for key, (bi, r, c) in sdp.rep_entry.items():
-        idx = svec_index(sdp.offsets, sdp.block_sizes, bi, r, c)
-        y[key] = x[idx] / _entry_scale(r, c) / (sdp.scales[bi][r] * sdp.scales[bi][c])
-    return y
+    layout = sdp.layout
+    pos = _rep_positions(layout, sdp.rep_entry)
+    return x[pos] / layout.scale[pos] / layout.diag_products(sdp.scales)[pos]
 
 
 def x_from_moments(sdp: StandardSdp, y: np.ndarray) -> np.ndarray:
@@ -248,15 +307,12 @@ def x_from_moments(sdp: StandardSdp, y: np.ndarray) -> np.ndarray:
     if sdp.rel is None or sdp.scales is None:
         raise ValueError("requires an assembled standard form")
     rel = sdp.rel
-    x = np.zeros(sdp.dim)
-    for i, block in enumerate(rel.blocks):
-        for r in range(block.size):
-            for c in range(r, block.size):
-                form = rel.entry_form(i, r, c)
-                val = sum(coeff * y[key] for key, coeff in form.items())
-                val *= sdp.scales[i][r] * sdp.scales[i][c]
-                x[svec_index(sdp.offsets, sdp.block_sizes, i, r, c)] = val * _entry_scale(r, c)
-    return x
+    layout = sdp.layout
+    vals = [
+        sum(coeff * y[key] for key, coeff in rel.entry_form(i, r, c).items())
+        for i, r, c in zip(layout.block.tolist(), layout.row.tolist(), layout.col.tolist())
+    ]
+    return np.array(vals, dtype=float) * layout.diag_products(sdp.scales) * layout.scale
 
 
 def write_sdp(sdp: StandardSdp, path: str) -> None:
@@ -269,46 +325,49 @@ def write_sdp(sdp: StandardSdp, path: str) -> None:
     1-based indices. The trace constant and the structural row count ride
     in the comment line so a round trip preserves them.
     """
-    m = sdp.n_rows
+    layout = sdp.layout
     lines = [f'"trace={sdp.trace!r} zeta={sdp.zeta}']
-    lines.append(str(m))
+    lines.append(str(sdp.n_rows))
     lines.append(str(len(sdp.block_sizes)))
     lines.append(" ".join(str(s) for s in sdp.block_sizes))
     lines.append(" ".join(f"{v:.17g}" for v in sdp.b))
 
-    def emit(t: int, vec_idx: int, val: float) -> list[str]:
-        blk = 0
-        while sdp.offsets[blk + 1] <= vec_idx:
-            blk += 1
-        rel_idx = vec_idx - sdp.offsets[blk]
-        s = sdp.block_sizes[blk]
-        r = 0
-        row_len = s
-        while rel_idx >= row_len:
-            rel_idx -= row_len
-            r += 1
-            row_len -= 1
-        c = r + rel_idx
-        mat_val = val / _entry_scale(r, c)
-        return [f"{t} {blk + 1} {r + 1} {c + 1} {mat_val:.17g}"]
-
-    for idx in np.nonzero(sdp.c)[0]:
-        lines.extend(emit(0, int(idx), float(sdp.c[idx])))
+    obj = np.flatnonzero(sdp.c)
     coo = sdp.a_mat.tocoo()
     order = np.lexsort((coo.col, coo.row))
-    for t in order:
-        lines.extend(emit(int(coo.row[t]) + 1, int(coo.col[t]), float(coo.data[t])))
+    t = np.concatenate([np.zeros(obj.size, dtype=np.intp), coo.row[order] + 1])
+    pos = np.concatenate([obj, coo.col[order]])
+    val = np.concatenate([sdp.c[obj], coo.data[order]]) / layout.scale[pos]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+        chunk = 1 << 16  # bounds the Python objects alive while formatting
+        for lo in range(0, pos.size, chunk):
+            sl = slice(lo, lo + chunk)
+            p = pos[sl]
+            entries = zip(
+                t[sl].tolist(),
+                (layout.block[p] + 1).tolist(),
+                (layout.row[p] + 1).tolist(),
+                (layout.col[p] + 1).tolist(),
+                val[sl].tolist(),
+            )
+            fh.write("".join(map("%d %d %d %d %.17g\n".__mod__, entries)))
+
+
+_ENTRY = np.dtype([("t", np.int64), ("blk", np.int64), ("i", np.int64), ("j", np.int64), ("val", float)])
 
 
 def read_sdp(path: str) -> StandardSdp:
     """Read a standard form written by write_sdp. Solvable but anonymous:
-    the moment-recovery maps are not part of the text format."""
+    the moment-recovery maps are not part of the text format.
+
+    Raises ValueError on a malformed file, including an entry outside the
+    upper triangle of its block or a constraint index above the row count.
+    """
     trace = 0.0
     zeta = 0
     header: list[str] = []
-    entries: list[tuple[int, int, int, int, float]] = []
+    body: list[str] = []
     with open(path) as fh:
         for raw in fh:
             line = raw.strip()
@@ -321,11 +380,9 @@ def read_sdp(path: str) -> StandardSdp:
                     elif tok.startswith("zeta="):
                         zeta = int(tok[5:])
                 continue
-            if len(header) < 4:
-                header.append(line)
-                continue
-            t, blk, i, j, val = line.split()
-            entries.append((int(t), int(blk) - 1, int(i) - 1, int(j) - 1, float(val)))
+            (header if len(header) < 4 else body).append(line)
+    if len(header) < 4:
+        raise ValueError("file ends inside the header")
     m = int(header[0])
     nblocks = int(header[1])
     sizes = [int(s) for s in header[2].split()]
@@ -334,24 +391,25 @@ def read_sdp(path: str) -> StandardSdp:
     b = np.array([float(v) for v in header[3].split()])
     if b.shape != (m,):
         raise ValueError("right hand side length does not match constraint count")
-    offsets = [0]
-    for s in sizes:
-        offsets.append(offsets[-1] + s * (s + 1) // 2)
-    dim = offsets[-1]
-    c_vec = np.zeros(dim)
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for t, blk, r, c, val in entries:
-        idx = svec_index(offsets, sizes, blk, r, c)
-        sval = val * _entry_scale(r, c)
-        if t == 0:
-            c_vec[idx] += sval
-        else:
-            rows.append(t - 1)
-            cols.append(idx)
-            vals.append(sval)
-    a_mat = sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(m, dim)))
+    layout = _layout(tuple(sizes))
+
+    ent = np.loadtxt(body, dtype=_ENTRY, comments=None, ndmin=1) if body else np.zeros(0, _ENTRY)
+    t, blk, r, c = (ent[f] for f in ("t", "blk", "i", "j"))
+    if np.any((t < 0) | (t > m)):
+        raise ValueError(f"constraint index outside 0..{m}")
+    if np.any((blk < 1) | (blk > nblocks)):
+        raise ValueError(f"block index outside 1..{nblocks}")
+    blk = blk - 1
+    if np.any((r < 1) | (r > c) | (c > np.asarray(sizes, dtype=np.int64)[blk])):
+        raise ValueError("entry outside the upper triangle of its block")
+    idx = layout.index(blk, r - 1, c - 1)
+    sval = ent["val"] * layout.scale[idx]
+    obj = t == 0
+    c_vec = np.zeros(layout.dim)
+    np.add.at(c_vec, idx[obj], sval[obj])
+    a_mat = sp.csr_matrix(
+        sp.coo_matrix((sval[~obj], (t[~obj] - 1, idx[~obj])), shape=(m, layout.dim))
+    )
     return StandardSdp(
         block_sizes=sizes,
         c=c_vec,
@@ -359,5 +417,4 @@ def read_sdp(path: str) -> StandardSdp:
         b=b,
         trace=trace,
         zeta=zeta,
-        offsets=offsets,
     )

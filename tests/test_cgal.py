@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-import ncsdp.cgal as cgal
 from ncsdp.cgal import CgalConfig, CgalError, SolveReport, min_eigpair, solve
 from ncsdp.ctp import certify
 from ncsdp.free_algebra import NcPolynomial
 from ncsdp.relaxation import Problem, build
-from ncsdp.standard_form import StandardSdp, assemble, recover_moments
+from ncsdp.standard_form import BlockLayout, StandardSdp, assemble, recover_moments
 
 
 def _sym(rng, size):
@@ -128,7 +127,7 @@ def test_solve_deterministic_for_fixed_seed():
 
 def test_solve_trace_guard_raises(monkeypatch):
     _, sdp = _ball_sdp()
-    monkeypatch.setattr(cgal._BlockView, "trace", lambda self, x: 999.0)
+    monkeypatch.setattr(BlockLayout, "trace", lambda self, x: 999.0)
     with pytest.raises(CgalError, match="trace drifted"):
         solve(sdp, CgalConfig(eps=1e-3, max_iters=10))
 

@@ -1,6 +1,7 @@
 """End-to-end command line tests driven through main(argv)."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from ncsdp.cli import (
     EXIT_INPUT,
     EXIT_NO_CTP,
     EXIT_OK,
+    _csv_row,
     main,
     poly_from_json,
     poly_to_json,
@@ -172,3 +174,15 @@ def test_poly_json_round_trip():
     p = NcPolynomial(2, {(): 1.5, (1, 2): 0.5, (2, 1): 0.5})
     q = poly_from_json(2, poly_to_json(p), "test")
     assert q.terms == p.terms
+
+
+def test_csv_row_closes_the_file(tmp_path):
+    path = str(tmp_path / "rows.csv")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _csv_row(path, {"n": 2})
+        _csv_row(path, {"n": 3})
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    lines = open(path).read().splitlines()
+    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert len(lines) == 3

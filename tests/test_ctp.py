@@ -12,8 +12,6 @@ from ncsdp.ctp import (
     CtpError,
     ball_coeffs,
     ball_decomposition_residual,
-    build_ctp_lp,
-    build_ctp_lp_cs,
     certify,
     derive_ball_coeffs,
     sampled_deviation,
@@ -174,10 +172,15 @@ def test_certify_unconstrained_fails():
         certify(rel)
 
 
+def _group_lp(problem, k, decomp, group=0):
+    inst, _, _, _ = ctp._group_lp_from_rel(build(problem, k, decomp=decomp), group)
+    return inst
+
+
 def test_build_ctp_lp_ball_optimum():
     for n, k in ((2, 1), (3, 1), (2, 2)):
-        inst = build_ctp_lp(ball_problem(n), k)
-        res = solve_lp(inst)
+        prob = ball_problem(n)
+        res = solve_lp(_group_lp(prob, k, dense_decomposition(prob)))
         assert res.status == "optimal"
         assert res.objective == pytest.approx(1.0 + k, abs=1e-8)
 
@@ -191,7 +194,7 @@ def test_build_ctp_lp_square_equalities_optimum():
         objective=x[0],
         equalities=[x[0] * x[0] - one, x[1] * x[1] - one],
     )
-    res = solve_lp(build_ctp_lp(prob, k))
+    res = solve_lp(_group_lp(prob, k, dense_decomposition(prob)))
     assert res.status == "optimal"
     assert res.objective == pytest.approx(float(basis_size(k, n)), abs=1e-7)
 
@@ -204,7 +207,7 @@ def test_build_ctp_lp_cs_per_group():
     decomp = decompose(prob)
     assert decomp.n_groups == 2
     for g in range(2):
-        res = solve_lp(build_ctp_lp_cs(prob, 1, decomp, g))
+        res = solve_lp(_group_lp(prob, 1, decomp, g))
         assert res.status == "optimal"
         assert res.objective == pytest.approx(2.0, abs=1e-8)
 

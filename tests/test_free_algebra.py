@@ -9,13 +9,10 @@ from ncsdp.free_algebra import (
     NcPolynomial,
     SymmetryMode,
     WordBasis,
-    approx_equal,
     basis_size,
     canonicalize,
-    enumerate_basis,
     evaluate,
     evaluate_scalar,
-    involution,
     word_value,
 )
 
@@ -26,14 +23,6 @@ def test_basis_size_values():
     assert basis_size(4, 1) == 5
     assert basis_size(-1, 3) == 0
     assert basis_size(2, 10) == 111
-
-
-def test_involution():
-    assert involution(()) == ()
-    assert involution((1,)) == (1,)
-    assert involution((1, 2, 3)) == (3, 2, 1)
-    w = (2, 1, 1, 3)
-    assert involution(involution(w)) == w
 
 
 def test_canonicalize_star_only():
@@ -85,7 +74,7 @@ def test_word_basis_validation():
     with pytest.raises(ValueError):
         WordBasis([1], -1)
     with pytest.raises(CapacityError):
-        enumerate_basis(10, 8, index_limit=1000)
+        WordBasis(range(1, 11), 8, index_limit=1000)
 
 
 def test_polynomial_arithmetic():
@@ -103,7 +92,7 @@ def test_polynomial_arithmetic():
     p = x1 * x2 + x2 * x1
     assert p.is_symmetric()
     assert not (x1 * x2).is_symmetric()
-    assert approx_equal((x1 * x2).symmetrized(), 0.5 * p)
+    assert (x1 * x2).symmetrized().terms == (0.5 * p).terms
 
 
 def test_polynomial_rejects_bad_letters():
@@ -141,7 +130,7 @@ def test_word_value_and_scalar():
 
 
 def _key_count(n: int, k: int, mode: SymmetryMode) -> int:
-    words = enumerate_basis(n, k).words
+    words = WordBasis(range(1, n + 1), k).words
     return len({canonicalize(u[::-1] + v, mode) for u in words for v in words})
 
 

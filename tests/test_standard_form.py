@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ncsdp.ctp import certify
 from ncsdp.free_algebra import NcPolynomial
 from ncsdp.generator import gen_dense, gen_sparse
 from ncsdp.relaxation import Problem, build, moment_vector_from_evaluation
 from ncsdp.standard_form import (
-    SQRT2,
+    BlockLayout,
+    StandardSdp,
     assemble,
     count_stats,
     moment_representatives,
     read_sdp,
     recover_moments,
-    svec_index,
     write_sdp,
     x_from_moments,
 )
@@ -27,17 +31,7 @@ def ball_problem(n: int) -> Problem:
 
 
 def svec_to_blocks(sdp, x):
-    mats = []
-    for bi, s in enumerate(sdp.block_sizes):
-        m = np.empty((s, s))
-        for r in range(s):
-            for c in range(r, s):
-                v = x[svec_index(sdp.offsets, sdp.block_sizes, bi, r, c)]
-                if r != c:
-                    v /= SQRT2
-                m[r, c] = m[c, r] = v
-        mats.append(m)
-    return mats
+    return [sdp.layout.matrix(x, i) for i in range(len(sdp.block_sizes))]
 
 
 def random_contraction_tuple(n: int, dim: int, rng) -> list[np.ndarray]:
@@ -51,13 +45,29 @@ def random_contraction_tuple(n: int, dim: int, rng) -> list[np.ndarray]:
 
 
 def test_svec_index_layout():
-    offsets, sizes = [0, 6, 9], [3, 2]
-    seen = []
-    for bi in range(2):
-        for r in range(sizes[bi]):
-            for c in range(r, sizes[bi]):
-                seen.append(svec_index(offsets, sizes, bi, r, c))
-    assert seen == list(range(9))
+    sizes = [3, 2, 1]
+    layout = BlockLayout(sizes)
+    entries = [(b, r, c) for b, s in enumerate(sizes) for r in range(s) for c in range(r, s)]
+    assert list(zip(layout.block.tolist(), layout.row.tolist(), layout.col.tolist())) == entries
+    assert layout.offsets == [0, 6, 9, 10]
+    assert layout.dim == 10
+    assert layout.diag.tolist() == [0, 3, 5, 6, 8, 9]
+    assert [layout.index(b, r, c) for b, r, c in entries] == list(range(10))
+    assert layout.index(layout.block, layout.row, layout.col).tolist() == list(range(10))
+    off = layout.row != layout.col
+    assert np.all(layout.scale[off] == np.sqrt(2.0))
+    assert np.all(layout.scale[~off] == 1.0)
+    # dense gather, rank-one scatter and trace
+    rng = np.random.default_rng(2)
+    a = rng.standard_normal((3, 3))
+    a = a + a.T
+    x = np.zeros(layout.dim)
+    x[:6] = a[layout.row[:6], layout.col[:6]] * layout.scale[:6]
+    assert np.allclose(layout.matrix(x, 0), a, rtol=0, atol=1e-15)
+    v = rng.standard_normal(2)
+    layout.add_outer(x, 1, v, 2.5)
+    assert np.allclose(layout.matrix(x, 1), 2.5 * np.outer(v, v), rtol=0, atol=1e-14)
+    assert layout.trace(x) == pytest.approx(np.trace(a) + 2.5 * (v @ v), abs=1e-13)
 
 
 def test_moment_representatives():
@@ -177,8 +187,62 @@ def test_write_read_round_trip(tmp_path):
         recover_moments(back, x)
 
 
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_write_read_round_trip_property(tmp_path, data):
+    sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4), label="sizes")
+    layout = BlockLayout(sizes)
+    m = data.draw(st.integers(1, 5), label="m")
+    entry = st.one_of(st.just(0.0), _FLOATS)
+    a_dense = data.draw(arrays(float, (m, layout.dim), elements=entry), label="A")
+    c = data.draw(st.one_of(st.just(np.zeros(layout.dim)), arrays(float, layout.dim, elements=entry)), label="c")
+    b = data.draw(arrays(float, m, elements=_FLOATS), label="b")
+    sdp = StandardSdp(
+        block_sizes=sizes,
+        c=c,
+        a_mat=sp.csr_matrix(a_dense),
+        b=b,
+        trace=data.draw(_FLOATS, label="trace"),
+        zeta=data.draw(st.integers(0, m), label="zeta"),
+    )
+    path = str(tmp_path / "prop.sdp")
+    write_sdp(sdp, path)
+    back = read_sdp(path)
+    assert back.block_sizes == sizes
+    assert back.trace == sdp.trace
+    assert back.zeta == sdp.zeta
+    assert np.array_equal(back.b, b)
+    # the file holds matrix entries, so an off-diagonal value comes back as
+    # (v / sqrt 2) * sqrt 2, which differs from v in the last bit for about
+    # one float in seven; nothing else may change
+    assert np.array_equal(back.c, c / layout.scale * layout.scale)
+    assert np.array_equal(back.a_mat.toarray(), a_dense / layout.scale * layout.scale)
+
+
 def test_read_sdp_rejects_malformed(tmp_path):
     path = tmp_path / "bad.sdp"
-    path.write_text('"trace=2.0 zeta=2\n1\n2\n3\n1.0\n')
-    with pytest.raises(ValueError, match="block size"):
-        read_sdp(str(path))
+    head = '"trace=2.0 zeta=1\n1\n2\n2 1\n1.0\n'
+    cases = [
+        ('"trace=2.0 zeta=2\n1\n2\n3\n1.0\n', "block size"),
+        ('"trace=2.0\n1\n2\n', "header"),
+        (head + "1 1 1 3 1.0\n", "upper triangle"),  # column past the block
+        (head + "1 1 2 1 1.0\n", "upper triangle"),  # lower triangle
+        (head + "1 1 0 1 1.0\n", "upper triangle"),
+        (head + "1 0 1 1 1.0\n", "block index"),
+        (head + "1 3 1 1 1.0\n", "block index"),
+        (head + "2 1 1 1 1.0\n", "constraint index"),
+        (head + "-1 1 1 1 1.0\n", "constraint index"),
+        (head + "1 1 1 1\n", "columns"),
+    ]
+    for text, match in cases:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            read_sdp(str(path))
+    # comment and blank lines may sit anywhere
+    path.write_text('* c\n"trace=2.0 zeta=1\n\n1\n2\n2 1\n1.0\n0 1 1 2 0.5\n\n* note\n1 2 1 1 3.0\n')
+    back = read_sdp(str(path))
+    assert back.c.tolist() == [0.0, 0.5 * np.sqrt(2.0), 0.0, 0.0]
+    assert back.a_mat.toarray().tolist() == [[0.0, 0.0, 0.0, 3.0]]
