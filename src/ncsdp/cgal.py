@@ -6,6 +6,12 @@ eigenpair of the block-diagonal gradient, and moves toward the rank-one
 atom a vv* placed in the block that owns the smallest eigenvalue; the trace
 constraint is therefore maintained exactly by construction, and every
 iterate is a convex combination of psd matrices.
+
+The eigenpair search groups the blocks by size. All blocks of one size up
+to dense_cutoff are gathered into a (k, s, s) stack and solved by one
+stacked eigh (1 x 1 blocks in closed form); larger blocks run Lanczos one
+at a time, in block order. The first block with the least eigenvalue wins,
+and a non-finite eigenvalue stops the solve with CgalError.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.linalg import eigh_tridiagonal
 
-from .standard_form import StandardSdp
+from .standard_form import BlockLayout, StandardSdp
 
 
 class CgalError(Exception):
@@ -51,6 +57,7 @@ class SolveReport:
     z: np.ndarray
     runtime: float
     min_iterate_eig: float  # most negative block eigenvalue seen (0 unless audited)
+    dual_cap_hits: int  # iterations whose dual update was rejected by dual_cap
     residual_history: np.ndarray | None = None  # per-iteration relative residuals
 
 
@@ -115,8 +122,18 @@ def min_eigpair(
     matrices and callables run restarted Lanczos with full
     reorthogonalization; convergence is declared when the residual bound
     |beta_m s_m| falls under tol * max(1, |theta|).
+
+    A stack of k symmetric matrices, shape (k, s, s), takes one stacked eigh
+    whatever s (1 x 1 matrices in closed form, without eigh) and returns the
+    (k,) smallest eigenvalues and their (k, s) eigenvectors, bit for bit what
+    the matrices give one at a time.
     """
     if isinstance(a, np.ndarray):
+        if a.ndim == 3:
+            if a.shape[1] == 1:
+                return a[:, 0, 0], np.ones((a.shape[0], 1))
+            w, v = np.linalg.eigh(a)
+            return w[:, 0], v[:, :, 0]
         size = a.shape[0]
         if size <= dense_cutoff:
             w, v = np.linalg.eigh(a)
@@ -135,6 +152,51 @@ def min_eigpair(
     v0 /= np.linalg.norm(v0)
     m = min(size, lanczos_dim)
     return _lanczos_smallest(matvec, size, v0, tol, max_restarts, m)
+
+
+class _BlockEigs:
+    """Smallest eigenpair of a block-diagonal matrix in svec form, over all blocks.
+
+    Blocks up to dense_cutoff are solved one size class at a time, by one
+    stacked eigh per size. Larger blocks run Lanczos one at a time in block
+    order, the order in which they draw their start vectors from the rng.
+    The first block, in block order, with the least eigenvalue wins.
+    """
+
+    def __init__(self, layout: BlockLayout, dense_cutoff: int, lanczos_dim: int):
+        sizes = np.asarray(layout.sizes)
+        self.layout = layout
+        self.dense_cutoff = dense_cutoff
+        self.lanczos_dim = lanczos_dim
+        self.stacked = [(s, np.flatnonzero(sizes == s)) for s in np.unique(sizes[sizes <= dense_cutoff]).tolist()]
+        self.rank = np.zeros(sizes.size, dtype=np.intp)  # a block's row in its size class
+        for _, blocks in self.stacked:
+            self.rank[blocks] = np.arange(blocks.size)
+        self.lanczos = np.flatnonzero(sizes > dense_cutoff).tolist()
+        self.lam = np.empty(sizes.size)
+
+    def __call__(self, g: np.ndarray, tol: float, rng: Generator, t: int) -> tuple[float, int, np.ndarray]:
+        """(eigenvalue, block, eigenvector) of the winning block; t names the iteration in errors."""
+        lam = self.lam
+        stack_vecs = {}
+        for s, blocks in self.stacked:
+            lam[blocks], stack_vecs[s] = min_eigpair(self.layout.stack(g, s))
+        block_vecs = {}
+        for i in self.lanczos:
+            lam[i], block_vecs[i] = min_eigpair(
+                self.layout.matrix(g, i),
+                tol=tol,
+                rng=rng,
+                dense_cutoff=self.dense_cutoff,
+                lanczos_dim=self.lanczos_dim,
+            )
+        if not np.isfinite(lam).all():
+            bad = int(np.flatnonzero(~np.isfinite(lam))[0])
+            raise CgalError(f"smallest eigenvalue of block {bad} is {float(lam[bad])!r} at iteration {t}")
+        blk = int(np.argmin(lam))
+        s = self.layout.sizes[blk]
+        v = stack_vecs[s][self.rank[blk]] if s <= self.dense_cutoff else block_vecs[blk]
+        return float(lam[blk]), blk, v
 
 
 def _operator_norm(a_mat) -> float:
@@ -216,6 +278,8 @@ def solve(sdp: StandardSdp, cfg: CgalConfig | None = None) -> SolveReport:
     min_seen = 0.0
     iters = 0
     resid_hist: list[float] | None = [] if cfg.track_residuals else None
+    cap_hits = 0
+    block_eigs = _BlockEigs(layout, cfg.dense_cutoff, cfg.lanczos_dim)
 
     for t in range(1, cfg.max_iters + 1):
         iters = t
@@ -223,23 +287,11 @@ def solve(sdp: StandardSdp, cfg: CgalConfig | None = None) -> SolveReport:
         r = (ax - b) / res_scale
         g = c_scaled + at_mat @ ((z + beta * r) / sigma)
         eig_tol = max(1e-10, 1.0 / (t + 1.0) ** 2)
-        lam_best = math.inf
-        blk_best = 0
-        v_best: np.ndarray | None = None
-        for i in range(len(sizes)):
-            lam, v = min_eigpair(
-                layout.matrix(g, i),
-                tol=eig_tol,
-                rng=rng,
-                dense_cutoff=cfg.dense_cutoff,
-                lanczos_dim=cfg.lanczos_dim,
-            )
-            if lam < lam_best:
-                lam_best, blk_best, v_best = lam, i, v
+        _, blk, v = block_eigs(g, eig_tol, rng, t)
 
         eta = 2.0 / (t + 1.0)
         x *= 1.0 - eta
-        layout.add_outer(x, blk_best, v_best, eta * a)
+        layout.add_outer(x, blk, v, eta * a)
         ax = a_mat @ x
         obj = float(c @ x)
 
@@ -254,6 +306,8 @@ def solve(sdp: StandardSdp, cfg: CgalConfig | None = None) -> SolveReport:
         z_new = z + gamma * r_new
         if float(np.linalg.norm(z_new)) <= cfg.dual_cap:
             z = z_new
+        else:
+            cap_hits += 1
         rn = rn_scaled * res_scale
 
         tr = layout.trace(x)
@@ -286,5 +340,6 @@ def solve(sdp: StandardSdp, cfg: CgalConfig | None = None) -> SolveReport:
         z=z,
         runtime=time.perf_counter() - t0,
         min_iterate_eig=min_seen,
+        dual_cap_hits=cap_hits,
         residual_history=None if resid_hist is None else np.array(resid_hist),
     )

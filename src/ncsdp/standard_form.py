@@ -58,6 +58,11 @@ class BlockLayout:
         self.diag = np.flatnonzero(self.row == self.col)
         for arr in (self.block, self.row, self.col, self.scale, self.diag):
             arr.flags.writeable = False
+        # dense gathers, built on first use: per size, the position within a
+        # block and the scale of every square entry, and the positions of the
+        # (k, s, s) stack of all blocks of that size
+        self._squares: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._stacks: dict[int, np.ndarray] = {}
 
     @staticmethod
     def _triangle(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -75,15 +80,31 @@ class BlockLayout:
         first = np.repeat(np.cumsum([0] + self.sizes[:-1]), np.diff(self.offsets))
         return d[first + self.row] * d[first + self.col]
 
+    def _square(self, s: int) -> tuple[np.ndarray, np.ndarray]:
+        sq = self._squares.get(s)
+        if sq is None:
+            iu, ju, scale = self._triangle(s)
+            local = np.empty((s, s), dtype=np.intp)
+            local[iu, ju] = local[ju, iu] = np.arange(iu.size)
+            sq = self._squares[s] = (local, scale[local])
+        return sq
+
     def matrix(self, x: np.ndarray, i: int) -> np.ndarray:
         """Dense symmetric block i of an svec vector."""
-        iu, ju, scale = self._tri[i]
-        s = self.sizes[i]
-        m = np.zeros((s, s))
-        vals = x[self.offsets[i] : self.offsets[i + 1]] / scale
-        m[iu, ju] = vals
-        m[ju, iu] = vals
-        return m
+        local, scale = self._square(self.sizes[i])
+        return x[self.offsets[i] : self.offsets[i + 1]][local] / scale
+
+    def stack(self, x: np.ndarray, s: int) -> np.ndarray:
+        """Dense blocks of size s of an svec vector, in block order, as a (k, s, s) array.
+
+        Entry for entry the same values as matrix(x, i) for each such block i.
+        """
+        local, scale = self._square(s)
+        pos = self._stacks.get(s)
+        if pos is None:
+            first = np.asarray(self.offsets[:-1])[np.asarray(self.sizes) == s]
+            pos = self._stacks[s] = first[:, None, None] + local
+        return x[pos] / scale
 
     def add_outer(self, x: np.ndarray, i: int, v: np.ndarray, weight: float) -> None:
         """x += weight * svec(v v^T) placed in block i."""
@@ -366,8 +387,7 @@ def read_sdp(path: str) -> StandardSdp:
     """
     trace = 0.0
     zeta = 0
-    header: list[str] = []
-    body: list[str] = []
+    lines: list[str] = []
     with open(path) as fh:
         for raw in fh:
             line = raw.strip()
@@ -380,20 +400,23 @@ def read_sdp(path: str) -> StandardSdp:
                     elif tok.startswith("zeta="):
                         zeta = int(tok[5:])
                 continue
-            (header if len(header) < 4 else body).append(line)
-    if len(header) < 4:
+            lines.append(line)
+    m = int(lines[0]) if lines else 0
+    # with no constraints the right hand side line is blank, and so skipped
+    head = 4 if m else 3
+    if len(lines) < head:
         raise ValueError("file ends inside the header")
-    m = int(header[0])
-    nblocks = int(header[1])
-    sizes = [int(s) for s in header[2].split()]
+    nblocks = int(lines[1])
+    sizes = [int(s) for s in lines[2].split()]
     if len(sizes) != nblocks:
         raise ValueError("block size list does not match block count")
-    b = np.array([float(v) for v in header[3].split()])
+    b = np.array([float(v) for v in lines[3].split()] if m else [])
     if b.shape != (m,):
         raise ValueError("right hand side length does not match constraint count")
     layout = _layout(tuple(sizes))
 
-    ent = np.loadtxt(body, dtype=_ENTRY, comments=None, ndmin=1) if body else np.zeros(0, _ENTRY)
+    del lines[:head]  # the entry lines remain
+    ent = np.loadtxt(lines, dtype=_ENTRY, comments=None, ndmin=1) if lines else np.zeros(0, _ENTRY)
     t, blk, r, c = (ent[f] for f in ("t", "blk", "i", "j"))
     if np.any((t < 0) | (t > m)):
         raise ValueError(f"constraint index outside 0..{m}")

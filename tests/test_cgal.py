@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from numpy.random import Generator, Philox
 
-from ncsdp.cgal import CgalConfig, CgalError, SolveReport, min_eigpair, solve
+from ncsdp.cgal import CgalConfig, CgalError, SolveReport, _BlockEigs, min_eigpair, solve
 from ncsdp.ctp import certify
 from ncsdp.free_algebra import NcPolynomial
 from ncsdp.relaxation import Problem, build
-from ncsdp.standard_form import BlockLayout, StandardSdp, assemble, recover_moments
+from ncsdp.standard_form import BlockLayout, StandardSdp, assemble, read_sdp, recover_moments, write_sdp
 
 
 def _sym(rng, size):
@@ -43,6 +44,84 @@ def test_min_eigpair_size_one_and_degenerate():
     assert lam == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("size", [1, 2, 6])
+def test_min_eigpair_stack_matches_one_at_a_time(size):
+    rng = np.random.default_rng(10 + size)
+    stack = np.array([_sym(rng, size) for _ in range(7)])
+    lam, vecs = min_eigpair(stack)
+    assert lam.shape == (7,) and vecs.shape == (7, size)
+    for k in range(7):
+        lam_k, v_k = min_eigpair(stack[k])
+        assert lam[k] == lam_k
+        assert np.array_equal(vecs[k], v_k)
+
+
+def _dense_block(layout, g, i):
+    # the per-block scatter the solver used before blocks were gathered by size
+    s = layout.sizes[i]
+    iu, ju = np.triu_indices(s)
+    m = np.zeros((s, s))
+    vals = g[layout.offsets[i] : layout.offsets[i + 1]] / np.where(iu == ju, 1.0, np.sqrt(2.0))
+    m[iu, ju] = vals
+    m[ju, iu] = vals
+    return m
+
+
+def _reference_block_eigs(layout, g, tol, rng, dense_cutoff, lanczos_dim=100):
+    # one eigensolve per block in block order; the first least eigenvalue wins
+    lam_best, blk_best, v_best = np.inf, 0, None
+    for i in range(len(layout.sizes)):
+        lam, v = min_eigpair(
+            _dense_block(layout, g, i), tol=tol, rng=rng,
+            dense_cutoff=dense_cutoff, lanczos_dim=lanczos_dim,
+        )
+        if lam < lam_best:
+            lam_best, blk_best, v_best = lam, i, v
+    return lam_best, blk_best, v_best
+
+
+@pytest.mark.parametrize("dense_cutoff", [64, 2, 0])
+def test_block_eigs_matches_per_block_loop(dense_cutoff):
+    layout = BlockLayout([3, 1, 3, 1, 5, 2, 1])
+    rng = np.random.default_rng(dense_cutoff)
+    gs = [rng.standard_normal(layout.dim) for _ in range(20)]
+    # blocks 0 and 2 equal and least: the tie goes to block 0
+    tie = rng.standard_normal(layout.dim) + 10.0
+    tie[layout.offsets[0] : layout.offsets[1]] = tie[layout.offsets[2] : layout.offsets[3]] = gs[0][:6] - 10.0
+    # a least 1 x 1 block (block 3) and the same value in a later 1 x 1 block (block 6)
+    one = rng.standard_normal(layout.dim)
+    one[layout.offsets[3]] = one[layout.offsets[6]] = -50.0
+    block_eigs = _BlockEigs(layout, dense_cutoff, lanczos_dim=100)
+    ref_rng, new_rng = Generator(Philox(3)), Generator(Philox(3))
+    winners = []
+    for t, g in enumerate(gs + [tie, one], start=1):
+        lam_ref, blk_ref, v_ref = _reference_block_eigs(layout, g, 1e-10, ref_rng, dense_cutoff)
+        lam, blk, v = block_eigs(g, 1e-10, new_rng, t)
+        assert (lam, blk) == (lam_ref, blk_ref)
+        assert np.array_equal(v, v_ref)
+        winners.append(blk)
+    if dense_cutoff >= 3:  # Lanczos runs on blocks 0 and 2 from different starts
+        assert winners[-2] == 0
+    assert winners[-1] == 3
+    assert len(set(winners)) > 2
+
+
+def test_solve_rejects_non_finite_eigenvalue():
+    # an infinite objective entry gives inf / inf = NaN in the gradient of block 1 only
+    sizes = [1, 2]
+    layout = BlockLayout(sizes)
+    c = np.zeros(layout.dim)
+    c[layout.index(1, 0, 1)] = np.inf
+    sdp = _direct_sdp(sizes, c, [[1.0, 0.0, 0.0, 0.0]], [0.3], trace=1.0)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(CgalError, match="block 1 is nan at iteration 1"):
+            solve(sdp, CgalConfig(max_iters=10))
+        # an all-NaN gradient names the first block
+        sdp.c = np.full(layout.dim, np.nan)
+        with pytest.raises(CgalError, match="block 0 is nan at iteration 1"):
+            solve(sdp, CgalConfig(max_iters=10))
+
+
 def _direct_sdp(block_sizes, c, rows, b, trace):
     dim = sum(s * (s + 1) // 2 for s in block_sizes)
     a_mat = sp.csr_matrix(np.array(rows).reshape(len(b), dim))
@@ -66,7 +145,7 @@ def test_solve_two_scalar_blocks():
     assert rep.x[0] == pytest.approx(0.3, abs=1e-3)
 
 
-def test_solve_pure_eigenvalue_problem():
+def test_solve_pure_eigenvalue_problem(tmp_path):
     # no rows at all: min <C, X> with tr X = 1 lands on the least eigenvalue
     rng = np.random.default_rng(4)
     a = _sym(rng, 6)
@@ -84,6 +163,15 @@ def test_solve_pure_eigenvalue_problem():
     assert rep.converged
     w0 = np.linalg.eigvalsh(a)[0]
     assert rep.objective == pytest.approx(w0, abs=5e-3 * (1 + abs(w0)))
+    # the zero-row form survives the text format and solves the same way
+    path = str(tmp_path / "eig.sdp")
+    write_sdp(sdp, path)
+    back = read_sdp(path)
+    assert back.n_rows == 0 and back.b.shape == (0,)
+    assert np.array_equal(back.c, c / back.layout.scale * back.layout.scale)
+    rep_back = solve(back, CgalConfig(eps=1e-4, max_iters=20_000))
+    assert rep_back.converged
+    assert rep_back.objective == pytest.approx(w0, abs=5e-3 * (1 + abs(w0)))
 
 
 def _ball_sdp(n=2, order=1):
@@ -141,6 +229,13 @@ def test_solve_psd_guard_raises(monkeypatch):
     )
     with pytest.raises(CgalError, match="lost psd"):
         solve(sdp, CgalConfig(eps=1e-3, max_iters=10, check_psd=True, dense_cutoff=0, lanczos_dim=4))
+
+
+def test_dual_cap_hits():
+    _, sdp = _ball_sdp()
+    assert solve(sdp, CgalConfig(eps=1e-3, max_iters=2000)).dual_cap_hits == 0
+    capped = solve(sdp, CgalConfig(eps=1e-3, max_iters=2000, dual_cap=1e-6))
+    assert 0 < capped.dual_cap_hits <= capped.iterations
 
 
 def test_report_fields():

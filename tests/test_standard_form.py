@@ -195,7 +195,7 @@ _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 def test_write_read_round_trip_property(tmp_path, data):
     sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4), label="sizes")
     layout = BlockLayout(sizes)
-    m = data.draw(st.integers(1, 5), label="m")
+    m = data.draw(st.integers(0, 5), label="m")
     entry = st.one_of(st.just(0.0), _FLOATS)
     a_dense = data.draw(arrays(float, (m, layout.dim), elements=entry), label="A")
     c = data.draw(st.one_of(st.just(np.zeros(layout.dim)), arrays(float, layout.dim, elements=entry)), label="c")
@@ -228,6 +228,7 @@ def test_read_sdp_rejects_malformed(tmp_path):
     cases = [
         ('"trace=2.0 zeta=2\n1\n2\n3\n1.0\n', "block size"),
         ('"trace=2.0\n1\n2\n', "header"),
+        ('"trace=2.0\n1\n1\n2\n', "header"),  # one constraint but no right hand side
         (head + "1 1 1 3 1.0\n", "upper triangle"),  # column past the block
         (head + "1 1 2 1 1.0\n", "upper triangle"),  # lower triangle
         (head + "1 1 0 1 1.0\n", "upper triangle"),
