@@ -182,7 +182,11 @@ class _BlockEigs:
         for s, blocks in self.stacked:
             lam[blocks], stack_vecs[s] = min_eigpair(self.layout.stack(g, s))
         block_vecs = {}
+        offsets = self.layout.offsets
         for i in self.lanczos:
+            if not np.isfinite(g[offsets[i] : offsets[i + 1]]).all():
+                lam[i] = np.nan  # Lanczos would stop inside SciPy; the check below names the block
+                continue
             lam[i], block_vecs[i] = min_eigpair(
                 self.layout.matrix(g, i),
                 tol=tol,

@@ -19,6 +19,7 @@ identity symbolically and samples the trace over the feasible affine span.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ from .free_algebra import (
     basis_size,
 )
 from .lp import LpInstance, LpResult, solve_lp
-from .relaxation import Relaxation, sample_equality_feasible_moments
+from .relaxation import Relaxation, moment_vector_from_evaluation, sample_equality_feasible_moments
 
 PROV_BALL = "ball-closed-form"
 PROV_POLYDISC = "polydisc-closed-form"
@@ -101,25 +102,6 @@ def ball_terms(letters: tuple[int, ...]) -> dict[Word, float]:
     for j in letters:
         terms[(j, j)] = -1.0
     return terms
-
-
-def shell_decomposition_residual(n: int, r: int) -> float:
-    """Max |coeff| of sum_{|w|=r} w*w - 1 - sum_{u, deg<r} u*(sum X^2 - 1)u.
-
-    The multiplier on every u is 1; the identity telescopes one length shell
-    at a time. Exact integers throughout, so a nonzero residual is real.
-    """
-    acc: dict[Word, float] = {}
-    for w in WordBasis(range(1, n + 1), r).words:
-        if len(w) == r:
-            _add_term(acc, w[::-1] + w, 1.0)
-    _add_term(acc, EMPTY_WORD, -1.0)
-    if r >= 1:
-        q = {(j, j): 1.0 for j in range(1, n + 1)}
-        q[EMPTY_WORD] = -1.0
-        for u in WordBasis(range(1, n + 1), r - 1).words:
-            _add_conjugation(acc, u, q, u, -1.0)
-    return max((abs(c) for c in acc.values()), default=0.0)
 
 
 def ball_decomposition_residual(n: int, k: int, coeffs: dict[Word, float]) -> float:
@@ -484,32 +466,36 @@ def sampled_deviation(
 
     The span is {equality entries = 0, y_1 = 1}; positivity is irrelevant
     to the constant trace property, so unconstrained directions in the
-    span give a sound check. When the dense null-space construction would
-    be too large, the anchor evaluation stands in as the sample (the
-    symbolic expansion is the actual proof of the identity; sampling
-    guards the wiring between polynomials and entry forms).
+    span give a sound check. The samples come from projecting Gaussian
+    vectors onto the null space of the equality system, which costs one
+    thin SVD of that (rows x keys) system. When it holds more than
+    SAMPLING_BUDGET entries, the anchor evaluation stands in as the sample
+    (the symbolic expansion is the actual proof of the identity; sampling
+    guards the wiring between polynomials and entry forms). Without an
+    anchor the check is skipped with a warning and 0.0 is returned.
     """
     eq_rows = 1 + sum(e.size * (e.size + 1) // 2 for e in rel.eq_blocks)
     if len(rel.keys) * eq_rows > SAMPLING_BUDGET:
         anchor = rel.problem.anchor
         if anchor is None:
+            warnings.warn(
+                f"sampled trace check skipped: the equality system has {len(rel.keys)} x "
+                f"{eq_rows} entries, over SAMPLING_BUDGET = {SAMPLING_BUDGET}, and the "
+                "problem has no anchor"
+            )
             return 0.0
-        from .relaxation import moment_vector_from_evaluation
-
         mats = [np.array([[float(v)]]) for v in anchor]
         ys = [moment_vector_from_evaluation(rel, mats, v=np.ones(1))]
     else:
         ys = sample_equality_feasible_moments(rel, samples, seed=seed)
-    worst = 0.0
-    for y in ys:
-        total = 0.0
-        for i, block in enumerate(rel.blocks):
-            diag = cert.block_scales[i] ** 2
-            for r in range(block.size):
-                form = rel.entry_form(i, r, r)
-                total += diag[r] * sum(c * y[key] for key, c in form.items())
-        worst = max(worst, abs(total - cert.trace_constant))
-    return worst
+    # tr(P D(y) P) is one linear form in y: the diagonal entry forms, weighted by P^2
+    trace_form = np.zeros(len(rel.keys))
+    for i, block in enumerate(rel.blocks):
+        diag = cert.block_scales[i] ** 2
+        for r in range(block.size):
+            for key, c in rel.entry_form(i, r, r).items():
+                trace_form[key] += diag[r] * c
+    return max((abs(float(y @ trace_form) - cert.trace_constant) for y in ys), default=0.0)
 
 
 def verify(

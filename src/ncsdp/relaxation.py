@@ -399,19 +399,20 @@ def sample_equality_feasible_moments(
     The samples live on the affine solution set of the equality system; no
     positivity is imposed, which is exactly the premise of the constant
     trace property.
+
+    One thin SVD of E gives the min-norm solution y0 and an orthonormal
+    basis R of the row space. Each sample is y0 + g - R^T (R g) for
+    g ~ N(0, scale^2 I): the projection of g onto the null space of E,
+    which never has to be formed. That costs O(rank * keys) memory where a
+    null-space basis would cost O(keys^2).
     """
     E, e = equality_system(rel)
-    y0, *_ = np.linalg.lstsq(E, e, rcond=None)
+    u, sv, vt = np.linalg.svd(E, full_matrices=False)
+    rank = int((sv > 1e-10 * sv[0]).sum())
+    row_basis = vt[:rank]
+    y0 = row_basis.T @ ((u[:, :rank].T @ e) / sv[:rank])
     if float(np.linalg.norm(E @ y0 - e)) > 1e-8 * (1.0 + float(np.linalg.norm(e))):
         raise ValueError("equality system is inconsistent")
-    _, sv, vt = np.linalg.svd(E, full_matrices=True)
-    rank = int((sv > 1e-10 * (sv[0] if sv.size else 1.0)).sum())
-    null = vt[rank:].T
     rng = np.random.Generator(np.random.Philox(seed))
-    out = []
-    for _ in range(count):
-        y = y0.copy()
-        if null.shape[1]:
-            y = y + null @ (scale * rng.standard_normal(null.shape[1]))
-        out.append(y)
-    return out
+    g = scale * rng.standard_normal((count, E.shape[1]))
+    return list(y0 + g - (g @ row_basis.T) @ row_basis)

@@ -116,6 +116,9 @@ def test_solve_rejects_non_finite_eigenvalue():
     with np.errstate(invalid="ignore"):
         with pytest.raises(CgalError, match="block 1 is nan at iteration 1"):
             solve(sdp, CgalConfig(max_iters=10))
+        # the same error when block 1 runs Lanczos instead of a dense eigh
+        with pytest.raises(CgalError, match="block 1 is nan at iteration 1"):
+            solve(sdp, CgalConfig(max_iters=10, dense_cutoff=0))
         # an all-NaN gradient names the first block
         sdp.c = np.full(layout.dim, np.nan)
         with pytest.raises(CgalError, match="block 0 is nan at iteration 1"):

@@ -1,5 +1,7 @@
 """Constant trace certification: oracles, closed forms, LP route, verify."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,15 +17,14 @@ from ncsdp.ctp import (
     certify,
     derive_ball_coeffs,
     sampled_deviation,
-    shell_decomposition_residual,
     square_equality_multipliers,
     symbolic_residual,
     verify,
 )
 from ncsdp.free_algebra import NcPolynomial, SymmetryMode, WordBasis, basis_size
-from ncsdp.generator import ball_inequality, gen_sparse, polydisc_inequalities
+from ncsdp.generator import ball_inequality, gen_dense, gen_sparse, polydisc_inequalities
 from ncsdp.lp import solve_lp
-from ncsdp.relaxation import Problem, build
+from ncsdp.relaxation import Problem, build, equality_system, sample_equality_feasible_moments
 from ncsdp.sparsity import dense_decomposition
 
 
@@ -38,6 +39,25 @@ def ball_problem(n: int, radius_sq: float = 1.0) -> Problem:
         (xi * xi for xi in x), NcPolynomial.zero(n)
     )
     return Problem(n=n, objective=obj, inequalities=[g])
+
+
+def shell_decomposition_residual(n: int, r: int) -> float:
+    """Max |coeff| of sum_{|w|=r} w*w - 1 - sum_{u, deg<r} u*(sum X^2 - 1)u.
+
+    The multiplier on every u is 1; the identity telescopes one length shell
+    at a time. Exact integers throughout, so a nonzero residual is real.
+    """
+    acc = {}
+    for w in WordBasis(range(1, n + 1), r).words:
+        if len(w) == r:
+            ctp._add_term(acc, w[::-1] + w, 1.0)
+    ctp._add_term(acc, (), -1.0)
+    if r >= 1:
+        q = {(j, j): 1.0 for j in range(1, n + 1)}
+        q[()] = -1.0
+        for u in WordBasis(range(1, n + 1), r - 1).words:
+            ctp._add_conjugation(acc, u, q, u, -1.0)
+    return max((abs(c) for c in acc.values()), default=0.0)
 
 
 def test_shell_oracle_zero():
@@ -273,7 +293,49 @@ def test_sampled_deviation_budget_fallback(monkeypatch):
     )
     rel2 = build(prob_no_anchor, order=2)
     cert2 = certify(rel2)
-    assert sampled_deviation(rel2, cert2, samples=3, seed=1) == 0.0
+    with pytest.warns(UserWarning, match="sampled trace check skipped"):
+        assert sampled_deviation(rel2, cert2, samples=3, seed=1) == 0.0
+
+
+def test_sampled_deviation_projects_without_null_basis():
+    # ball n = 10 at k = 2: E is 199 x 5666, so a null-space basis would be 257 MB
+    rel = build(gen_dense(10, kind="ball", seed=0), order=2)
+    E, e = equality_system(rel)
+    assert E.shape == (199, 5666)
+    tracemalloc.start()
+    try:
+        samples = sample_equality_feasible_moments(rel, count=3, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    for y in samples:
+        assert np.abs(E @ y - e).max() <= 1e-10
+    assert np.abs(samples[0] - samples[1]).max() > 1e-6
+    cert = certify(rel)
+    tampered = ctp.CtpCertificate(
+        order=cert.order,
+        block_scales=cert.block_scales,
+        eq_multipliers=cert.eq_multipliers,
+        group_traces=(cert.group_traces[0] + 1e-3,),
+        provenances=cert.provenances,
+    )
+    for c, expect in ((cert, 0.0), (tampered, 1e-3)):
+        dev = sampled_deviation(rel, c, samples=3, seed=0)
+        assert dev == pytest.approx(expect, abs=1e-8)
+        # reference: walk every diagonal entry form of every block for every sample
+        ref = max(
+            abs(
+                sum(
+                    c.block_scales[i][r] ** 2 * sum(co * y[key] for key, co in rel.entry_form(i, r, r).items())
+                    for i, block in enumerate(rel.blocks)
+                    for r in range(block.size)
+                )
+                - c.trace_constant
+            )
+            for y in samples
+        )
+        assert dev == pytest.approx(ref, abs=1e-12)
 
 
 def test_certify_trace_mode():
