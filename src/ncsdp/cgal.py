@@ -7,11 +7,13 @@ atom a vv* placed in the block that owns the smallest eigenvalue; the trace
 constraint is therefore maintained exactly by construction, and every
 iterate is a convex combination of psd matrices.
 
-The eigenpair search groups the blocks by size. All blocks of one size up
-to dense_cutoff are gathered into a (k, s, s) stack and solved by one
-stacked eigh (1 x 1 blocks in closed form); larger blocks run Lanczos one
-at a time, in block order. The first block with the least eigenvalue wins,
-and a non-finite eigenvalue stops the solve with CgalError.
+The eigenpair search groups the blocks by size. A 1 x 1 block is read
+straight from the gradient, with eigenvector [1]. All blocks of one larger
+size up to dense_cutoff are gathered into a (k, s, s) stack and solved by
+one stacked eigh (min_eigpair still takes a stack of 1 x 1 blocks, in
+closed form); larger blocks run Lanczos one at a time, in block order. The
+first block with the least eigenvalue wins, and a non-finite eigenvalue
+stops the solve with CgalError.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ def _lanczos_smallest(
     theta = 0.0
     y = v0
     for _ in range(max_restarts):
-        q = v / np.linalg.norm(v)
+        q = v / math.sqrt(v.dot(v))
         big_q = np.zeros((size, m))
         alpha = np.zeros(m)
         beta = np.zeros(m)
@@ -87,7 +89,7 @@ def _lanczos_smallest(
                 w = w - beta[j - 1] * big_q[:, j - 1]
             # full reorthogonalization keeps the basis honest at this scale
             w = w - big_q[:, : j + 1] @ (big_q[:, : j + 1].T @ w)
-            beta[j] = float(np.linalg.norm(w))
+            beta[j] = math.sqrt(w.dot(w))
             if beta[j] <= 1e-13 * max(1.0, abs(alpha[j])):
                 k = j + 1
                 break
@@ -99,7 +101,7 @@ def _lanczos_smallest(
         theta = float(theta_arr[0])
         ritz = s[:, 0]
         y = big_q[:, :k] @ ritz
-        y = y / np.linalg.norm(y)
+        y = y / math.sqrt(y.dot(y))
         resid = abs(beta[k - 1] * ritz[-1])
         if resid <= tol * max(1.0, abs(theta)):
             return theta, y
@@ -149,7 +151,7 @@ def min_eigpair(
     if rng is None:
         rng = Generator(Philox(0x5EED))
     v0 = rng.standard_normal(size)
-    v0 /= np.linalg.norm(v0)
+    v0 /= math.sqrt(v0.dot(v0))
     m = min(size, lanczos_dim)
     return _lanczos_smallest(matvec, size, v0, tol, max_restarts, m)
 
@@ -157,10 +159,12 @@ def min_eigpair(
 class _BlockEigs:
     """Smallest eigenpair of a block-diagonal matrix in svec form, over all blocks.
 
-    Blocks up to dense_cutoff are solved one size class at a time, by one
-    stacked eigh per size. Larger blocks run Lanczos one at a time in block
-    order, the order in which they draw their start vectors from the rng.
-    The first block, in block order, with the least eigenvalue wins.
+    A 1 x 1 block is its own eigenvalue, read from its svec position, with
+    eigenvector [1]. Other blocks up to dense_cutoff are solved one size
+    class at a time, by one stacked eigh per size. Larger blocks run Lanczos
+    one at a time in block order, the order in which they draw their start
+    vectors from the rng. The first block, in block order, with the least
+    eigenvalue wins.
     """
 
     def __init__(self, layout: BlockLayout, dense_cutoff: int, lanczos_dim: int):
@@ -168,26 +172,34 @@ class _BlockEigs:
         self.layout = layout
         self.dense_cutoff = dense_cutoff
         self.lanczos_dim = lanczos_dim
-        self.stacked = [(s, np.flatnonzero(sizes == s)) for s in np.unique(sizes[sizes <= dense_cutoff]).tolist()]
-        self.rank = np.zeros(sizes.size, dtype=np.intp)  # a block's row in its size class
-        for _, blocks in self.stacked:
-            self.rank[blocks] = np.arange(blocks.size)
-        self.lanczos = np.flatnonzero(sizes > dense_cutoff).tolist()
+        self.ones = np.flatnonzero(sizes == 1)
+        self.ones_pos = np.asarray(layout.offsets[:-1])[self.ones]
+        dense = np.unique(sizes[(sizes > 1) & (sizes <= dense_cutoff)]).tolist()
+        self.stacked = [(s, np.flatnonzero(sizes == s)) for s in dense]
+        self.lanczos = np.flatnonzero(sizes > max(1, dense_cutoff)).tolist()
+        # a block's eigenvector is vecs[i] (-1, i), or row r of the last
+        # eigenvectors of size class c (c, r); 1 x 1 blocks keep [1] in vecs
+        self.source = [(-1, i) for i in range(sizes.size)]
+        for c, (_, blocks) in enumerate(self.stacked):
+            for row, i in enumerate(blocks.tolist()):
+                self.source[i] = (c, row)
+        self.vecs = [np.ones(1)] * sizes.size
+        self.stack_vecs = [None] * len(self.stacked)
         self.lam = np.empty(sizes.size)
 
     def __call__(self, g: np.ndarray, tol: float, rng: Generator, t: int) -> tuple[float, int, np.ndarray]:
         """(eigenvalue, block, eigenvector) of the winning block; t names the iteration in errors."""
         lam = self.lam
-        stack_vecs = {}
-        for s, blocks in self.stacked:
-            lam[blocks], stack_vecs[s] = min_eigpair(self.layout.stack(g, s))
-        block_vecs = {}
+        lam[self.ones] = g[self.ones_pos]
+        stack = self.layout.stack
+        for c, (s, blocks) in enumerate(self.stacked):
+            lam[blocks], self.stack_vecs[c] = min_eigpair(stack(g, s))
         offsets = self.layout.offsets
         for i in self.lanczos:
             if not np.isfinite(g[offsets[i] : offsets[i + 1]]).all():
                 lam[i] = np.nan  # Lanczos would stop inside SciPy; the check below names the block
                 continue
-            lam[i], block_vecs[i] = min_eigpair(
+            lam[i], self.vecs[i] = min_eigpair(
                 self.layout.matrix(g, i),
                 tol=tol,
                 rng=rng,
@@ -197,10 +209,9 @@ class _BlockEigs:
         if not np.isfinite(lam).all():
             bad = int(np.flatnonzero(~np.isfinite(lam))[0])
             raise CgalError(f"smallest eigenvalue of block {bad} is {float(lam[bad])!r} at iteration {t}")
-        blk = int(np.argmin(lam))
-        s = self.layout.sizes[blk]
-        v = stack_vecs[s][self.rank[blk]] if s <= self.dense_cutoff else block_vecs[blk]
-        return float(lam[blk]), blk, v
+        blk = int(lam.argmin())
+        c, row = self.source[blk]
+        return float(lam[blk]), blk, self.vecs[row] if c < 0 else self.stack_vecs[c][row]
 
 
 def _operator_norm(a_mat) -> float:
@@ -284,38 +295,44 @@ def solve(sdp: StandardSdp, cfg: CgalConfig | None = None) -> SolveReport:
     resid_hist: list[float] | None = [] if cfg.track_residuals else None
     cap_hits = 0
     block_eigs = _BlockEigs(layout, cfg.dense_cutoff, cfg.lanczos_dim)
+    beta0, dual_cap, eps, span = cfg.beta0, cfg.dual_cap, cfg.eps, cfg.window
+    trace_bound = cfg.trace_tol * max(1.0, a)
+    add_outer, trace = layout.add_outer, layout.trace
+    r = (ax - b) / res_scale
+    mult = np.empty_like(r)  # the dual multiplier (z + beta r) / sigma
 
     for t in range(1, cfg.max_iters + 1):
         iters = t
-        beta = cfg.beta0 * math.sqrt(t + 1.0)
-        r = (ax - b) / res_scale
-        g = c_scaled + at_mat @ ((z + beta * r) / sigma)
-        eig_tol = max(1e-10, 1.0 / (t + 1.0) ** 2)
-        _, blk, v = block_eigs(g, eig_tol, rng, t)
+        beta = beta0 * math.sqrt(t + 1.0)
+        np.multiply(r, beta, out=mult)
+        mult += z
+        mult /= sigma
+        g = at_mat @ mult
+        g += c_scaled
+        _, blk, v = block_eigs(g, max(1e-10, 1.0 / (t + 1.0) ** 2), rng, t)
 
         eta = 2.0 / (t + 1.0)
         x *= 1.0 - eta
-        layout.add_outer(x, blk, v, eta * a)
+        add_outer(x, blk, v, eta * a)
         ax = a_mat @ x
         obj = float(c @ x)
 
-        r_new = (ax - b) / res_scale
-        rn_scaled = float(np.linalg.norm(r_new))
+        r = ax - b
+        r /= res_scale
+        # np.linalg.norm of a 1-D real vector is sqrt(v.dot(v)); calling that
+        # directly gives the same bits without norm's dispatch
+        rn_scaled = math.sqrt(r.dot(r))
         # in normalized units the trace budget is 1, so a drops out of the clip
-        gamma = (
-            cfg.beta0
-            if rn_scaled == 0.0
-            else min(cfg.beta0, 4.0 * beta * eta * eta / (rn_scaled * rn_scaled))
-        )
-        z_new = z + gamma * r_new
-        if float(np.linalg.norm(z_new)) <= cfg.dual_cap:
+        gamma = beta0 if rn_scaled == 0.0 else min(beta0, 4.0 * beta * eta * eta / (rn_scaled * rn_scaled))
+        z_new = z + gamma * r
+        if math.sqrt(z_new.dot(z_new)) <= dual_cap:
             z = z_new
         else:
             cap_hits += 1
         rn = rn_scaled * res_scale
 
-        tr = layout.trace(x)
-        if abs(tr - a) > cfg.trace_tol * max(1.0, a):
+        tr = trace(x)
+        if abs(tr - a) > trace_bound:
             raise CgalError(f"trace drifted to {tr!r} against constant {a!r} at iteration {t}")
         if cfg.check_psd:
             for i in range(len(sizes)):
@@ -328,10 +345,10 @@ def solve(sdp: StandardSdp, cfg: CgalConfig | None = None) -> SolveReport:
         resid_rel = rn / (1.0 + b_norm)
         if resid_hist is not None:
             resid_hist.append(resid_rel)
-        if resid_rel <= cfg.eps and len(window) == cfg.window + 1:
+        if resid_rel <= eps and len(window) == span + 1:
             drift = abs(window[-1] - window[0])
-            budget = cfg.eps * (1.0 + abs(obj))
-            if drift <= budget and drift * (t / cfg.window) <= budget:
+            budget = eps * (1.0 + abs(obj))
+            if drift <= budget and drift * (t / span) <= budget:
                 converged = True
                 break
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 import warnings
@@ -59,7 +60,10 @@ def poly_from_json(n: int, items, label: str) -> NcPolynomial:
     terms: dict[tuple[int, ...], float] = {}
     for it in items:
         w = tuple(int(a) for a in it["word"])
-        terms[w] = terms.get(w, 0.0) + float(it["coeff"])
+        c = float(it["coeff"])
+        if not math.isfinite(c):
+            raise InputError(f"{label} has a non-finite coefficient {c!r} on word {list(w)}")
+        terms[w] = terms.get(w, 0.0) + c
     p = NcPolynomial(n, terms)
     if not p.is_symmetric(1e-10):
         warnings.warn(f"{label} is not symmetric; replacing it by its symmetric part")
@@ -94,6 +98,11 @@ def problem_from_json(data: dict) -> Problem:
         anchor = np.array([float(v) for v in data["anchor"]]) if data.get("anchor") else None
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed instance: {exc}") from exc
+    if anchor is not None:
+        if anchor.shape != (n,):
+            raise InputError(f"anchor has {anchor.size} entries, expected one per letter ({n})")
+        if not np.isfinite(anchor).all():
+            raise InputError(f"anchor entry {int(np.flatnonzero(~np.isfinite(anchor))[0])} is not finite")
     return Problem(
         n=n, objective=objective, inequalities=ineqs, equalities=eqs, cliques=cliques, anchor=anchor
     )

@@ -472,7 +472,8 @@ def sampled_deviation(
     SAMPLING_BUDGET entries, the anchor evaluation stands in as the sample
     (the symbolic expansion is the actual proof of the identity; sampling
     guards the wiring between polynomials and entry forms). Without an
-    anchor the check is skipped with a warning and 0.0 is returned.
+    anchor the check is skipped with a warning and 0.0 is returned; an
+    anchor with a non-finite moment vector raises ValueError.
     """
     eq_rows = 1 + sum(e.size * (e.size + 1) // 2 for e in rel.eq_blocks)
     if len(rel.keys) * eq_rows > SAMPLING_BUDGET:
@@ -486,6 +487,10 @@ def sampled_deviation(
             return 0.0
         mats = [np.array([[float(v)]]) for v in anchor]
         ys = [moment_vector_from_evaluation(rel, mats, v=np.ones(1))]
+        bad = np.flatnonzero(~np.isfinite(ys[0]))
+        if bad.size:  # verify's max(residual, nan) would keep the residual and pass
+            w = rel.keys[bad[0]]
+            raise ValueError(f"the anchor gives the non-finite moment {float(ys[0][bad[0]])!r} for word {list(w)}")
     else:
         ys = sample_equality_feasible_moments(rel, samples, seed=seed)
     # tr(P D(y) P) is one linear form in y: the diagonal entry forms, weighted by P^2

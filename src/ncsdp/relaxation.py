@@ -330,7 +330,9 @@ def moment_vector_from_evaluation(
 
     In eigenvalue mode y_w = <v, w(A) v> for a unit vector v; in trace mode
     y_w is the normalized trace of w(A). Infeasibility of A beyond feas_tol
-    only warns, so deliberately infeasible probes remain possible.
+    only warns, so deliberately infeasible probes remain possible. At a
+    scalar point (1 x 1 matrices) both modes give the product of the
+    coordinates, computed for all keys at once.
     """
     ms = [np.asarray(m, dtype=float) for m in mats]
     if len(ms) != rel.problem.n:
@@ -361,6 +363,16 @@ def moment_vector_from_evaluation(
         if dev > feas_tol:
             warnings.warn(f"equality {i} off by {dev:.3g} at the given tuple")
 
+    if dim == 1:
+        # at a scalar point y_w is the product of w's coordinates, taken left
+        # to right as word_value does; letter 0 pads every word with a 1.0
+        deg = max(map(len, rel.keys), default=0)
+        letters = np.array([w + (0,) * (deg - len(w)) for w in rel.keys], dtype=np.intp).reshape(len(rel.keys), deg)
+        vals = np.array([1.0] + [float(m[0, 0]) for m in ms])[letters]
+        y = np.ones(len(rel.keys))
+        for j in range(deg):
+            y *= vals[:, j]
+        return y
     y = np.empty(len(rel.keys))
     if vv is not None:
         for i, w in enumerate(rel.keys):

@@ -1,9 +1,12 @@
+import math
+from collections import deque
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from numpy.random import Generator, Philox
 
-from ncsdp.cgal import CgalConfig, CgalError, SolveReport, _BlockEigs, min_eigpair, solve
+from ncsdp.cgal import CgalConfig, CgalError, SolveReport, _BlockEigs, _operator_norm, min_eigpair, solve
 from ncsdp.ctp import certify
 from ncsdp.free_algebra import NcPolynomial
 from ncsdp.relaxation import Problem, build
@@ -56,6 +59,16 @@ def test_min_eigpair_stack_matches_one_at_a_time(size):
         assert np.array_equal(vecs[k], v_k)
 
 
+def test_norm_is_sqrt_of_dot():
+    # the solver and Lanczos take sqrt(v.dot(v)) for np.linalg.norm(v); the
+    # iterates stay bit-identical only while NumPy computes norm that way
+    rng = np.random.default_rng(0)
+    for size in [0, 1, 2, 3, 7, 16, 33, 100, 1001]:
+        for _ in range(20):
+            v = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8)
+            assert math.sqrt(v.dot(v)) == float(np.linalg.norm(v))
+
+
 def _dense_block(layout, g, i):
     # the per-block scatter the solver used before blocks were gathered by size
     s = layout.sizes[i]
@@ -104,6 +117,123 @@ def test_block_eigs_matches_per_block_loop(dense_cutoff):
         assert winners[-2] == 0
     assert winners[-1] == 3
     assert len(set(winners)) > 2
+
+
+def _reference_solve(sdp, cfg):
+    # the solver loop as it was before 1 x 1 blocks were read from the
+    # gradient: one eigensolve per block, np.linalg.norm, and r recomputed
+    # from A x every iteration
+    a = float(sdp.trace)
+    layout, a_mat, b, c = sdp.layout, sdp.a_mat, sdp.b, sdp.c
+    at_mat = a_mat.T.tocsr()
+    rng = Generator(Philox(cfg.seed))
+    c_scaled = c / (float(np.linalg.norm(c)) or 1.0)
+    sigma = _operator_norm(a_mat)
+    res_scale = sigma * a
+    x = np.zeros(sdp.dim)
+    x[layout.diag] = a / sum(sdp.block_sizes)
+    z = np.zeros(a_mat.shape[0])
+    ax = a_mat @ x
+    b_norm = float(np.linalg.norm(b))
+    window = deque(maxlen=cfg.window + 1)
+    obj = float(c @ x)
+    resid_rel = float(np.linalg.norm(ax - b)) / (1.0 + b_norm)
+    converged, iters, cap_hits, min_seen, hist = False, 0, 0, 0.0, []
+    for t in range(1, cfg.max_iters + 1):
+        iters = t
+        beta = cfg.beta0 * math.sqrt(t + 1.0)
+        r = (ax - b) / res_scale
+        g = c_scaled + at_mat @ ((z + beta * r) / sigma)
+        eig_tol = max(1e-10, 1.0 / (t + 1.0) ** 2)
+        _, blk, v = _reference_block_eigs(layout, g, eig_tol, rng, cfg.dense_cutoff, cfg.lanczos_dim)
+        eta = 2.0 / (t + 1.0)
+        x *= 1.0 - eta
+        layout.add_outer(x, blk, v, eta * a)
+        ax = a_mat @ x
+        obj = float(c @ x)
+        r_new = (ax - b) / res_scale
+        rn_scaled = float(np.linalg.norm(r_new))
+        gamma = (
+            cfg.beta0
+            if rn_scaled == 0.0
+            else min(cfg.beta0, 4.0 * beta * eta * eta / (rn_scaled * rn_scaled))
+        )
+        z_new = z + gamma * r_new
+        if float(np.linalg.norm(z_new)) <= cfg.dual_cap:
+            z = z_new
+        else:
+            cap_hits += 1
+        if cfg.check_psd:
+            for i in range(len(sdp.block_sizes)):
+                min_seen = min(min_seen, float(np.linalg.eigvalsh(layout.matrix(x, i))[0]))
+        window.append(obj)
+        resid_rel = rn_scaled * res_scale / (1.0 + b_norm)
+        hist.append(resid_rel)
+        if resid_rel <= cfg.eps and len(window) == cfg.window + 1:
+            drift = abs(window[-1] - window[0])
+            budget = cfg.eps * (1.0 + abs(obj))
+            if drift <= budget and drift * (t / cfg.window) <= budget:
+                converged = True
+                break
+    return dict(
+        objective=obj, residual=resid_rel, iterations=iters, converged=converged, x=x, z=z,
+        min_iterate_eig=min_seen, dual_cap_hits=cap_hits,
+        residual_history=np.array(hist) if cfg.track_residuals else None,
+    )
+
+
+def _mixed_sdp():
+    # blocks [1, 3, 2, 1, 3, 1]: blocks 1 and 4 carry the same objective and
+    # constraint columns, and so do the 1 x 1 blocks 0, 3 and 5, so their
+    # gradients tie at every iteration; b is A of the scaled identity, which
+    # is feasible
+    sizes = [1, 3, 2, 1, 3, 1]
+    layout = BlockLayout(sizes)
+    rng = np.random.default_rng(5)
+    c = rng.standard_normal(layout.dim)
+    rows = rng.standard_normal((3, layout.dim))
+    for first, second in ((1, 4), (0, 3), (0, 5)):
+        dst = slice(layout.offsets[second], layout.offsets[second + 1])
+        src = slice(layout.offsets[first], layout.offsets[first + 1])
+        c[dst] = c[src]
+        rows[:, dst] = rows[:, src]
+    c[np.asarray(layout.offsets)[[0, 3, 5]]] = -1.5  # low enough for the 1 x 1 blocks to win at times
+    x0 = np.zeros(layout.dim)
+    x0[layout.diag] = 2.0 / sum(sizes)
+    return _direct_sdp(sizes, c, rows, rows @ x0, trace=2.0)
+
+
+@pytest.mark.parametrize(
+    "name, cfg",
+    [
+        ("converges", CgalConfig(eps=3e-3, max_iters=20_000)),
+        ("iteration cap", CgalConfig(eps=1e-9, max_iters=400, seed=3)),
+        ("lanczos everywhere", CgalConfig(eps=1e-3, max_iters=150, dense_cutoff=0, lanczos_dim=2)),
+        ("audits", CgalConfig(eps=1e-3, max_iters=400, check_psd=True, track_residuals=True)),
+        ("dual cap", CgalConfig(eps=1e-3, max_iters=400, dual_cap=0.3, track_residuals=True)),
+    ],
+)
+@pytest.mark.parametrize("problem", ["mixed", "ball"])
+def test_solve_matches_reference_loop(problem, name, cfg):
+    sdp = _mixed_sdp() if problem == "mixed" else _ball_sdp(n=2, order=2)[1]
+    ref = _reference_solve(sdp, cfg)
+    rep = solve(sdp, cfg)
+    for field in ("objective", "residual", "iterations", "converged", "min_iterate_eig", "dual_cap_hits"):
+        assert getattr(rep, field) == ref[field], field
+    assert rep.x.tobytes() == ref["x"].tobytes()
+    assert rep.z.tobytes() == ref["z"].tobytes()
+    if cfg.track_residuals:
+        assert rep.residual_history.tobytes() == ref["residual_history"].tobytes()
+    else:
+        assert rep.residual_history is None
+    if name == "converges":
+        assert rep.converged and rep.iterations < cfg.max_iters
+    if name == "iteration cap":
+        assert not rep.converged and rep.iterations == cfg.max_iters
+    if name == "dual cap":
+        assert 0 < rep.dual_cap_hits < rep.iterations
+    if name == "audits":
+        assert rep.min_iterate_eig <= 0.0
 
 
 def test_solve_rejects_non_finite_eigenvalue():

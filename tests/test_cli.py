@@ -11,6 +11,7 @@ from ncsdp.cli import (
     EXIT_INPUT,
     EXIT_NO_CTP,
     EXIT_OK,
+    InputError,
     _csv_row,
     main,
     poly_from_json,
@@ -115,6 +116,27 @@ def test_letter_out_of_range(tmp_path, capsys):
         "objective": [{"word": [5], "coeff": 1.0}],
     }))
     assert main(["count", str(path)]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda d: d["objective"][0].update(coeff=float("nan")), "objective has a non-finite coefficient nan"),
+        (lambda d: d["ineq"][0][0].update(coeff=float("inf")), "inequality 0 has a non-finite coefficient inf"),
+        (lambda d: d["anchor"].__setitem__(1, float("nan")), "anchor entry 1 is not finite"),
+        (lambda d: d["anchor"].append(0.5), "anchor has 3 entries, expected one per letter"),
+    ],
+    ids=["nan-objective", "inf-inequality", "nan-anchor", "long-anchor"],
+)
+def test_non_finite_or_misshapen_input_rejected(ball_instance, tmp_path, capsys, change, message):
+    data = json.loads(open(ball_instance).read())
+    change(data)
+    with pytest.raises(InputError, match=message):
+        problem_from_json(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))  # NaN and Infinity, as Python's json writes them
+    assert main(["count", str(path)]) == EXIT_INPUT
+    assert message in capsys.readouterr().err
 
 
 def test_order_below_minimal(ball_instance, capsys):

@@ -297,6 +297,22 @@ def test_sampled_deviation_budget_fallback(monkeypatch):
         assert sampled_deviation(rel2, cert2, samples=3, seed=1) == 0.0
 
 
+def test_sampled_deviation_rejects_non_finite_anchor(monkeypatch):
+    prob = gen_dense(3, kind="ball", seed=0)
+    rel = build(prob, order=2)
+    cert = certify(rel)
+    monkeypatch.setattr(ctp, "SAMPLING_BUDGET", 1)
+    assert verify(rel, cert) <= 1e-12
+    # max(residual, nan) kept the residual, so a NaN anchor used to pass verify
+    prob.anchor[1] = np.nan
+    with pytest.raises(ValueError, match="non-finite moment nan for word"):
+        verify(rel, cert)
+    prob.anchor[1] = np.inf
+    with np.errstate(invalid="ignore"), pytest.warns(UserWarning, match="violated by inf"):
+        with pytest.raises(ValueError, match="non-finite moment"):
+            sampled_deviation(rel, cert)
+
+
 def test_sampled_deviation_projects_without_null_basis():
     # ball n = 10 at k = 2: E is 199 x 5666, so a null-space basis would be 257 MB
     rel = build(gen_dense(10, kind="ball", seed=0), order=2)

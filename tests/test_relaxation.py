@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from ncsdp.free_algebra import EMPTY_WORD, NcPolynomial, SymmetryMode, evaluate
+from ncsdp.free_algebra import EMPTY_WORD, NcPolynomial, SymmetryMode, evaluate, word_value
+from ncsdp.generator import gen_dense, gen_sparse
 from ncsdp.relaxation import (
     Problem,
     build,
@@ -186,6 +189,31 @@ def test_moment_vector_validation_and_warnings():
         moment_vector_from_evaluation(rel, [np.eye(2), np.eye(2)], v=np.zeros(2))
     with pytest.warns(UserWarning, match="inequality 0"):
         moment_vector_from_evaluation(rel, [np.eye(2), np.eye(2)], v=np.ones(2))
+
+
+@pytest.mark.parametrize("mode", [SymmetryMode.STAR_ONLY, SymmetryMode.STAR_CYCLIC])
+@pytest.mark.parametrize("problem", ["ball", "chain"])
+def test_moment_vector_at_scalar_point_matches_word_products(problem, mode):
+    # at 1 x 1 matrices the keys are evaluated in one pass; the per-key
+    # word_value loop it replaced is the reference, bit for bit
+    prob = gen_dense(4, kind="ball", seed=2) if problem == "ball" else gen_sparse(9, 3, seed=1)
+    rel = build(prob, order=2, mode=mode)
+    mats = [np.array([[a]]) for a in prob.anchor]
+    vv = np.ones(1)
+    if mode is SymmetryMode.STAR_ONLY:
+        ref = np.array([float(vv @ word_value(w, mats, 1) @ vv) for w in rel.keys])
+    else:
+        ref = np.array([float(np.trace(word_value(w, mats, 1))) / 1 for w in rel.keys])
+    y = moment_vector_from_evaluation(rel, mats, v=-2.0 * vv)
+    assert max(map(len, rel.keys)) == 4
+    assert y.tobytes() == ref.tobytes()
+    # the same checks as at any other size
+    with pytest.raises(ValueError, match="expected 9 matrices" if problem == "chain" else "expected 4"):
+        moment_vector_from_evaluation(rel, mats[:-1], v=vv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        moment_vector_from_evaluation(rel, [np.array([[3.0]])] * prob.n, v=vv)
+    assert any("at the given tuple" in str(w.message) for w in caught)
 
 
 def test_equality_sampling():
