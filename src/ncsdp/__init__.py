@@ -4,11 +4,12 @@ Pipeline: model a problem over the free *-algebra (`NcPolynomial`,
 `Problem`), build its order-k moment relaxation (`build`, optionally over a
 clique decomposition), certify the constant trace property (`certify`,
 `verify`), rescale into a standard-form SDP (`assemble`, `count_stats`),
-and solve it with the conditional gradient augmented Lagrangian method
-(`solve`). `gen_dense` and `gen_sparse` produce random feasible instances.
+and solve it (`solve`): a spectral dual path with a certified lower bound
+for small blocks, the conditional gradient augmented Lagrangian method
+otherwise. `gen_dense` and `gen_sparse` produce random feasible instances.
 """
 
-from .cgal import CgalConfig, CgalError, SolveReport, min_eigpair, solve
+from .cgal import CgalConfig, CgalError, SolveReport, dual_bound, min_eigpair, solve
 from .ctp import CtpCertificate, CtpError, ball_coeffs, certify, verify
 from .free_algebra import (
     CapacityError,
@@ -61,6 +62,7 @@ __all__ = [
     "certify",
     "count_stats",
     "decompose",
+    "dual_bound",
     "evaluate",
     "evaluate_scalar",
     "gen_dense",

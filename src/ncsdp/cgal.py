@@ -1,7 +1,17 @@
-"""Conditional gradient augmented Lagrangian solver for block-diagonal SDPs.
+"""Block-diagonal SDP solver: a spectral dual path and the CGAL loop.
 
 Solves min <C, X> over block psd matrices with tr(X) = a and A svec(X) = b.
-Each iteration linearizes the augmented Lagrangian, finds the smallest
+solve dispatches on block size. When every block is at most dense_cutoff,
+the spectral dual path runs first. With the trace fixed, the dual is the
+unconstrained concave problem max_u f(u) = b.u + a lambda_min(C - A^T u),
+and f(u) is a lower bound for every u. The path maximizes an
+entropy-smoothed f by L-BFGS, over all eigenpairs of every block, then
+builds a primal witness on the bottom eigenspaces of C - A^T u. It returns
+only when the witness is feasible to eps and its objective lies within eps
+of the bound. Otherwise, and for larger blocks, the conditional gradient
+augmented Lagrangian (CGAL) loop runs.
+
+Each CGAL iteration linearizes the augmented Lagrangian, finds the smallest
 eigenpair of the block-diagonal gradient, and moves toward the rank-one
 atom a vv* placed in the block that owns the smallest eigenvalue; the trace
 constraint is therefore maintained exactly by construction, and every
@@ -25,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
+import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
 from .standard_form import BlockLayout, StandardSdp
@@ -36,13 +47,13 @@ class CgalError(Exception):
 
 @dataclass
 class CgalConfig:
-    eps: float = 1e-4
-    max_iters: int = 200_000
+    eps: float = 1e-4  # 0 skips the spectral path and runs CGAL for max_iters steps
+    max_iters: int = 200_000  # CGAL steps, or dual evaluations on the spectral path
     beta0: float = 1.0
     dual_cap: float = 1e9
     window: int = 50
     seed: int = 0
-    dense_cutoff: int = 64
+    dense_cutoff: int = 64  # largest block for dense eigh; the spectral path needs all blocks within it
     lanczos_dim: int = 100
     trace_tol: float = 1e-9
     check_psd: bool = False  # per-iteration psd audit; costs an eigh per block
@@ -56,11 +67,14 @@ class SolveReport:
     iterations: int
     converged: bool
     x: np.ndarray
-    z: np.ndarray
+    z: np.ndarray  # dual multiplier in normalized units; u = -|c| z / sigma(A) in original units
     runtime: float
     min_iterate_eig: float  # most negative block eigenvalue seen (0 unless audited)
     dual_cap_hits: int  # iterations whose dual update was rejected by dual_cap
+    stop_reason: str  # "gap", "plateau" or "max_iters"
     residual_history: np.ndarray | None = None  # per-iteration relative residuals
+    lower_bound: float | None = None  # certified bound f(u); None from the CGAL loop
+    gap: float | None = None  # objective - lower_bound
 
 
 def _lanczos_smallest(
@@ -243,8 +257,343 @@ def _operator_norm(a_mat) -> float:
     return max(sig, 1e-12)
 
 
-def solve(sdp: StandardSdp, cfg: CgalConfig | None = None) -> SolveReport:
-    """Run the solver until the feasibility and objective-plateau tests pass.
+_LBFGS_MEMORY = 20
+_STAGE_EVALS = 2000  # dual evaluations per smoothing level, at most
+_WITNESS_ITERS = 5000  # FISTA steps of the witness, at most
+_KEEP = 1e-3  # the witness keeps eigenvalues up to lambda_min + _KEEP max(1, spread)
+
+
+class _Spectrum:
+    """All eigenpairs of a block-diagonal matrix in svec form, one size class at a time.
+
+    Every size class takes one stacked eigh through BlockLayout.stack; a
+    1 x 1 block is its own eigenvalue, with eigenvector [1]. mix is the way
+    back: the svec of V diag(w) V^T in every block, for weights w on its
+    eigenvectors.
+    """
+
+    def __init__(self, layout: BlockLayout):
+        sizes = np.asarray(layout.sizes)
+        first = np.asarray(layout.offsets[:-1])
+        self.layout = layout
+        # per size: the blocks and their svec positions, (k, s(s+1)/2)
+        self.classes = []
+        for s in np.unique(sizes).tolist():
+            blocks = np.flatnonzero(sizes == s)
+            self.classes.append((s, blocks, first[blocks, None] + np.arange(s * (s + 1) // 2)))
+
+    def eig(self, g: np.ndarray, t: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per size class, (k, s) eigenvalues in ascending order and (k, s, s) eigenvectors.
+
+        A non-finite eigenvalue raises CgalError naming the first such block
+        and t, the evaluation.
+        """
+        eigs = []
+        for s, blocks, pos in self.classes:
+            if s == 1:
+                eigs.append((g[pos], np.ones((blocks.size, 1, 1))))
+            else:
+                eigs.append(np.linalg.eigh(self.layout.stack(g, s)))
+        if not all(np.isfinite(w).all() for w, _ in eigs):
+            lam = np.empty(len(self.layout.sizes))
+            for (_, blocks, _), (w, _) in zip(self.classes, eigs):
+                lam[blocks] = w.min(axis=1)
+            bad = int(np.flatnonzero(~np.isfinite(lam))[0])
+            raise CgalError(f"smallest eigenvalue of block {bad} is {float(lam[bad])!r} at iteration {t}")
+        return eigs
+
+    def mix(self, eigs, weights, out: np.ndarray) -> np.ndarray:
+        """out = svec of V diag(w) V^T in every block; weights holds (k, s) w per size class."""
+        for (s, _, pos), (_, v), w in zip(self.classes, eigs, weights):
+            if s == 1:
+                out[pos] = w
+            else:
+                out[pos] = self.layout.svec((v * w[:, None, :]) @ v.transpose(0, 2, 1))
+        return out
+
+
+def dual_bound(sdp: StandardSdp, u: np.ndarray) -> float:
+    """The dual bound f(u) = b.u + a lambda_min(C - A^T u), in original units.
+
+    Every feasible X is psd with trace a, so <C, X> = b.u + <C - A^T u, X>
+    >= f(u): f(u) is a lower bound on the optimal value for every u.
+    """
+    g = sdp.c - sdp.a_mat.T @ u
+    layout = sdp.layout
+    lam = min(float(np.linalg.eigvalsh(layout.stack(g, s))[:, 0].min()) for s in set(layout.sizes))
+    return float(sdp.b @ u) + float(sdp.trace) * lam
+
+
+class _SmoothedDual:
+    """-f_mu(u) and its gradient for the normalized data (trace 1), counting evaluations.
+
+    f_mu(u) = b.u - mu log sum_j exp(-lambda_j / mu) over the eigenvalues of
+    all blocks of C - A^T u. It lies below f(u) = b.u + lambda_min. Its
+    gradient is b - A svec(W), where W is the softmin mixture of the
+    eigenvectors (trace 1, psd), so the gradient of -f_mu is also the
+    residual A svec(W) - b of that mixture.
+    """
+
+    def __init__(self, spectrum: _Spectrum, c_s, a_s, b_s, history: list | None, res_scale: float):
+        self.spectrum, self.c_s, self.a_s, self.b_s = spectrum, c_s, a_s, b_s
+        self.at_s = a_s.T.tocsr()
+        self.mixture = np.empty(c_s.size)
+        self.history, self.res_scale = history, res_scale
+        self.mu = 1.0
+        self.evals = 0
+        self.plain = 0.0  # f(u) at the last evaluation
+
+    def softmin(self, eigs) -> tuple[float, float, list[np.ndarray]]:
+        """(lambda_min, mu log sum_j exp((lambda_min - lambda_j) / mu), weights per size class)."""
+        lam_min = min(float(w[:, 0].min()) for w, _ in eigs)
+        expo = [np.exp((lam_min - w) / self.mu) for w, _ in eigs]
+        total = sum(float(e.sum()) for e in expo)
+        return lam_min, self.mu * math.log(total), [e / total for e in expo]
+
+    def __call__(self, u: np.ndarray) -> tuple[float, np.ndarray]:
+        self.evals += 1
+        eigs = self.spectrum.eig(self.c_s - self.at_s @ u, self.evals)
+        lam_min, smooth, weights = self.softmin(eigs)
+        grad = self.a_s @ self.spectrum.mix(eigs, weights, self.mixture)
+        grad -= self.b_s
+        if self.history is not None:
+            self.history.append(math.sqrt(grad.dot(grad)) * self.res_scale)
+        self.plain = float(self.b_s @ u) + lam_min
+        return smooth - self.plain, grad
+
+
+def _lbfgs(fg, u, f, g, gtol: float, max_evals: int, step0: float, floor: float):
+    """Minimize a smooth convex function by L-BFGS, from u with f, g = fg(u).
+
+    Two-loop recursion over the last _LBFGS_MEMORY steps. The first
+    direction, and any that is not a descent direction, is -step0 g. The
+    line search brackets a step that meets the weak Wolfe conditions,
+    doubling while the slope stays steep and halving past a rise, so a
+    stretch where the function is nearly linear costs a few evaluations.
+    Stops when |g| <= gtol, when no step decreases f, when f falls below
+    floor, or after max_evals calls of fg. Returns (u, f, g).
+    """
+    pairs: deque = deque(maxlen=_LBFGS_MEMORY)
+    evals = 0
+    while evals < max_evals and math.sqrt(g.dot(g)) > gtol:
+        q = g.copy()
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * s.dot(q))
+            q -= alphas[-1] * y
+        if pairs:
+            s, y, _ = pairs[-1]
+            q *= s.dot(y) / y.dot(y)
+        else:
+            q *= step0
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            q += (alpha - rho * y.dot(q)) * s
+        slope = -g.dot(q)
+        if slope >= 0.0:
+            pairs.clear()
+            q = step0 * g
+            slope = -g.dot(q)
+        lo, hi, step = 0.0, math.inf, 1.0
+        best = None
+        while evals < max_evals:
+            u_new = u - step * q
+            f_new, g_new = fg(u_new)
+            evals += 1
+            if f_new < floor:
+                return u_new, f_new, g_new
+            if f_new > f + 1e-4 * step * slope:
+                hi = step
+            else:
+                best = (u_new, f_new, g_new)
+                if -g_new.dot(q) >= 0.9 * slope:
+                    break
+                lo = step
+            if hi == math.inf:
+                step = 2.0 * lo
+            elif hi - lo > 1e-12 * hi:
+                step = (lo + hi) / 2.0
+            else:
+                break
+        if best is None:
+            break
+        u_new, f_new, g_new = best
+        s, y = u_new - u, g_new - g
+        sy = s.dot(y)
+        if sy > 1e-16 * math.sqrt(s.dot(s) * y.dot(y)):
+            pairs.append((s, y, 1.0 / sy))
+        u, f, g = u_new, f_new, g_new
+    return u, f, g
+
+
+def _project_spectraplex(theta: np.ndarray) -> np.ndarray:
+    """Euclidean projection of theta onto {t >= 0, sum t = 1}."""
+    desc = np.sort(theta)[::-1]
+    excess = np.cumsum(desc) - 1.0
+    k = np.flatnonzero(desc * np.arange(1, theta.size + 1) > excess)[-1]
+    return np.maximum(theta - excess[k] / (k + 1), 0.0)
+
+
+def _witness(dual: _SmoothedDual, u: np.ndarray, target: float) -> np.ndarray:
+    """A trace-1 psd svec X on the bottom eigenspaces of C - A^T u, nearly feasible.
+
+    Keeps, in every block, the eigenvectors V with eigenvalue at most
+    lambda_min + _KEEP max(1, spread) and takes X = V S V^T. FISTA minimizes
+    |A svec(X) - b| over block S psd with sum tr S = 1, from the softmin
+    weights, until the residual is at most target.
+    """
+    spectrum = dual.spectrum
+    eigs = spectrum.eig(dual.c_s - dual.at_s @ u, dual.evals)
+    lam_min, _, weights = dual.softmin(eigs)
+    spread = max(float(w[:, -1].max()) for w, _ in eigs) - lam_min
+    cut = lam_min + _KEEP * max(1.0, spread)
+    # kept[r]: the blocks with r kept eigenvectors; S holds one full r x r
+    # matrix per such block, the blocks of one r side by side
+    kept: dict[int, list] = {}
+    for (_, blocks, pos), (w, v), p in zip(spectrum.classes, eigs, weights):
+        for k in range(blocks.size):
+            keep = w[k] <= cut
+            if keep.any():
+                kept.setdefault(int(keep.sum()), []).append((pos[k], v[k][:, keep], p[k][keep]))
+    rows, cols, vals, start, groups = [], [], [], [], []
+    col = 0
+    for r, members in sorted(kept.items()):
+        for pos, vk, pk in members:
+            # column (p, q) of the block: svec of (v_p v_q^T + v_q v_p^T) / 2
+            outer = vk.T[:, None, :, None] * vk.T[None, :, None, :]
+            outer = (outer + outer.transpose(0, 1, 3, 2)) / 2.0
+            rows.append(np.repeat(pos, r * r))
+            cols.append(np.tile(col + np.arange(r * r), pos.size))
+            vals.append(spectrum.layout.svec(outer).reshape(r * r, -1).T.ravel())
+            start.append(np.diag(pk).ravel())
+            col += r * r
+        groups.append((r, len(members)))
+    embed = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(dual.c_s.size, col)
+    )
+    ops = (dual.a_s @ embed).toarray()
+    gram, lin = ops.T @ ops, ops.T @ dual.b_s
+    lip = float(np.linalg.eigvalsh(gram)[-1])
+    step = 1.0 / lip if lip > 0.0 else 1.0
+
+    def project(s: np.ndarray) -> np.ndarray:
+        parts, thetas, at = [], [], 0
+        for r, k in groups:
+            mats = s[at : at + k * r * r].reshape(k, r, r)
+            theta, vecs = np.linalg.eigh((mats + mats.transpose(0, 2, 1)) / 2.0)
+            parts.append(vecs)
+            thetas.append(theta.ravel())
+            at += k * r * r
+        theta = _project_spectraplex(np.concatenate(thetas))
+        out, at, t_at = np.empty_like(s), 0, 0
+        for (r, k), vecs in zip(groups, parts):
+            th = theta[t_at : t_at + k * r].reshape(k, r)
+            out[at : at + k * r * r] = ((vecs * th[:, None, :]) @ vecs.transpose(0, 2, 1)).ravel()
+            at += k * r * r
+            t_at += k * r
+        return out
+
+    s = project(np.concatenate(start))
+    y, t = s, 1.0
+    checks: deque = deque(maxlen=11)
+    for it in range(_WITNESS_ITERS):
+        if it % 10 == 0:
+            res = ops @ s - dual.b_s
+            checks.append(math.sqrt(res.dot(res)))
+            # done, or less than a tenth off the residual in the last 100 steps
+            if checks[-1] <= target or (len(checks) == checks.maxlen and checks[-1] > 0.9 * checks[0]):
+                break
+        s_new = project(y - step * (gram @ y - lin))
+        t_new = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        y = s_new + ((t - 1.0) / t_new) * (s_new - s)
+        s, t = s_new, t_new
+    return embed @ s
+
+
+def _psd_floor(layout: BlockLayout, x: np.ndarray, a: float, t: int) -> float:
+    """Least eigenvalue over the blocks of x; CgalError at the first block below -1e-9 max(1, a)."""
+    least = 0.0
+    for i in range(len(layout.sizes)):
+        w = np.linalg.eigvalsh(layout.matrix(x, i))
+        least = min(least, float(w[0]))
+        if w[0] < -1e-9 * max(1.0, a):
+            raise CgalError(f"iterate lost psd in block {i} at iteration {t}")
+    return least
+
+
+def _spectral_dual(sdp: StandardSdp, cfg: CgalConfig) -> SolveReport | None:
+    """Maximize the smoothed dual, then certify the bound with a primal witness.
+
+    Runs on the normalized data of the CGAL loop (objective over its norm,
+    A over its largest singular value, trace 1). The smoothing mu falls by
+    tens from 1e-2 to the first level at most 0.1 eps, each level times
+    max(1, |f|). Each level runs L-BFGS until the softmin mixture's
+    residual is 0.1 eps, both relative in original units and in normalized
+    units, ten times that for each level still to come; a level that
+    spends its _STAGE_EVALS budget ends the path, and
+    max_iters caps the evaluations in all. Returns the report when the
+    witness has residual <= eps and |c.x - f(u)| <= eps (1 + |f(u)|) in
+    original units, None when it does not.
+    """
+    t0 = time.perf_counter()
+    a = float(sdp.trace)
+    layout = sdp.layout
+    c_norm = float(np.linalg.norm(sdp.c)) or 1.0
+    sigma = _operator_norm(sdp.a_mat)
+    b_norm = float(np.linalg.norm(sdp.b))
+    res_scale = sigma * a / (1.0 + b_norm)  # normalized residual norm to relative residual
+    history: list[float] | None = [] if cfg.track_residuals else None
+    a_s = (sdp.a_mat / sigma).tocsr()
+    dual = _SmoothedDual(_Spectrum(layout), sdp.c / c_norm, a_s, sdp.b / (sigma * a), history, res_scale)
+    gtol = 0.1 * cfg.eps * min(1.0, 1.0 / res_scale)
+    levels = max(1, math.ceil(-math.log10(0.1 * cfg.eps) - 1e-9) - 1)
+    u = np.zeros(sdp.n_rows)
+    for level in range(levels):
+        if dual.evals >= cfg.max_iters:
+            return None
+        # scaled by |f| at the last point evaluated, u or a step from it
+        dual.mu = 10.0 ** -(2 + level) * max(1.0, abs(dual.plain))
+        f, g = dual(u)
+        budget = min(_STAGE_EVALS, cfg.max_iters - dual.evals)
+        spent = dual.evals + budget
+        tol = gtol * 10.0 ** (levels - 1 - level)
+        # every trace-1 psd X has <c_s, X> <= |c_s| = 1, so f_mu > 2 proves
+        # the form infeasible; the dual would run off to infinity
+        u, f, g = _lbfgs(dual, u, f, g, tol, budget, dual.mu, floor=-2.0)
+        if f < -2.0:
+            return None
+        if dual.evals >= spent and math.sqrt(g.dot(g)) > tol:  # a smaller mu is only harder
+            return None
+
+    x = a * _witness(dual, u, gtol)
+    t = dual.evals
+    tr = layout.trace(x)
+    if abs(tr - a) > cfg.trace_tol * max(1.0, a):
+        raise CgalError(f"trace drifted to {tr!r} against constant {a!r} at iteration {t}")
+    min_seen = _psd_floor(layout, x, a, t) if cfg.check_psd else 0.0
+    residual = float(np.linalg.norm(sdp.a_mat @ x - sdp.b)) / (1.0 + b_norm)
+    objective = float(sdp.c @ x)
+    bound = dual_bound(sdp, c_norm * u / sigma)
+    if residual > cfg.eps or abs(objective - bound) > cfg.eps * (1.0 + abs(bound)):
+        return None
+    return SolveReport(
+        objective=objective,
+        residual=residual,
+        iterations=t,
+        converged=True,
+        x=x,
+        z=-u,
+        runtime=time.perf_counter() - t0,
+        min_iterate_eig=min_seen,
+        dual_cap_hits=0,
+        stop_reason="gap",
+        residual_history=None if history is None else np.array(history),
+        lower_bound=bound,
+        gap=objective - bound,
+    )
+
+
+def _cgal_loop(sdp: StandardSdp, cfg: CgalConfig) -> SolveReport:
+    """Run CGAL until the feasibility and objective-plateau tests pass.
 
     The dynamics are run on a normalized copy of the data (objective divided
     by its norm, constraint operator by its largest singular value, trace
@@ -263,7 +612,6 @@ def solve(sdp: StandardSdp, cfg: CgalConfig | None = None) -> SolveReport:
     check_psd is set (iterates are psd by construction, the audit guards
     the arithmetic).
     """
-    cfg = cfg or CgalConfig()
     t0 = time.perf_counter()
     a = float(sdp.trace)
     sizes = sdp.block_sizes
@@ -335,11 +683,7 @@ def solve(sdp: StandardSdp, cfg: CgalConfig | None = None) -> SolveReport:
         if abs(tr - a) > trace_bound:
             raise CgalError(f"trace drifted to {tr!r} against constant {a!r} at iteration {t}")
         if cfg.check_psd:
-            for i in range(len(sizes)):
-                w = np.linalg.eigvalsh(layout.matrix(x, i))
-                min_seen = min(min_seen, float(w[0]))
-                if w[0] < -1e-9 * max(1.0, a):
-                    raise CgalError(f"iterate lost psd in block {i} at iteration {t}")
+            min_seen = min(min_seen, _psd_floor(layout, x, a, t))
 
         window.append(obj)
         resid_rel = rn / (1.0 + b_norm)
@@ -362,5 +706,26 @@ def solve(sdp: StandardSdp, cfg: CgalConfig | None = None) -> SolveReport:
         runtime=time.perf_counter() - t0,
         min_iterate_eig=min_seen,
         dual_cap_hits=cap_hits,
+        stop_reason="plateau" if converged else "max_iters",
         residual_history=None if resid_hist is None else np.array(resid_hist),
     )
+
+
+def solve(sdp: StandardSdp, cfg: CgalConfig | None = None) -> SolveReport:
+    """Solve sdp to accuracy eps: the spectral dual path when it applies, else CGAL.
+
+    When eps > 0 and every block is at most dense_cutoff, the spectral dual
+    path runs first and returns a report with a certified lower_bound, the
+    gap to the witness objective and stop_reason "gap". When it cannot
+    certify, or a block is larger, the CGAL loop runs; its report has no
+    bound and stops on "plateau" or "max_iters". runtime covers both.
+    """
+    cfg = cfg or CgalConfig()
+    t0 = time.perf_counter()
+    rep = None
+    if cfg.eps > 0 and max(sdp.block_sizes, default=0) <= cfg.dense_cutoff:
+        rep = _spectral_dual(sdp, cfg)
+    if rep is None:
+        rep = _cgal_loop(sdp, cfg)
+    rep.runtime = time.perf_counter() - t0
+    return rep

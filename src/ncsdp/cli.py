@@ -2,7 +2,8 @@
 
 Subcommands: gen (random instances), count (structure statistics), ctp
 (certify the constant trace property), solve (full pipeline through the
-conditional gradient solver), bench (the built-in benchmark families).
+solver; the result line prints the value, the certified bound, the gap and
+the stop reason), bench (the built-in benchmark families).
 
 Exit codes: 0 success, 1 usage error, 2 invalid input, 3 constant trace
 property not certified.
@@ -238,8 +239,11 @@ def cmd_solve(args) -> int:
     for mode_name in modes:
         rel, st, sdp, rep, elapsed = _solve_one(problem, k, mode_name, args.layout, args)
         tag = "converged" if rep.converged else "iteration budget reached"
-        print(f"{mode_name} k={k}: value {rep.objective:.6f}  "
-              f"residual {rep.residual:.2e}  iters {rep.iterations}  {elapsed:.1f}s  ({tag})")
+        bound = "n/a" if rep.lower_bound is None else f"{rep.lower_bound:.6f}"
+        gap = "n/a" if rep.gap is None else f"{rep.gap:.1e}"
+        print(f"{mode_name} k={k}: value {rep.objective:.6f}  bound {bound}  gap {gap}  "
+              f"residual {rep.residual:.2e}  iters {rep.iterations}  {elapsed:.1f}s  "
+              f"({tag}, stop {rep.stop_reason})")
         if args.export:
             sf.write_sdp(sdp, args.export)
             print(f"standard form written to {args.export}")

@@ -51,8 +51,8 @@ class BlockLayout:
         counts = [s * (s + 1) // 2 for s in self.sizes]
         self.offsets = [0, *itertools.accumulate(counts)]
         self.dim = self.offsets[-1]
-        tri = {s: self._triangle(s) for s in set(self.sizes)}
-        self._tri = [tri[s] for s in self.sizes]
+        self._tris = {s: self._triangle(s) for s in set(self.sizes)}
+        self._tri = [self._tris[s] for s in self.sizes]
         self.block = np.repeat(np.arange(len(counts)), counts)
         self.row, self.col, self.scale = (np.concatenate(p) for p in zip(*self._tri))
         self.diag = np.flatnonzero(self.row == self.col)
@@ -105,6 +105,14 @@ class BlockLayout:
             first = np.asarray(self.offsets[:-1])[np.asarray(self.sizes) == s]
             pos = self._stacks[s] = first[:, None, None] + local
         return x[pos] / scale
+
+    def svec(self, mats: np.ndarray) -> np.ndarray:
+        """svec of every matrix in a (..., s, s) stack of symmetric matrices, s a block size.
+
+        Row-major upper triangles, (..., s(s+1)/2); the inverse of stack.
+        """
+        iu, ju, scale = self._tris[mats.shape[-1]]
+        return mats[..., iu, ju] * scale
 
     def add_outer(self, x: np.ndarray, i: int, v: np.ndarray, weight: float) -> None:
         """x += weight * svec(v v^T) placed in block i."""

@@ -1,14 +1,33 @@
 import math
+import os
+import subprocess
+import sys
+import time
 from collections import deque
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
-from ncsdp.cgal import CgalConfig, CgalError, SolveReport, _BlockEigs, _operator_norm, min_eigpair, solve
+import ncsdp
+
+from ncsdp.cgal import (
+    CgalConfig,
+    CgalError,
+    SolveReport,
+    _BlockEigs,
+    _cgal_loop,
+    _operator_norm,
+    dual_bound,
+    min_eigpair,
+    solve,
+)
 from ncsdp.ctp import certify
 from ncsdp.free_algebra import NcPolynomial
+from ncsdp.generator import gen_dense, gen_sparse
 from ncsdp.relaxation import Problem, build
 from ncsdp.standard_form import BlockLayout, StandardSdp, assemble, read_sdp, recover_moments, write_sdp
 
@@ -217,7 +236,7 @@ def _mixed_sdp():
 def test_solve_matches_reference_loop(problem, name, cfg):
     sdp = _mixed_sdp() if problem == "mixed" else _ball_sdp(n=2, order=2)[1]
     ref = _reference_solve(sdp, cfg)
-    rep = solve(sdp, cfg)
+    rep = _cgal_loop(sdp, cfg)
     for field in ("objective", "residual", "iterations", "converged", "min_iterate_eig", "dual_cap_hits"):
         assert getattr(rep, field) == ref[field], field
     assert rep.x.tobytes() == ref["x"].tobytes()
@@ -366,8 +385,8 @@ def test_solve_psd_guard_raises(monkeypatch):
 
 def test_dual_cap_hits():
     _, sdp = _ball_sdp()
-    assert solve(sdp, CgalConfig(eps=1e-3, max_iters=2000)).dual_cap_hits == 0
-    capped = solve(sdp, CgalConfig(eps=1e-3, max_iters=2000, dual_cap=1e-6))
+    assert _cgal_loop(sdp, CgalConfig(eps=1e-3, max_iters=2000)).dual_cap_hits == 0
+    capped = _cgal_loop(sdp, CgalConfig(eps=1e-3, max_iters=2000, dual_cap=1e-6))
     assert 0 < capped.dual_cap_hits <= capped.iterations
 
 
@@ -384,7 +403,7 @@ def test_report_fields():
 
 def test_residual_history_non_increasing_over_windows():
     _, sdp = _ball_sdp(n=3, order=2)
-    rep = solve(sdp, CgalConfig(eps=1e-4, max_iters=100_000, track_residuals=True))
+    rep = _cgal_loop(sdp, CgalConfig(eps=1e-4, max_iters=100_000, track_residuals=True))
     h = rep.residual_history
     assert h is not None
     assert len(h) == rep.iterations
@@ -400,3 +419,123 @@ def test_stop_rule_consistent_across_accuracy():
     tight = solve(sdp, CgalConfig(eps=1e-5, max_iters=300_000))
     assert loose.converged and tight.converged
     assert abs(loose.objective - tight.objective) <= 2e-4 * (1 + abs(tight.objective))
+
+
+@pytest.mark.filterwarnings("ignore:clique chain")
+@pytest.mark.parametrize(
+    "make, order, bound",
+    [
+        # both stop at CGAL's 150k cap without passing its plateau test
+        (lambda: gen_sparse(9, 3, seed=1), 1, -4.500871),
+        (lambda: gen_dense(4, "polydisc", seed=0), 2, -2.261803),
+    ],
+)
+def test_spectral_dual_certifies_cgal_cap_instances(make, order, bound):
+    rel = build(make(), order)
+    sdp = assemble(rel, certify(rel))
+    t0 = time.perf_counter()
+    rep = solve(sdp, CgalConfig(eps=1e-4, max_iters=150_000, track_residuals=True))
+    elapsed = time.perf_counter() - t0
+    assert rep.converged and rep.stop_reason == "gap"
+    assert len(rep.residual_history) == rep.iterations
+    assert rep.residual <= 1e-4
+    assert abs(rep.gap) <= 1e-4 * (1 + abs(rep.lower_bound))
+    assert rep.gap == rep.objective - rep.lower_bound
+    assert abs(rep.lower_bound - bound) <= 1e-4 * (1 + abs(bound))
+    assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("trace, scale", [(0.01, 1.0), (1.0, 1e-3), (1.0, 1.0), (4.0, 1e3)])
+def test_spectral_dual_certifies_at_any_scale(trace, scale):
+    # the stop tests are relative in original units; a small trace or a small
+    # A must not loosen the solver's tolerance in normalized units
+    sizes = [6, 3]
+    layout = BlockLayout(sizes)
+    rng = np.random.default_rng(84)
+    x0 = np.zeros(layout.dim)
+    for i, s in enumerate(sizes):
+        g = rng.standard_normal((s, s))
+        x0[layout.offsets[i] : layout.offsets[i + 1]] = layout.svec(g @ g.T)
+    x0 *= trace / layout.trace(x0)
+    c = rng.standard_normal(layout.dim)
+    rows = scale * rng.standard_normal((8, layout.dim))
+    sdp = _direct_sdp(sizes, c, rows, rows @ x0, trace=trace)
+    rep = solve(sdp, CgalConfig(eps=1e-4, max_iters=20_000))
+    assert rep.stop_reason == "gap"
+    assert rep.lower_bound <= float(c @ x0) + 1e-9 * (1 + abs(float(c @ x0)))
+
+
+def test_cgal_loop_reports_no_bound():
+    _, sdp = _ball_sdp()
+    rep = _cgal_loop(sdp, CgalConfig(eps=1e-3, max_iters=30_000))
+    assert rep.converged and rep.stop_reason == "plateau"
+    assert rep.lower_bound is None and rep.gap is None
+    capped = _cgal_loop(sdp, CgalConfig(eps=1e-9, max_iters=50))
+    assert capped.stop_reason == "max_iters"
+    # a block above dense_cutoff, or eps = 0, sends solve straight to the loop;
+    # five evaluations are too few for the spectral path at order 2, and an
+    # infeasible form (x1 = 2 above the trace 1) has an unbounded dual, so in
+    # both solve falls back to the loop
+    cases = (
+        (sdp, CgalConfig(eps=1e-3, max_iters=2000, dense_cutoff=2)),
+        (sdp, CgalConfig(eps=0.0, max_iters=500)),
+        (_ball_sdp(n=2, order=2)[1], CgalConfig(eps=1e-4, max_iters=5)),
+        (_direct_sdp([1, 1], [1.0, 2.0], [[1.0, 0.0]], [2.0], trace=1.0),
+         CgalConfig(eps=1e-4, max_iters=300)),
+    )
+    for form, cfg in cases:
+        rep, ref = solve(form, cfg), _cgal_loop(form, cfg)
+        assert rep.lower_bound is None and rep.stop_reason == ref.stop_reason
+        assert rep.iterations == ref.iterations and rep.x.tobytes() == ref.x.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_dual_bound_never_exceeds_a_feasible_value(data):
+    # a psd X0 with trace a and b = A svec(X0) makes the form feasible, so
+    # every lower bound must stay at or below c.x0
+    sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4), label="sizes")
+    m = data.draw(st.integers(0, 6), label="m")
+    a = data.draw(st.floats(0.5, 5.0), label="trace")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    layout = BlockLayout(sizes)
+    x0 = np.zeros(layout.dim)
+    for i, s in enumerate(sizes):
+        g = rng.standard_normal((s, s + data.draw(st.integers(-s + 1, 1), label="rank gap")))
+        x0[layout.offsets[i] : layout.offsets[i + 1]] = layout.svec(g @ g.T)
+    x0 *= a / layout.trace(x0)
+    c = rng.standard_normal(layout.dim)
+    rows = rng.standard_normal((m, layout.dim))
+    sdp = _direct_sdp(sizes, c, rows, rows @ x0, trace=a)
+    value = float(c @ x0)
+    slack = 1e-9 * (1 + abs(value))
+    for scale in (0.1, 1.0, 10.0):
+        assert dual_bound(sdp, scale * rng.standard_normal(m)) <= value + slack
+    rep = solve(sdp, CgalConfig(eps=1e-4, max_iters=20_000))
+    if rep.lower_bound is not None:
+        assert rep.lower_bound <= value + slack
+        assert rep.lower_bound == dual_bound(sdp, -np.linalg.norm(c) * rep.z / _operator_norm(sdp.a_mat))
+    for i in range(len(sizes)):
+        assert np.linalg.eigvalsh(layout.matrix(rep.x, i))[0] >= -1e-9 * a
+    assert abs(layout.trace(rep.x) - a) <= 1e-9 * a
+
+
+def test_solve_does_not_import_scipy_optimize():
+    # importing scipy.optimize alone raises the peak RSS of a solve by ~17 MB
+    code = (
+        "import sys\n"
+        "from ncsdp import CgalConfig, NcPolynomial, Problem, assemble, build, certify, solve\n"
+        "x = [NcPolynomial.letter(2, j) for j in (1, 2)]\n"
+        "one = NcPolynomial.constant(2, 1.0)\n"
+        "prob = Problem(n=2, objective=x[0] + x[1], inequalities=[one - x[0] * x[0] - x[1] * x[1]])\n"
+        "rel = build(prob, 2)\n"
+        "rep = solve(assemble(rel, certify(rel)), CgalConfig(eps=1e-4))\n"
+        "print(rep.stop_reason, 'scipy.optimize' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ncsdp.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == ["gap", "False"]

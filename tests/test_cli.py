@@ -89,6 +89,7 @@ def test_solve_both_modes(ball_instance, capsys, tmp_path):
     out = capsys.readouterr().out
     assert out.count("value") == 2
     assert "eig k=1" in out and "trace k=1" in out
+    assert out.count("bound -") == 2 and out.count("(converged, stop gap)") == 2
     back = read_sdp(str(export))
     assert back.trace == 2.0
     lines = open(csv_path).read().strip().splitlines()

@@ -68,6 +68,9 @@ def test_svec_index_layout():
     layout.add_outer(x, 1, v, 2.5)
     assert np.allclose(layout.matrix(x, 1), 2.5 * np.outer(v, v), rtol=0, atol=1e-14)
     assert layout.trace(x) == pytest.approx(np.trace(a) + 2.5 * (v @ v), abs=1e-13)
+    # svec of a dense matrix or stack, the inverse of stack
+    assert np.array_equal(layout.svec(a), a[layout.row[:6], layout.col[:6]] * layout.scale[:6])
+    assert np.allclose(layout.svec(layout.stack(x, 2)), x[None, 6:9], rtol=0, atol=1e-15)
 
 
 def test_moment_representatives():
