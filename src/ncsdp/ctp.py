@@ -494,12 +494,10 @@ def sampled_deviation(
     else:
         ys = sample_equality_feasible_moments(rel, samples, seed=seed)
     # tr(P D(y) P) is one linear form in y: the diagonal entry forms, weighted by P^2
-    trace_form = np.zeros(len(rel.keys))
-    for i, block in enumerate(rel.blocks):
-        diag = cert.block_scales[i] ** 2
-        for r in range(block.size):
-            for key, c in rel.entry_form(i, r, r).items():
-                trace_form[key] += diag[r] * c
+    layout, psd = rel.layout, rel.forms[0]
+    diag = np.flatnonzero(layout.row[psd.entry] == layout.col[psd.entry])
+    d = np.concatenate(cert.block_scales)[np.searchsorted(layout.diag, psd.entry[diag])]
+    trace_form = np.bincount(psd.key[diag], weights=d * d * psd.coeff[diag], minlength=len(rel.keys))
     return max((abs(float(y @ trace_form) - cert.trace_constant) for y in ys), default=0.0)
 
 

@@ -12,19 +12,20 @@ are coupled through the common entries rather than through extra rows.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .free_algebra import (
     DEFAULT_INDEX_LIMIT,
-    EMPTY_WORD,
     NcPolynomial,
     SymmetryMode,
     Word,
     WordBasis,
+    basis_size,
     canonicalize,
     evaluate,
     word_value,
@@ -93,11 +94,11 @@ def minimal_order(problem: Problem) -> int:
 
 
 @dataclass(frozen=True)
-class PsdBlock:
-    """One psd block of the relaxation.
+class Block:
+    """One block of the relaxation, on the basis of clique `group`.
 
-    `poly` is None for a moment block and the localized inequality
-    otherwise. `group` indexes the clique the block belongs to.
+    `poly` is None for a moment block; otherwise the block localizes an
+    inequality (a psd block) or an equality (every entry must vanish).
     """
 
     group: int
@@ -113,43 +114,45 @@ class PsdBlock:
         return self.poly is None
 
 
-@dataclass(frozen=True)
-class EqBlock:
-    """Localizing block of an equality constraint; every entry must vanish."""
+class EntryForms(NamedTuple):
+    """Block entries as linear forms in y: entry e is the sum of coeff * y[key] over its triplets.
 
-    group: int
-    basis: WordBasis
-    poly: NcPolynomial
+    Triplets ascend by entry, then key; a coefficient sums its terms in term order from 0.0,
+    and sums of 0.0 are dropped. `size` counts the entries, empty ones included.
+    """
 
-    @property
-    def size(self) -> int:
-        return len(self.basis)
+    entry: np.ndarray
+    key: np.ndarray
+    coeff: np.ndarray
+    size: int
+
+    def firsts(self) -> np.ndarray:
+        """Whether each triplet is the first of its entry."""
+        return np.concatenate(([True], self.entry[1:] != self.entry[:-1]))[: self.entry.size]
+
+    def values(self, y: np.ndarray) -> np.ndarray:
+        return np.bincount(self.entry, weights=self.coeff * y[self.key], minlength=self.size)
 
 
+@dataclass(eq=False, repr=False)
 class Relaxation:
-    """Order-k moment relaxation with shared canonical moment indices."""
+    """Order-k moment relaxation with shared canonical moment indices.
 
-    def __init__(
-        self,
-        problem: Problem,
-        order: int,
-        mode: SymmetryMode,
-        decomp,
-        blocks: list[PsdBlock],
-        eq_blocks: list[EqBlock],
-        keys: list[Word],
-        key_index: dict[Word, int],
-        objective: dict[int, float],
-    ):
-        self.problem = problem
-        self.order = order
-        self.mode = mode
-        self.decomp = decomp
-        self.blocks = blocks
-        self.eq_blocks = eq_blocks
-        self.keys = keys
-        self.key_index = key_index
-        self.objective = objective
+    `moment_keys[j]` holds the key of every entry of clique j's moment
+    block in svec order (upper triangle, row-major), as the scan of `build`
+    met them.
+    """
+
+    problem: Problem
+    order: int
+    mode: SymmetryMode
+    decomp: object
+    blocks: list[Block]
+    eq_blocks: list[Block]
+    keys: list[Word]
+    key_index: dict[Word, int]
+    moment_keys: list[np.ndarray]
+    objective: dict[int, float]
 
     @property
     def n_groups(self) -> int:
@@ -159,67 +162,130 @@ class Relaxation:
     def block_sizes(self) -> list[int]:
         return [b.size for b in self.blocks]
 
+    @functools.cached_property
+    def layout(self):
+        """The svec layout (`standard_form.BlockLayout`) of the psd blocks."""
+        from .standard_form import _layout
+
+        return _layout(tuple(self.block_sizes))
+
     def key_of(self, w: Word) -> int:
         return self.key_index[canonicalize(tuple(w), self.mode)]
 
-    def moment_entry_key(self, block_index: int, r: int, c: int) -> int:
-        block = self.blocks[block_index]
-        if not block.is_moment:
-            raise ValueError("not a moment block")
-        words = block.basis.words
-        return self.key_index[canonicalize(words[r][::-1] + words[c], self.mode)]
-
-    def entry_form(self, block_index: int, r: int, c: int) -> dict[int, float]:
-        """Linear form over moment indices for one psd block entry."""
-        block = self.blocks[block_index]
-        words = block.basis.words
-        u_star, v = words[r][::-1], words[c]
-        if block.is_moment:
-            return {self.key_index[canonicalize(u_star + v, self.mode)]: 1.0}
-        return self._localized_form(u_star, v, block.poly)
-
-    def eq_entry_form(self, eq_index: int, r: int, c: int) -> dict[int, float]:
-        """Linear form over moment indices for one equality block entry."""
-        eb = self.eq_blocks[eq_index]
-        words = eb.basis.words
-        return self._localized_form(words[r][::-1], words[c], eb.poly)
-
-    def _localized_form(self, u_star: Word, v: Word, poly: NcPolynomial) -> dict[int, float]:
-        out: dict[int, float] = {}
-        mode = self.mode
-        index = self.key_index
-        for w, coeff in poly.terms.items():
-            try:
-                key = index[canonicalize(u_star + w + v, mode)]
-            except KeyError:
-                raise ValueError(
-                    f"word {u_star + w + v} is not realized by any moment block; "
-                    "a constraint strays outside its clique or degree bound"
-                ) from None
-            out[key] = out.get(key, 0.0) + coeff
-        return {k: c for k, c in out.items() if c != 0.0}
+    @functools.cached_property
+    def forms(self) -> tuple[EntryForms, EntryForms]:
+        """(psd, eq) entry forms, on first use. psd entries are the svec positions
+        of `layout` (a moment entry is one term of weight 1); eq entries run
+        through the equality blocks' upper triangles, row-major, in order."""
+        return _entry_forms(self)
 
     def block_matrix(self, block_index: int, y: np.ndarray) -> np.ndarray:
         """Evaluate one psd block at a moment vector."""
         s = self.blocks[block_index].size
+        iu, ju = _upper(s)
         out = np.empty((s, s))
-        for r in range(s):
-            for c in range(r, s):
-                val = sum(co * y[k] for k, co in self.entry_form(block_index, r, c).items())
-                out[r, c] = out[c, r] = val
-        return out
-
-    def eq_block_matrix(self, eq_index: int, y: np.ndarray) -> np.ndarray:
-        s = self.eq_blocks[eq_index].size
-        out = np.empty((s, s))
-        for r in range(s):
-            for c in range(r, s):
-                val = sum(co * y[k] for k, co in self.eq_entry_form(eq_index, r, c).items())
-                out[r, c] = out[c, r] = val
+        out[iu, ju] = out[ju, iu] = self.forms[0].values(y)[self.layout.offsets[block_index] :][: iu.size]
         return out
 
     def objective_value(self, y: np.ndarray) -> float:
         return float(sum(c * y[k] for k, c in self.objective.items()))
+
+
+@functools.lru_cache(maxsize=64)
+def _upper(s: int) -> np.ndarray:
+    """Rows and columns, (2, s(s+1)/2), of the upper triangle of an s x s matrix, row-major."""
+    return np.array(np.triu_indices(s))
+
+
+@functools.lru_cache(maxsize=32)
+def _word_tables(mcount: tuple[int, ...], k: int) -> tuple[np.ndarray, ...]:
+    """The moment bases (degree <= k) of cliques of mcount letters, as numbers.
+
+    A word with letter positions p_1 .. p_l in its clique's m sorted letters
+    has the numeral sum_t p_t m^(l-t) and the basis index first[l] + numeral.
+    Returns per clique first[l], m^l, the basis size, and the offsets of its
+    basis in the stacked tables and of its moment keys; per stacked basis
+    word, its length and numeral.
+    """
+    size = np.array([basis_size(k, m) for m in mcount])
+    power = np.array(mcount)[:, None] ** np.arange(k + 1)
+    first = np.cumsum(power, axis=1) - power
+    length = np.tile(np.arange(k + 1), len(mcount)).repeat(power.ravel())
+    num = np.concatenate([np.arange(s) for s in size]) - first.ravel().repeat(power.ravel())
+    n_ut = size * (size + 1) // 2
+    return first, power, size, np.cumsum(size) - size, np.cumsum(n_ut) - n_ut, length, num
+
+
+def _entry_forms(rel: Relaxation) -> tuple[EntryForms, EntryForms]:
+    """Entry forms of all psd and equality blocks, in one pass over their terms.
+
+    Entry (r, c) of a block localizing p at clique j has the terms
+    coeff * u_r* w v_c over p's words w (a moment block localizes 1). Split
+    w = w1 w2, len(w1) = len(w) // 2: the word is entry (reverse(w1) u_r,
+    w2 v_c) of clique j's moment block, whose rows have degree <= k, so its
+    key is read off moment_keys[j] at indices computed from the numerals of
+    w1, w2, u_r and v_c. A letter outside clique j raises ValueError.
+    """
+    cliques = rel.decomp.cliques
+    first, power, msize, tab_off, key_off, length, num = _word_tables(tuple(map(len, cliques)), rel.order)
+    blocks = [*rel.blocks, *rel.eq_blocks]
+    terms = [{(): 1.0} if b.poly is None else b.poly.terms for b in blocks]
+    # per term: len(w1), numeral of reverse(w1), len(w2), numeral of w2
+    positions = [{letter: p for p, letter in enumerate(c)} for c in cliques]
+    halves: list[int] = []
+    coeffs: list[float] = []
+    for block, block_terms in zip(blocks, terms):
+        pos, m = positions[block.group], len(cliques[block.group])
+        try:
+            for w in block_terms:
+                h, a, b = len(w) // 2, 0, 0
+                for i, letter in enumerate(w):
+                    if i < h:
+                        a += pos[letter] * m**i
+                    else:
+                        b = b * m + pos[letter]
+                halves += (h, a, len(w) - h, b)
+        except KeyError:
+            raise ValueError(f"word {w} is not realized by any moment block; "
+                             "a constraint strays outside its clique or degree bound") from None
+        coeffs += block_terms.values()
+
+    # one row per (entry, term): the entries run through the blocks in order,
+    # so entry e < layout.dim is svec position e
+    size = [b.size for b in blocks]
+    t_count = np.array(list(map(len, terms)))
+    e_blk = np.repeat(np.arange(len(blocks)), [s * (s + 1) // 2 for s in size])
+    e_grp = np.array([b.group for b in blocks])[e_blk]
+    e_terms = t_count[e_blk]
+    start = np.cumsum(e_terms) - e_terms - (np.cumsum(t_count) - t_count)[e_blk]  # row minus term id
+    term = np.arange(e_terms.sum()) - np.repeat(start, e_terms)
+    # basis index of reverse(w1) u_r: first[len(w1) + len(u_r)] + numeral(reverse(w1))
+    # m^len(u_r) + numeral(u_r); likewise for w2 v_c
+    at = tab_off[e_grp] + np.concatenate([*map(_upper, size)], axis=1)
+    flat = e_grp * power.shape[1] + length[at]
+    w_len, w_num = np.fromiter(halves, np.int64, len(halves)).reshape(-1, 2, 2).T
+    index = [np.repeat(power.ravel()[flat[side]], e_terms) * w_num[side][term] for side in (0, 1)]
+    for side in (0, 1):  # in place, one side at a time, to bound the temporaries
+        index[side] += np.repeat(num[at[side]], e_terms)
+        index[side] += first.ravel()[np.repeat(flat[side], e_terms) + w_len[side][term]]
+    lo, hi = np.minimum(*index), np.maximum(*index)
+    del index
+    hi += np.repeat(key_off[e_grp], e_terms) - lo * (lo - 1) // 2 - lo
+    hi += lo * np.repeat(msize[e_grp], e_terms)
+    key = np.concatenate(rel.moment_keys)[hi]
+    del lo, hi
+
+    # sum the terms of an entry that share a key, in term order from 0.0
+    ident = np.repeat(np.arange(e_blk.size) * len(rel.keys), e_terms) + key
+    order = np.argsort(ident, kind="stable")
+    ident = ident[order]
+    new = np.concatenate(([True], ident[1:] != ident[:-1]))
+    coeff = np.bincount(np.cumsum(new) - 1, weights=np.fromiter(coeffs, float, len(coeffs))[term[order]])
+    keep = coeff != 0.0
+    (entry, key), coeff = np.divmod(ident[new][keep], len(rel.keys)), coeff[keep]
+    n = int(np.searchsorted(entry, dim := rel.layout.dim))
+    psd = EntryForms(entry[:n], key[:n], coeff[:n], dim)
+    return psd, EntryForms(entry[n:] - dim, key[n:], coeff[n:], e_blk.size - dim)
 
 
 def riesz(p: NcPolynomial, key_index: dict[Word, int], mode: SymmetryMode) -> dict[int, float]:
@@ -247,11 +313,12 @@ def build(
     """Construct the order-k relaxation of a problem.
 
     Moment indices are assigned in first-encounter order while scanning the
-    moment blocks (upper triangles, row-major, cliques in order), then the
-    index of the empty word is swapped to position 0. Localizing and
-    equality entries reference these indices; every word of degree <= 2k
-    supported on a clique factors through that clique's moment block, so
-    the scan realizes every index the relaxation needs.
+    moment blocks (upper triangles, row-major, cliques in order); the scan
+    starts at the empty word, which so owns index 0. The scan records the
+    key of every moment entry in `moment_keys`. Localizing and equality
+    entries reference these indices; every word of degree <= 2k supported
+    on a clique factors through that clique's moment block, so the scan
+    realizes every index the relaxation needs.
     """
     kmin = minimal_order(problem)
     if order < kmin:
@@ -262,15 +329,18 @@ def build(
         decomp = decompose(problem)
 
     star_only = mode is SymmetryMode.STAR_ONLY
-    keys: list[Word] = []
     key_index: dict[Word, int] = {}
-    blocks: list[PsdBlock] = []
-    eq_blocks: list[EqBlock] = []
+    moment_keys: list[np.ndarray] = []
+    blocks: list[Block] = []
+    eq_blocks: list[Block] = []
 
+    assign = key_index.setdefault
     for j, letters in enumerate(decomp.cliques):
         mbasis = WordBasis(letters, order, index_limit)
         words = mbasis.words
         nwords = len(words)
+        entry_keys: list[int] = []
+        record = entry_keys.append
         for r in range(nwords):
             u_star = words[r][::-1]
             if star_only:
@@ -279,31 +349,20 @@ def build(
                     rw = w[::-1]
                     if rw < w:
                         w = rw
-                    if w not in key_index:
-                        key_index[w] = len(keys)
-                        keys.append(w)
+                    record(assign(w, len(key_index)))
             else:
                 for c in range(r, nwords):
-                    w = canonicalize(u_star + words[c], mode)
-                    if w not in key_index:
-                        key_index[w] = len(keys)
-                        keys.append(w)
-        blocks.append(PsdBlock(group=j, basis=mbasis))
+                    record(assign(canonicalize(u_star + words[c], mode), len(key_index)))
+        moment_keys.append(np.array(entry_keys, dtype=np.intp))
+        blocks.append(Block(group=j, basis=mbasis))
         for gi in decomp.ineq_groups[j]:
             g = problem.inequalities[gi]
             kg = order - half_degree(g)
-            blocks.append(PsdBlock(group=j, basis=WordBasis(letters, kg, index_limit), poly=g))
+            blocks.append(Block(group=j, basis=WordBasis(letters, kg, index_limit), poly=g))
         for hi in decomp.eq_groups[j]:
             h = problem.equalities[hi]
             kh = order - half_degree(h)
-            eq_blocks.append(EqBlock(group=j, basis=WordBasis(letters, kh, index_limit), poly=h))
-
-    # normalize: the empty word owns index 0
-    zero_pos = key_index[EMPTY_WORD]
-    if zero_pos != 0:
-        other = keys[0]
-        keys[0], keys[zero_pos] = EMPTY_WORD, other
-        key_index[EMPTY_WORD], key_index[other] = 0, zero_pos
+            eq_blocks.append(Block(group=j, basis=WordBasis(letters, kh, index_limit), poly=h))
 
     rel = Relaxation(
         problem=problem,
@@ -312,8 +371,9 @@ def build(
         decomp=decomp,
         blocks=blocks,
         eq_blocks=eq_blocks,
-        keys=keys,
+        keys=list(key_index),
         key_index=key_index,
+        moment_keys=moment_keys,
         objective={},
     )
     rel.objective = riesz(problem.objective, key_index, mode)
@@ -385,18 +445,12 @@ def moment_vector_from_evaluation(
 
 def equality_system(rel: Relaxation) -> tuple[np.ndarray, np.ndarray]:
     """Dense matrix E and rhs e of {all equality entries = 0, y_1 = 1}."""
-    rows: list[dict[int, float]] = []
-    for ei, eb in enumerate(rel.eq_blocks):
-        for r in range(eb.size):
-            for c in range(r, eb.size):
-                rows.append(rel.eq_entry_form(ei, r, c))
-    E = np.zeros((len(rows) + 1, len(rel.keys)))
-    for i, form in enumerate(rows):
-        for k, co in form.items():
-            E[i, k] = co
-    E[len(rows), 0] = 1.0
-    e = np.zeros(len(rows) + 1)
-    e[len(rows)] = 1.0
+    _, eq = rel.forms
+    E = np.zeros((eq.size + 1, len(rel.keys)))
+    E[eq.entry, eq.key] = eq.coeff
+    E[eq.size, 0] = 1.0
+    e = np.zeros(eq.size + 1)
+    e[eq.size] = 1.0
     return E, e
 
 

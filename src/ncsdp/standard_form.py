@@ -154,8 +154,7 @@ class StandardSdp:
     trace: float
     zeta: int
     scales: tuple[np.ndarray, ...] | None = None
-    rel: Relaxation | None = None
-    rep_entry: dict[int, tuple[int, int, int]] | None = None
+    rep_entry: np.ndarray | None = None  # svec position of each moment key's representative
 
     @property
     def layout(self) -> BlockLayout:
@@ -171,52 +170,15 @@ class StandardSdp:
         return self.a_mat.shape[0]
 
 
-def moment_representatives(rel: Relaxation) -> tuple[dict[int, tuple[int, int, int]], list[tuple[int, int, int, int]]]:
-    """First-encounter representative entry of every moment key.
-
-    Returns (rep, dup) where rep maps key -> (block, r, c) and dup lists the
-    repeated entries as (block, r, c, key), in the scan order used when the
-    relaxation assigned its keys.
-    """
-    rep: dict[int, tuple[int, int, int]] = {}
-    dup: list[tuple[int, int, int, int]] = []
-    for i, block in enumerate(rel.blocks):
-        if not block.is_moment:
-            continue
-        size = block.size
-        for r in range(size):
-            for c in range(r, size):
-                key = rel.moment_entry_key(i, r, c)
-                if key in rep:
-                    dup.append((i, r, c, key))
-                else:
-                    rep[key] = (i, r, c)
-    return rep, dup
-
-
-def _entry_positions(layout: BlockLayout, entries) -> np.ndarray:
-    """svec positions of a list of (block, r, c, ...) tuples."""
-    return layout.index(*np.array([e[:3] for e in entries], dtype=np.intp).reshape(-1, 3).T)
-
-
-def _rep_positions(layout: BlockLayout, rep: dict[int, tuple[int, int, int]]) -> np.ndarray:
-    """svec position of the representative entry of every moment key."""
-    pos = np.empty(len(rep), dtype=np.intp)
-    pos[list(rep)] = _entry_positions(layout, list(rep.values()))
-    return pos
-
-
 def count_stats(rel: Relaxation, cert: CtpCertificate) -> CountStats:
     """Structural counts without materializing the constraint matrix.
 
     Every word a localizing or equality entry references factors through a
     moment block of its clique, so the distinct-key count is just
-    len(rel.keys) and the sharing-row count follows by subtraction.
+    len(rel.keys); besides the pin, each psd entry but a key's representative
+    owns a row. An equality entry whose terms all cancel gives no row.
     """
-    moment_ut = sum(b.size * (b.size + 1) // 2 for b in rel.blocks if b.is_moment)
-    loc_ut = sum(b.size * (b.size + 1) // 2 for b in rel.blocks if not b.is_moment)
-    eq_ut = sum(e.size * (e.size + 1) // 2 for e in rel.eq_blocks)
-    zeta = 1 + (moment_ut - len(rel.keys)) + loc_ut + eq_ut
+    zeta = 1 + rel.layout.dim - len(rel.keys) + int(np.count_nonzero(rel.forms[1].firsts()))
     return CountStats(
         omega=len(rel.blocks),
         smax=max(b.size for b in rel.blocks),
@@ -235,46 +197,32 @@ def assemble(rel: Relaxation, cert: CtpCertificate) -> StandardSdp:
     localizing entry. Every other term refers to a moment key and lands on
     that key's representative entry, with the same weight.
     """
-    sizes = rel.block_sizes
-    layout = _layout(tuple(sizes))
+    layout = rel.layout
     prod = layout.diag_products(cert.block_scales)
     weight = 1.0 / prod
-    rep, dup = moment_representatives(rel)
-    rep_pos = _rep_positions(layout, rep)
+    # a key's representative is its first entry in build's scan (svec order), which numbers
+    # keys as it meets them: an entry is a first exactly where the running maximum grows
+    moment = np.array([b.is_moment for b in rel.blocks])[layout.block]
+    moment_pos = np.flatnonzero(moment)
+    moment_keys = np.concatenate(rel.moment_keys)
+    dup = np.zeros(moment_keys.size, dtype=bool)
+    np.less_equal(moment_keys[1:], np.maximum.accumulate(moment_keys)[:-1], out=dup[1:])
+    rep_pos = moment_pos[~dup]
+    own_pos = np.concatenate([rep_pos[:1], moment_pos[dup], np.flatnonzero(~moment)])
+    n_own = own_pos.size
 
-    own = [rep_pos[:1], _entry_positions(layout, dup)]
-    key_rows = list(range(1, len(dup) + 1))
-    key_keys = [d[3] for d in dup]
-    key_coeffs = [-1.0] * len(dup)
-    nrow = 1 + len(dup)
-
-    # localizing rows
-    for i, block in enumerate(rel.blocks):
-        if block.is_moment:
-            continue
-        own.append(np.arange(layout.offsets[i], layout.offsets[i + 1]))
-        for r in range(block.size):
-            for c in range(r, block.size):
-                for key, coeff in rel.entry_form(i, r, c).items():
-                    key_rows.append(nrow)
-                    key_keys.append(key)
-                    key_coeffs.append(-coeff)
-                nrow += 1
-    n_own = nrow
-
-    # equality rows
-    for j, eqb in enumerate(rel.eq_blocks):
-        for r in range(eqb.size):
-            for c in range(r, eqb.size):
-                form = rel.eq_entry_form(j, r, c)
-                if not form:
-                    continue
-                for key, coeff in form.items():
-                    key_rows.append(nrow)
-                    key_keys.append(key)
-                    key_coeffs.append(coeff)
-                nrow += 1
-    zeta = nrow
+    # a sharing or localizing row subtracts its entry's form; an equality
+    # row is the form of an equality entry that has terms
+    psd, eq = rel.forms
+    row_of = np.zeros(layout.dim, dtype=np.intp)
+    row_of[own_pos[1:]] = np.arange(1, n_own)
+    mine = row_of[psd.entry] > 0
+    firsts = eq.firsts()
+    eq_rows = n_own - 1 + np.cumsum(firsts)
+    zeta = nrow = n_own + int(np.count_nonzero(firsts))
+    key_rows = np.concatenate([row_of[psd.entry[mine]], eq_rows])
+    key_keys = np.concatenate([psd.key[mine], eq.key])
+    key_coeffs = np.concatenate([-psd.coeff[mine], eq.coeff])
 
     # per-group partial traces (all groups but the first; the solver keeps
     # the total trace at its constant)
@@ -283,23 +231,21 @@ def assemble(rel: Relaxation, cert: CtpCertificate) -> StandardSdp:
     trace_pos = layout.diag[later]
     nrow += rel.n_groups - 1
 
-    own_pos = np.concatenate(own)
-    key_pos = rep_pos[np.array(key_keys, dtype=np.intp)]
+    key_pos = rep_pos[key_keys]
     scale = layout.scale
-    rows = np.concatenate(
-        [np.arange(n_own), np.array(key_rows, dtype=np.intp), zeta - 1 + groups[later]]
-    )
+    rows = np.concatenate([np.arange(n_own), key_rows, zeta - 1 + groups[later]])
     cols = np.concatenate([own_pos, key_pos, trace_pos])
     vals = np.concatenate([
         weight[own_pos] / scale[own_pos],
-        np.array(key_coeffs) * weight[key_pos] / scale[key_pos],
+        key_coeffs * weight[key_pos] / scale[key_pos],
         np.ones(trace_pos.size),
     ])
     # no (row, position) pair repeats: a row's keys are distinct, so are
     # their representatives, and an owned entry is never a representative
     order = np.lexsort((cols, rows))
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nrow))])
-    a_mat = sp.csr_matrix((vals[order], cols[order], indptr), shape=(nrow, layout.dim))
+    idx = np.int32 if max(nrow, layout.dim, cols.size) < 2**31 else np.int64  # scipy's own choice, made here
+    a_mat = sp.csr_matrix((vals[order], cols[order].astype(idx), indptr.astype(idx)), shape=(nrow, layout.dim))
 
     b = np.zeros(nrow)
     b[0] = 1.0
@@ -310,38 +256,32 @@ def assemble(rel: Relaxation, cert: CtpCertificate) -> StandardSdp:
     c_vec[obj_pos] = np.array(list(rel.objective.values())) / prod[obj_pos] / scale[obj_pos]
 
     return StandardSdp(
-        block_sizes=sizes,
+        block_sizes=rel.block_sizes,
         c=c_vec,
         a_mat=a_mat,
         b=b,
         trace=cert.trace_constant,
         zeta=zeta,
         scales=cert.block_scales,
-        rel=rel,
-        rep_entry=rep,
+        rep_entry=rep_pos,
     )
 
 
 def recover_moments(sdp: StandardSdp, x: np.ndarray) -> np.ndarray:
     """Moment vector read off the representative entries of an svec iterate."""
-    if sdp.rel is None or sdp.rep_entry is None or sdp.scales is None:
+    if sdp.rep_entry is None or sdp.scales is None:
         raise ValueError("moment recovery requires an assembled standard form")
     layout = sdp.layout
-    pos = _rep_positions(layout, sdp.rep_entry)
+    pos = sdp.rep_entry
     return x[pos] / layout.scale[pos] / layout.diag_products(sdp.scales)[pos]
 
 
-def x_from_moments(sdp: StandardSdp, y: np.ndarray) -> np.ndarray:
-    """svec of P D_k(y) P; the exact feasible image of a moment vector."""
-    if sdp.rel is None or sdp.scales is None:
+def x_from_moments(sdp: StandardSdp, rel: Relaxation, y: np.ndarray) -> np.ndarray:
+    """svec of P D_k(y) P, the exact feasible image of a moment vector of rel."""
+    if sdp.scales is None:
         raise ValueError("requires an assembled standard form")
-    rel = sdp.rel
     layout = sdp.layout
-    vals = [
-        sum(coeff * y[key] for key, coeff in rel.entry_form(i, r, c).items())
-        for i, r, c in zip(layout.block.tolist(), layout.row.tolist(), layout.col.tolist())
-    ]
-    return np.array(vals, dtype=float) * layout.diag_products(sdp.scales) * layout.scale
+    return rel.forms[0].values(y) * layout.diag_products(sdp.scales) * layout.scale
 
 
 def write_sdp(sdp: StandardSdp, path: str) -> None:
@@ -391,7 +331,8 @@ def read_sdp(path: str) -> StandardSdp:
     the moment-recovery maps are not part of the text format.
 
     Raises ValueError on a malformed file, including an entry outside the
-    upper triangle of its block or a constraint index above the row count.
+    upper triangle of its block, a constraint index above the row count, or
+    a non-finite trace, right hand side or entry.
     """
     trace = 0.0
     zeta = 0
@@ -421,11 +362,18 @@ def read_sdp(path: str) -> StandardSdp:
     b = np.array([float(v) for v in lines[3].split()] if m else [])
     if b.shape != (m,):
         raise ValueError("right hand side length does not match constraint count")
+    if not np.isfinite(trace) or not np.isfinite(b).all():
+        bad = "trace" if not np.isfinite(trace) else f"right hand side row {np.argmin(np.isfinite(b)) + 1}"
+        raise ValueError(f"non-finite {bad} in the header")
     layout = _layout(tuple(sizes))
 
-    del lines[:head]  # the entry lines remain
+    del lines[:head]  # the entry lines remain, until parsed
     ent = np.loadtxt(lines, dtype=_ENTRY, comments=None, ndmin=1) if lines else np.zeros(0, _ENTRY)
+    del lines
     t, blk, r, c = (ent[f] for f in ("t", "blk", "i", "j"))
+    if not np.isfinite(ent["val"]).all():
+        bad = ent[np.argmin(np.isfinite(ent["val"]))].tolist()
+        raise ValueError(f"non-finite value in entry '{' '.join(map(str, bad))}'")
     if np.any((t < 0) | (t > m)):
         raise ValueError(f"constraint index outside 0..{m}")
     if np.any((blk < 1) | (blk > nblocks)):

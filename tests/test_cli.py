@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncsdp.cli import (
     CSV_COLUMNS,
@@ -21,6 +23,7 @@ from ncsdp.cli import (
 )
 from ncsdp.free_algebra import NcPolynomial
 from ncsdp.generator import gen_dense
+from ncsdp.relaxation import Problem
 from ncsdp.standard_form import read_sdp
 
 
@@ -191,6 +194,44 @@ def test_problem_json_round_trip():
     assert len(back.equalities) == len(prob.equalities)
     assert np.allclose(back.anchor, prob.anchor)
     assert back.cliques == prob.cliques
+
+
+@st.composite
+def _problems(draw):
+    n = draw(st.integers(1, 4))
+    finite = st.floats(-1e6, 1e6, allow_nan=False).filter(lambda c: c != 0.0)
+
+    def poly():
+        words = st.lists(st.integers(1, n), max_size=4).map(lambda w: min(tuple(w), tuple(w[::-1])))
+        half = {w: draw(finite) for w in draw(st.lists(words, max_size=5, unique=True))}
+        # w and its reverse carry one coefficient, so the polynomial is symmetric
+        return NcPolynomial(n, {**half, **{w[::-1]: c for w, c in half.items()}})
+
+    cliques = draw(st.none() | st.lists(st.sets(st.integers(1, n), min_size=1).map(sorted), min_size=1, max_size=3))
+    anchor = draw(st.none() | st.lists(finite, min_size=n, max_size=n))
+    return Problem(
+        n=n,
+        objective=poly(),
+        inequalities=[poly() for _ in range(draw(st.integers(0, 2)))],
+        equalities=[poly() for _ in range(draw(st.integers(0, 2)))],
+        cliques=cliques,
+        anchor=anchor,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_problems())
+def test_problem_json_round_trip_property(prob):
+    back = problem_from_json(json.loads(json.dumps(problem_to_json(prob))))
+    assert back.n == prob.n
+    assert back.objective == prob.objective
+    assert back.inequalities == prob.inequalities
+    assert back.equalities == prob.equalities
+    assert back.cliques == prob.cliques
+    if prob.anchor is None:
+        assert back.anchor is None
+    else:
+        assert np.array_equal(back.anchor, prob.anchor)
 
 
 def test_poly_json_round_trip():

@@ -339,11 +339,17 @@ def test_sampled_deviation_projects_without_null_basis():
     for c, expect in ((cert, 0.0), (tampered, 1e-3)):
         dev = sampled_deviation(rel, c, samples=3, seed=0)
         assert dev == pytest.approx(expect, abs=1e-8)
-        # reference: walk every diagonal entry form of every block for every sample
+        # reference: walk every diagonal entry of every block for every sample,
+        # canonicalizing each word u_r* w u_r
+        def diag_entry(block, r, y):
+            u = block.basis.words[r]
+            terms = {(): 1.0} if block.poly is None else block.poly.terms
+            return sum(co * y[rel.key_of(u[::-1] + w + u)] for w, co in terms.items())
+
         ref = max(
             abs(
                 sum(
-                    c.block_scales[i][r] ** 2 * sum(co * y[key] for key, co in rel.entry_form(i, r, r).items())
+                    c.block_scales[i][r] ** 2 * diag_entry(block, r, y)
                     for i, block in enumerate(rel.blocks)
                     for r in range(block.size)
                 )

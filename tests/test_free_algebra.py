@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ncsdp.free_algebra import (
     EMPTY_WORD,
@@ -145,3 +147,25 @@ def test_cyclic_keys_never_exceed_star_keys():
             else:
                 # cyclic identification strictly merges classes from degree 2 on
                 assert cyc < star
+
+
+_WORDS = st.lists(st.integers(1, 4), max_size=9).map(tuple)
+
+
+@given(_WORDS)
+def test_canonicalize_star_only_property(w):
+    c = canonicalize(w)
+    assert canonicalize(c) == c
+    assert canonicalize(w[::-1]) == c
+    assert c == min(w, w[::-1])
+
+
+@given(_WORDS)
+def test_canonicalize_cyclic_property(w):
+    mode = SymmetryMode.STAR_CYCLIC
+    c = canonicalize(w, mode)
+    assert canonicalize(c, mode) == c
+    cls = {u[s:] + u[:s] for u in (w, w[::-1]) for s in range(max(len(u), 1))}
+    assert c == min(cls)
+    for u in cls:
+        assert canonicalize(u, mode) == c

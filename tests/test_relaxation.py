@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ncsdp.free_algebra import EMPTY_WORD, NcPolynomial, SymmetryMode, evaluate, word_value
+from ncsdp.free_algebra import EMPTY_WORD, NcPolynomial, SymmetryMode, canonicalize, evaluate, word_value
 from ncsdp.generator import gen_dense, gen_sparse
 from ncsdp.relaxation import (
     Problem,
@@ -15,6 +15,42 @@ from ncsdp.relaxation import (
     sample_equality_feasible_moments,
 )
 from ncsdp.sparsity import CliqueDecomposition
+
+
+def walked_form(rel, block, r, c) -> dict[int, float]:
+    """Reference entry form: canonicalize each word u_r* w v_c and look up its key."""
+    words = block.basis.words
+    u_star, v = words[r][::-1], words[c]
+    terms = {EMPTY_WORD: 1.0} if block.poly is None else block.poly.terms
+    out: dict[int, float] = {}
+    for w, coeff in terms.items():
+        try:
+            key = rel.key_index[canonicalize(u_star + w + v, rel.mode)]
+        except KeyError:
+            raise ValueError(
+                f"word {u_star + w + v} is not realized by any moment block; "
+                "a constraint strays outside its clique or degree bound"
+            ) from None
+        out[key] = out.get(key, 0.0) + coeff
+    return {k: c for k, c in out.items() if c != 0.0}
+
+
+def array_forms(forms) -> list[list[tuple[int, float]]]:
+    """EntryForms as one ordered list of (key, coeff) per entry."""
+    out = [[] for _ in range(forms.size)]
+    for e, k, c in zip(forms.entry.tolist(), forms.key.tolist(), forms.coeff.tolist()):
+        out[e].append((k, c))
+    return out
+
+
+def walked_forms(rel, blocks) -> list[list[tuple[int, float]]]:
+    """Reference forms of every entry, keys ascending as EntryForms orders them."""
+    return [
+        sorted(walked_form(rel, b, r, c).items())
+        for b in blocks
+        for r in range(b.size)
+        for c in range(r, b.size)
+    ]
 
 
 def ball_problem(n: int, objective: NcPolynomial | None = None) -> Problem:
@@ -95,8 +131,10 @@ def test_key_sharing_across_cliques():
     # shared letter 2 words appear once
     assert len(rel.keys) == 9
     k22 = rel.key_of((2, 2))
-    assert rel.moment_entry_key(0, 2, 2) == k22
-    assert rel.moment_entry_key(1, 1, 1) == k22
+    # entry (2, 2) of the first moment block and (1, 1) of the second
+    assert rel.moment_keys[0][5] == k22
+    assert rel.moment_keys[1][3] == k22
+    assert [len(m) for m in rel.moment_keys] == [6, 6]
 
 
 def test_entry_form_localizing():
@@ -104,7 +142,9 @@ def test_entry_form_localizing():
     rel = build(prob, order=2)
     loc = next(i for i, b in enumerate(rel.blocks) if not b.is_moment)
     # entry (0, 0) of the localizing block is the Riesz image of the constraint
-    form = rel.entry_form(loc, 0, 0)
+    psd, _ = rel.forms
+    at = psd.entry == rel.layout.offsets[loc]
+    form = dict(zip(psd.key[at].tolist(), psd.coeff[at].tolist()))
     want = riesz(prob.inequalities[0], rel.key_index, rel.mode)
     assert form == want
 
@@ -116,8 +156,51 @@ def test_localized_form_stray_word_raises():
     prob = Problem(n=n, objective=x1, equalities=[h])
     bad = CliqueDecomposition(cliques=((1,),), ineq_groups=((),), eq_groups=((0,),))
     rel = build(prob, order=1, decomp=bad)
-    with pytest.raises(ValueError, match="strays outside"):
-        rel.eq_entry_form(0, 0, 0)
+    with pytest.raises(ValueError, match="strays outside") as walked:
+        walked_form(rel, rel.eq_blocks[0], 0, 0)
+    with pytest.raises(ValueError, match="strays outside") as arrays:
+        rel.forms
+    assert str(arrays.value) == str(walked.value)
+
+
+def _cancelling_problem(n_extra: int = 0) -> Problem:
+    """Ball in 2 letters plus an equality whose cyclic classes cancel at entry (0, 0)."""
+    n = 2
+    x1, x2 = NcPolynomial.letter(n, 1), NcPolynomial.letter(n, 2)
+    prob = ball_problem(n, objective=x1 * x2 + x2 * x1)
+    h = x1 * x1 * x2 + x2 * x1 * x1 - 2.0 * (x1 * x2 * x1)
+    return Problem(n=n, objective=prob.objective, inequalities=prob.inequalities, equalities=[h])
+
+
+@pytest.mark.parametrize("mode", [SymmetryMode.STAR_ONLY, SymmetryMode.STAR_CYCLIC])
+@pytest.mark.parametrize("case", ["ball", "cancel", "chain", "polydisc"])
+def test_array_forms_match_walk(case, mode):
+    # every psd and equality entry, bit for bit
+    if case == "ball":
+        prob, order = gen_dense(3, kind="ball", seed=4), 2
+    elif case == "cancel":
+        prob, order = _cancelling_problem(), 3
+    elif case == "chain":
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            prob, order = gen_sparse(8, 3, l=3, seed=2), 2
+    else:
+        prob, order = gen_dense(2, kind="polydisc", seed=1), 2
+    rel = build(prob, order=order, mode=mode)
+    assert array_forms(rel.forms[0]) == walked_forms(rel, rel.blocks)
+    assert array_forms(rel.forms[1]) == walked_forms(rel, rel.eq_blocks)
+    if case == "chain":
+        assert rel.n_groups > 1
+    if case == "cancel":
+        # terms merge onto one key, and in trace mode all of them cancel
+        merged = [f for f in walked_forms(rel, rel.eq_blocks) if len(f) < len(prob.equalities[0].terms)]
+        assert merged
+        empty = [f for f in walked_forms(rel, rel.eq_blocks) if not f]
+        assert bool(empty) == (mode is SymmetryMode.STAR_CYCLIC)
+    # the moment keys are the scan's, entry for entry
+    for block, keys in zip((b for b in rel.blocks if b.is_moment), rel.moment_keys):
+        iu, ju = np.triu_indices(block.size)
+        assert keys.tolist() == [walked_form(rel, block, r, c).popitem()[0] for r, c in zip(iu, ju)]
 
 
 def test_riesz_modes_and_missing_key():
@@ -228,5 +311,4 @@ def test_equality_sampling():
     assert spread > 1e-6  # the null space is explored, not just the lstsq point
     for y in samples:
         assert y[0] == pytest.approx(1.0)
-        for ei in range(len(rel.eq_blocks)):
-            assert np.abs(rel.eq_block_matrix(ei, y)).max() <= 1e-8
+        assert np.abs(rel.forms[1].values(y)).max() <= 1e-8

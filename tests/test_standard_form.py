@@ -1,3 +1,6 @@
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,15 +9,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ncsdp.ctp import certify
-from ncsdp.free_algebra import NcPolynomial
+from ncsdp.free_algebra import NcPolynomial, SymmetryMode
 from ncsdp.generator import gen_dense, gen_sparse
-from ncsdp.relaxation import Problem, build, moment_vector_from_evaluation
+from ncsdp.relaxation import Problem, build, minimal_order, moment_vector_from_evaluation
 from ncsdp.standard_form import (
     BlockLayout,
     StandardSdp,
     assemble,
     count_stats,
-    moment_representatives,
     read_sdp,
     recover_moments,
     write_sdp,
@@ -75,16 +77,30 @@ def test_svec_index_layout():
 
 def test_moment_representatives():
     rel = build(ball_problem(2), order=2)
-    rep, dup = moment_representatives(rel)
-    assert set(rep) == set(range(len(rel.keys)))
-    assert rep[0] == (0, 0, 0)
+    sdp = assemble(rel, certify(rel))
+    layout = sdp.layout
+    moment_pos = np.flatnonzero([rel.blocks[b].is_moment for b in layout.block])
+    scan = np.concatenate(rel.moment_keys).tolist()
+    key_at = dict(zip(moment_pos.tolist(), scan))
+    rep = sdp.rep_entry.tolist()
+    assert len(rep) == len(rel.keys)
+    assert rep[0] == 0
+    for key, pos in enumerate(rep):
+        # the first entry of the scan that carries the key
+        assert pos == moment_pos[scan.index(key)]
     moment_ut = sum(
         b.size * (b.size + 1) // 2 for b in rel.blocks if b.is_moment
     )
+    dup = sorted(set(key_at) - set(rep))
     assert len(dup) == moment_ut - len(rel.keys)
-    for bi, r, c, key in dup:
-        assert rel.moment_entry_key(bi, r, c) == key
-        assert rep[key] != (bi, r, c)
+    # sharing row i ties the i-th repeated entry of the scan to its key's
+    # representative; both carry the key
+    weight = 1.0 / layout.diag_products(sdp.scales) / layout.scale
+    for row, pos in enumerate(dup, start=1):
+        a_row = sdp.a_mat.getrow(row)
+        assert sorted(a_row.indices.tolist()) == sorted([pos, rep[key_at[pos]]])
+        assert a_row[0, pos] == weight[pos]
+        assert a_row[0, rep[key_at[pos]]] == -weight[rep[key_at[pos]]]
 
 
 def test_count_stats_ball_by_hand():
@@ -98,6 +114,86 @@ def test_count_stats_ball_by_hand():
     assert stats.zeta == 2
     assert stats.amax == 2.0
     assert stats.as_dict()["zeta"] == 2
+
+
+def _sdp_digest(prob, mode, path) -> str:
+    rel = build(prob, order=2, mode=mode)
+    cert = certify(rel)
+    assert all(p.endswith("closed-form") for p in cert.provenances)
+    write_sdp(assemble(rel, cert), path)
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "case, digest",
+    [
+        ("ball-eig", "027f02c497bc721cca568c914ed11111d214c915f6c1c879678c56e73c2fb259"),
+        ("ball-trace", "253e5df9ea9235330fe8fa9c51315db6779f3e582e80a11b1ca158a3bdd3f1bd"),
+        ("polydisc-eig", "b1eadad6bd0c5f484979c57ff5aabe0694a698881d7c0d017882aba31e054f50"),
+        ("chain-trace", "bbb8fa6c721896dadef84432ec380d93fb14c5916265b146c6e5250b95758fd2"),
+    ],
+)
+def test_write_sdp_golden_bytes(case, digest, tmp_path):
+    # digests of files written by the per-entry assembly this one replaced
+    kind, mode = case.split("-")
+    mode = SymmetryMode.STAR_ONLY if mode == "eig" else SymmetryMode.STAR_CYCLIC
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the chain is clamped to its letters
+        prob = {
+            "ball": lambda: ball_problem(2),
+            "polydisc": lambda: gen_dense(2, "polydisc", seed=0),
+            "chain": lambda: gen_sparse(6, 3, l=2, seed=1),
+        }[kind]()
+    assert _sdp_digest(prob, mode, str(tmp_path / "x.sdp")) == digest
+
+
+@st.composite
+def _small_problems(draw):
+    n = draw(st.integers(1, 3))
+    letters = [NcPolynomial.letter(n, j) for j in range(1, n + 1)]
+    coeff = st.sampled_from([-2.0, -1.0, 0.5, 1.0, 2.0])
+
+    def poly(degree):
+        # small integer-like coefficients, so terms can merge and cancel
+        words = draw(st.lists(st.lists(st.integers(1, n), max_size=degree).map(tuple), max_size=4))
+        p = NcPolynomial.zero(n)
+        for w in words:
+            p = p + NcPolynomial(n, {w: draw(coeff)})
+        return p + p.star()
+
+    ball = NcPolynomial.constant(n, 1.0) - sum((x * x for x in letters), NcPolynomial.zero(n))
+    prob = Problem(
+        n=n,
+        objective=poly(2),
+        inequalities=[ball],
+        equalities=[poly(3) for _ in range(draw(st.integers(0, 2)))],
+    )
+    order = draw(st.integers(max(1, minimal_order(prob)), 2))
+    return prob, order
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.one_of(
+        _small_problems(),
+        st.tuples(st.integers(4, 7), st.integers(2, 3), st.integers(0, 3), st.integers(0, 99)).map(
+            lambda t: (gen_sparse(t[0], t[1], l=t[2], seed=t[3]), 1)
+        ),
+    ),
+    mode=st.sampled_from(list(SymmetryMode)),
+)
+@pytest.mark.filterwarnings("ignore:clique chain")
+def test_count_stats_matches_assemble_property(case, mode):
+    prob, order = case
+    rel = build(prob, order, mode)
+    cert = certify(rel)
+    stats = count_stats(rel, cert)
+    sdp = assemble(rel, cert)
+    assert stats.zeta == sdp.zeta
+    assert stats.omega == len(sdp.block_sizes)
+    assert stats.smax == max(sdp.block_sizes)
+    assert sdp.n_rows == stats.zeta + rel.n_groups - 1
 
 
 def test_count_stats_matches_assembled_rows():
@@ -122,7 +218,7 @@ def test_feasible_point_satisfies_standard_form():
     mats = random_contraction_tuple(2, 3, rng)
     v = rng.standard_normal(3)
     y = moment_vector_from_evaluation(rel, mats, v=v)
-    x = x_from_moments(sdp, y)
+    x = x_from_moments(sdp, rel, y)
     assert np.abs(sdp.a_mat @ x - sdp.b).max() <= 1e-10
     assert sdp.b[0] == 1.0
     # objective transfers through the rescaling
@@ -142,7 +238,7 @@ def test_zero_matrices_give_feasible_point():
     sdp = assemble(rel, certify(rel))
     y = np.zeros(len(rel.keys))
     y[0] = 1.0
-    x = x_from_moments(sdp, y)
+    x = x_from_moments(sdp, rel, y)
     assert np.abs(sdp.a_mat @ x - sdp.b).max() <= 1e-12
     blocks = svec_to_blocks(sdp, x)
     assert sum(np.trace(m) for m in blocks) == pytest.approx(sdp.trace)
@@ -160,7 +256,7 @@ def test_group_trace_rows():
     anchor = prob.anchor
     mats = [np.array([[float(t)]]) for t in anchor]
     y = moment_vector_from_evaluation(rel, mats, v=np.ones(1))
-    x = x_from_moments(sdp, y)
+    x = x_from_moments(sdp, rel, y)
     assert np.abs(sdp.a_mat @ x - sdp.b).max() <= 1e-9
     blocks = svec_to_blocks(sdp, x)
     g1 = sum(
@@ -184,7 +280,7 @@ def test_write_read_round_trip(tmp_path):
     # the reread instance solves the same feasibility system
     y = np.zeros(len(rel.keys))
     y[0] = 1.0
-    x = x_from_moments(sdp, y)
+    x = x_from_moments(sdp, rel, y)
     assert np.abs(back.a_mat @ x - back.b).max() <= 1e-12
     with pytest.raises(ValueError):
         recover_moments(back, x)
@@ -242,6 +338,16 @@ def test_read_sdp_rejects_malformed(tmp_path):
         (head + "1 1 1 1\n", "columns"),
     ]
     for text, match in cases:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            read_sdp(str(path))
+    # non-finite numbers are malformed too; each error names the part
+    for text, match in (
+        (head.replace("trace=2.0", "trace=nan") + "1 1 1 1 1.0\n", "non-finite trace in the header"),
+        (head.replace("\n1.0\n", "\ninf\n") + "1 1 1 1 1.0\n", "non-finite right hand side row 1"),
+        (head + "0 1 1 1 nan\n1 1 1 2 inf\n", "non-finite value in entry '0 1 1 1 nan'"),
+        (head + "0 1 1 1 2.0\n1 1 1 2 -inf\n", "non-finite value in entry '1 1 1 2 -inf'"),
+    ):
         path.write_text(text)
         with pytest.raises(ValueError, match=match):
             read_sdp(str(path))
