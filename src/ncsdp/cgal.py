@@ -19,10 +19,9 @@ iterate is a convex combination of psd matrices.
 
 The eigenpair search groups the blocks by size. A 1 x 1 block is read
 straight from the gradient, with eigenvector [1]. All blocks of one larger
-size up to dense_cutoff are gathered into a (k, s, s) stack and solved by
-one stacked eigh (min_eigpair still takes a stack of 1 x 1 blocks, in
-closed form); larger blocks run Lanczos one at a time, in block order. The
-first block with the least eigenvalue wins, and a non-finite eigenvalue
+size are gathered into a (k, s, s) stack and take one min_eigpair call: one
+stacked eigh up to dense_cutoff, a LAPACK subset eigh per block above it.
+The first block with the least eigenvalue wins, and a non-finite eigenvalue
 stops the solve with CgalError.
 """
 
@@ -34,9 +33,8 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
+import scipy.linalg
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
 
 from .standard_form import BlockLayout, StandardSdp
 
@@ -52,11 +50,10 @@ class CgalConfig:
     beta0: float = 1.0
     dual_cap: float = 1e9
     window: int = 50
-    seed: int = 0
-    dense_cutoff: int = 64  # largest block for dense eigh; the spectral path needs all blocks within it
-    lanczos_dim: int = 100
+    seed: int = 0  # no effect: every solve is deterministic; kept for callers that set it
+    dense_cutoff: int = 64  # largest block for the stacked full eigh; the spectral path needs all blocks within it
     trace_tol: float = 1e-9
-    check_psd: bool = False  # per-iteration psd audit; costs an eigh per block
+    check_psd: bool = False  # per-iteration psd audit; costs one eigvalsh per block size
     track_residuals: bool = False  # record the relative residual at every iteration
 
 
@@ -77,155 +74,36 @@ class SolveReport:
     gap: float | None = None  # objective - lower_bound
 
 
-def _lanczos_smallest(
-    matvec,
-    size: int,
-    v0: np.ndarray,
-    tol: float,
-    max_restarts: int,
-    m: int,
-) -> tuple[float, np.ndarray]:
-    v = v0
-    theta = 0.0
-    y = v0
-    for _ in range(max_restarts):
-        q = v / math.sqrt(v.dot(v))
-        big_q = np.zeros((size, m))
-        alpha = np.zeros(m)
-        beta = np.zeros(m)
-        big_q[:, 0] = q
-        k = m
-        for j in range(m):
-            w = matvec(big_q[:, j])
-            alpha[j] = float(big_q[:, j] @ w)
-            w = w - alpha[j] * big_q[:, j]
-            if j > 0:
-                w = w - beta[j - 1] * big_q[:, j - 1]
-            # full reorthogonalization keeps the basis honest at this scale
-            w = w - big_q[:, : j + 1] @ (big_q[:, : j + 1].T @ w)
-            beta[j] = math.sqrt(w.dot(w))
-            if beta[j] <= 1e-13 * max(1.0, abs(alpha[j])):
-                k = j + 1
-                break
-            if j + 1 < m:
-                big_q[:, j + 1] = w / beta[j]
-        theta_arr, s = eigh_tridiagonal(
-            alpha[:k], beta[: k - 1], select="i", select_range=(0, 0)
-        )
-        theta = float(theta_arr[0])
-        ritz = s[:, 0]
-        y = big_q[:, :k] @ ritz
-        y = y / math.sqrt(y.dot(y))
-        resid = abs(beta[k - 1] * ritz[-1])
-        if resid <= tol * max(1.0, abs(theta)):
-            return theta, y
-        v = y
-    return theta, y
+def min_eigpair(a: np.ndarray, dense_cutoff: int = 64) -> tuple[float, np.ndarray]:
+    """Smallest eigenpair of a symmetric matrix, or of each matrix in a (k, s, s) stack.
 
-
-def min_eigpair(
-    a,
-    size: int | None = None,
-    tol: float = 1e-10,
-    rng: Generator | None = None,
-    dense_cutoff: int = 64,
-    max_restarts: int = 16,
-    lanczos_dim: int = 100,
-) -> tuple[float, np.ndarray]:
-    """Smallest eigenpair of a symmetric matrix or matvec callable.
-
-    Dense matrices at or under the cutoff go straight to eigh. Larger
-    matrices and callables run restarted Lanczos with full
-    reorthogonalization; convergence is declared when the residual bound
-    |beta_m s_m| falls under tol * max(1, |theta|).
-
-    A stack of k symmetric matrices, shape (k, s, s), takes one stacked eigh
-    whatever s (1 x 1 matrices in closed form, without eigh) and returns the
-    (k,) smallest eigenvalues and their (k, s) eigenvectors, bit for bit what
-    the matrices give one at a time.
+    The size s picks the method: 1 x 1 matrices in closed form, s up to
+    dense_cutoff by one stacked eigh, larger s by a LAPACK subset eigh of
+    one matrix at a time. A stack returns the (k,) smallest eigenvalues and
+    their (k, s) eigenvectors, bit for bit what the matrices give one at a
+    time. Above the cutoff a matrix with a non-finite entry gives eigenvalue
+    nan, which the caller reports.
     """
-    if isinstance(a, np.ndarray):
-        if a.ndim == 3:
-            if a.shape[1] == 1:
-                return a[:, 0, 0], np.ones((a.shape[0], 1))
-            w, v = np.linalg.eigh(a)
-            return w[:, 0], v[:, :, 0]
-        size = a.shape[0]
-        if size <= dense_cutoff:
-            w, v = np.linalg.eigh(a)
-            return float(w[0]), v[:, 0]
-        matvec = a.__matmul__
+    stack = a if a.ndim == 3 else a[None]
+    k, s = stack.shape[:2]
+    if s == 1:
+        lam, vecs = stack[:, 0, 0], np.ones((k, 1))
+    elif s <= dense_cutoff:
+        w, v = np.linalg.eigh(stack)
+        lam, vecs = w[:, 0], v[:, :, 0]
     else:
-        if size is None:
-            raise ValueError("size is required for a matvec callable")
-        matvec = a
-    if size == 1:
-        e1 = np.ones(1)
-        return float(matvec(e1)[0]), e1
-    if rng is None:
-        rng = Generator(Philox(0x5EED))
-    v0 = rng.standard_normal(size)
-    v0 /= math.sqrt(v0.dot(v0))
-    m = min(size, lanczos_dim)
-    return _lanczos_smallest(matvec, size, v0, tol, max_restarts, m)
+        lam, vecs = np.full(k, np.nan), np.full((k, s), np.nan)
+        for j in np.flatnonzero(np.isfinite(stack).all(axis=(1, 2))):
+            w, v = scipy.linalg.eigh(stack[j], subset_by_index=(0, 0), check_finite=False)
+            lam[j], vecs[j] = w[0], v[:, 0]
+    return (lam, vecs) if a.ndim == 3 else (float(lam[0]), vecs[0])
 
 
-class _BlockEigs:
-    """Smallest eigenpair of a block-diagonal matrix in svec form, over all blocks.
-
-    A 1 x 1 block is its own eigenvalue, read from its svec position, with
-    eigenvector [1]. Other blocks up to dense_cutoff are solved one size
-    class at a time, by one stacked eigh per size. Larger blocks run Lanczos
-    one at a time in block order, the order in which they draw their start
-    vectors from the rng. The first block, in block order, with the least
-    eigenvalue wins.
-    """
-
-    def __init__(self, layout: BlockLayout, dense_cutoff: int, lanczos_dim: int):
-        sizes = np.asarray(layout.sizes)
-        self.layout = layout
-        self.dense_cutoff = dense_cutoff
-        self.lanczos_dim = lanczos_dim
-        self.ones = np.flatnonzero(sizes == 1)
-        self.ones_pos = np.asarray(layout.offsets[:-1])[self.ones]
-        dense = np.unique(sizes[(sizes > 1) & (sizes <= dense_cutoff)]).tolist()
-        self.stacked = [(s, np.flatnonzero(sizes == s)) for s in dense]
-        self.lanczos = np.flatnonzero(sizes > max(1, dense_cutoff)).tolist()
-        # a block's eigenvector is vecs[i] (-1, i), or row r of the last
-        # eigenvectors of size class c (c, r); 1 x 1 blocks keep [1] in vecs
-        self.source = [(-1, i) for i in range(sizes.size)]
-        for c, (_, blocks) in enumerate(self.stacked):
-            for row, i in enumerate(blocks.tolist()):
-                self.source[i] = (c, row)
-        self.vecs = [np.ones(1)] * sizes.size
-        self.stack_vecs = [None] * len(self.stacked)
-        self.lam = np.empty(sizes.size)
-
-    def __call__(self, g: np.ndarray, tol: float, rng: Generator, t: int) -> tuple[float, int, np.ndarray]:
-        """(eigenvalue, block, eigenvector) of the winning block; t names the iteration in errors."""
-        lam = self.lam
-        lam[self.ones] = g[self.ones_pos]
-        stack = self.layout.stack
-        for c, (s, blocks) in enumerate(self.stacked):
-            lam[blocks], self.stack_vecs[c] = min_eigpair(stack(g, s))
-        offsets = self.layout.offsets
-        for i in self.lanczos:
-            if not np.isfinite(g[offsets[i] : offsets[i + 1]]).all():
-                lam[i] = np.nan  # Lanczos would stop inside SciPy; the check below names the block
-                continue
-            lam[i], self.vecs[i] = min_eigpair(
-                self.layout.matrix(g, i),
-                tol=tol,
-                rng=rng,
-                dense_cutoff=self.dense_cutoff,
-                lanczos_dim=self.lanczos_dim,
-            )
-        if not np.isfinite(lam).all():
-            bad = int(np.flatnonzero(~np.isfinite(lam))[0])
-            raise CgalError(f"smallest eigenvalue of block {bad} is {float(lam[bad])!r} at iteration {t}")
-        blk = int(lam.argmin())
-        c, row = self.source[blk]
-        return float(lam[blk]), blk, self.vecs[row] if c < 0 else self.stack_vecs[c][row]
+def _require_finite(lam: np.ndarray, t: int) -> None:
+    """CgalError naming the first block whose least eigenvalue lam[i] is not finite."""
+    if not np.isfinite(lam).all():
+        bad = int(np.flatnonzero(~np.isfinite(lam))[0])
+        raise CgalError(f"smallest eigenvalue of block {bad} is {float(lam[bad])!r} at iteration {t}")
 
 
 def _operator_norm(a_mat) -> float:
@@ -264,12 +142,13 @@ _KEEP = 1e-3  # the witness keeps eigenvalues up to lambda_min + _KEEP max(1, sp
 
 
 class _Spectrum:
-    """All eigenpairs of a block-diagonal matrix in svec form, one size class at a time.
+    """Eigenpairs of a block-diagonal matrix in svec form, one size class at a time.
 
-    Every size class takes one stacked eigh through BlockLayout.stack; a
-    1 x 1 block is its own eigenvalue, with eigenvector [1]. mix is the way
-    back: the svec of V diag(w) V^T in every block, for weights w on its
-    eigenvectors.
+    Every size class is gathered through BlockLayout.stack; a 1 x 1 block
+    is its own eigenvalue, with eigenvector [1]. eig gives all eigenpairs
+    (the spectral dual path), least the smallest one (the CGAL loop) and
+    floor the least eigenvalue (the psd audit). mix is the way back: the
+    svec of V diag(w) V^T in every block, for weights w on its eigenvectors.
     """
 
     def __init__(self, layout: BlockLayout):
@@ -278,9 +157,14 @@ class _Spectrum:
         self.layout = layout
         # per size: the blocks and their svec positions, (k, s(s+1)/2)
         self.classes = []
-        for s in np.unique(sizes).tolist():
+        # block i is row rank[i] of size class cls[i]
+        self.cls = np.empty(sizes.size, dtype=int)
+        self.rank = np.empty(sizes.size, dtype=int)
+        for c, s in enumerate(np.unique(sizes).tolist()):
             blocks = np.flatnonzero(sizes == s)
             self.classes.append((s, blocks, first[blocks, None] + np.arange(s * (s + 1) // 2)))
+            self.cls[blocks] = c
+            self.rank[blocks] = np.arange(blocks.size)
 
     def eig(self, g: np.ndarray, t: int) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per size class, (k, s) eigenvalues in ascending order and (k, s, s) eigenvectors.
@@ -295,12 +179,40 @@ class _Spectrum:
             else:
                 eigs.append(np.linalg.eigh(self.layout.stack(g, s)))
         if not all(np.isfinite(w).all() for w, _ in eigs):
-            lam = np.empty(len(self.layout.sizes))
+            lam = np.empty(self.cls.size)
             for (_, blocks, _), (w, _) in zip(self.classes, eigs):
                 lam[blocks] = w.min(axis=1)
-            bad = int(np.flatnonzero(~np.isfinite(lam))[0])
-            raise CgalError(f"smallest eigenvalue of block {bad} is {float(lam[bad])!r} at iteration {t}")
+            _require_finite(lam, t)
         return eigs
+
+    def least(self, g: np.ndarray, t: int, dense_cutoff: int) -> tuple[float, int, np.ndarray]:
+        """(eigenvalue, block, eigenvector) of the first block with the least eigenvalue.
+
+        One min_eigpair call per size class above 1 x 1; a non-finite
+        eigenvalue raises CgalError naming the first such block and t.
+        """
+        lam = np.empty(self.cls.size)
+        vecs = []
+        for s, blocks, pos in self.classes:
+            if s == 1:
+                lam[blocks] = g[pos[:, 0]]
+                vecs.append(np.ones((blocks.size, 1)))
+            else:
+                lam[blocks], v = min_eigpair(self.layout.stack(g, s), dense_cutoff)
+                vecs.append(v)
+        _require_finite(lam, t)
+        blk = int(lam.argmin())
+        return float(lam[blk]), blk, vecs[self.cls[blk]][self.rank[blk]]
+
+    def floor(self, x: np.ndarray, a: float, t: int) -> float:
+        """Least eigenvalue over the blocks of x, at most 0; CgalError at the first block below -1e-9 max(1, a)."""
+        lam = np.empty(self.cls.size)
+        for s, blocks, _ in self.classes:
+            lam[blocks] = np.linalg.eigvalsh(self.layout.stack(x, s))[:, 0]
+        low = np.flatnonzero(lam < -1e-9 * max(1.0, a))
+        if low.size:
+            raise CgalError(f"iterate lost psd in block {int(low[0])} at iteration {t}")
+        return float(lam.min(initial=0.0, where=lam < 0.0))
 
     def mix(self, eigs, weights, out: np.ndarray) -> np.ndarray:
         """out = svec of V diag(w) V^T in every block; weights holds (k, s) w per size class."""
@@ -509,17 +421,6 @@ def _witness(dual: _SmoothedDual, u: np.ndarray, target: float) -> np.ndarray:
     return embed @ s
 
 
-def _psd_floor(layout: BlockLayout, x: np.ndarray, a: float, t: int) -> float:
-    """Least eigenvalue over the blocks of x; CgalError at the first block below -1e-9 max(1, a)."""
-    least = 0.0
-    for i in range(len(layout.sizes)):
-        w = np.linalg.eigvalsh(layout.matrix(x, i))
-        least = min(least, float(w[0]))
-        if w[0] < -1e-9 * max(1.0, a):
-            raise CgalError(f"iterate lost psd in block {i} at iteration {t}")
-    return least
-
-
 def _spectral_dual(sdp: StandardSdp, cfg: CgalConfig) -> SolveReport | None:
     """Maximize the smoothed dual, then certify the bound with a primal witness.
 
@@ -569,7 +470,7 @@ def _spectral_dual(sdp: StandardSdp, cfg: CgalConfig) -> SolveReport | None:
     tr = layout.trace(x)
     if abs(tr - a) > cfg.trace_tol * max(1.0, a):
         raise CgalError(f"trace drifted to {tr!r} against constant {a!r} at iteration {t}")
-    min_seen = _psd_floor(layout, x, a, t) if cfg.check_psd else 0.0
+    min_seen = dual.spectrum.floor(x, a, t) if cfg.check_psd else 0.0
     residual = float(np.linalg.norm(sdp.a_mat @ x - sdp.b)) / (1.0 + b_norm)
     objective = float(sdp.c @ x)
     bound = dual_bound(sdp, c_norm * u / sigma)
@@ -620,7 +521,6 @@ def _cgal_loop(sdp: StandardSdp, cfg: CgalConfig) -> SolveReport:
     at_mat = a_mat.T.tocsr()
     b = sdp.b
     c = sdp.c
-    rng = Generator(Philox(cfg.seed))
 
     c_norm = float(np.linalg.norm(c)) or 1.0
     sigma = _operator_norm(a_mat)
@@ -642,7 +542,7 @@ def _cgal_loop(sdp: StandardSdp, cfg: CgalConfig) -> SolveReport:
     iters = 0
     resid_hist: list[float] | None = [] if cfg.track_residuals else None
     cap_hits = 0
-    block_eigs = _BlockEigs(layout, cfg.dense_cutoff, cfg.lanczos_dim)
+    spectrum = _Spectrum(layout)
     beta0, dual_cap, eps, span = cfg.beta0, cfg.dual_cap, cfg.eps, cfg.window
     trace_bound = cfg.trace_tol * max(1.0, a)
     add_outer, trace = layout.add_outer, layout.trace
@@ -657,7 +557,7 @@ def _cgal_loop(sdp: StandardSdp, cfg: CgalConfig) -> SolveReport:
         mult /= sigma
         g = at_mat @ mult
         g += c_scaled
-        _, blk, v = block_eigs(g, max(1e-10, 1.0 / (t + 1.0) ** 2), rng, t)
+        _, blk, v = spectrum.least(g, t, cfg.dense_cutoff)
 
         eta = 2.0 / (t + 1.0)
         x *= 1.0 - eta
@@ -683,7 +583,7 @@ def _cgal_loop(sdp: StandardSdp, cfg: CgalConfig) -> SolveReport:
         if abs(tr - a) > trace_bound:
             raise CgalError(f"trace drifted to {tr!r} against constant {a!r} at iteration {t}")
         if cfg.check_psd:
-            min_seen = min(min_seen, _psd_floor(layout, x, a, t))
+            min_seen = min(min_seen, spectrum.floor(x, a, t))
 
         window.append(obj)
         resid_rel = rn / (1.0 + b_norm)

@@ -225,7 +225,7 @@ def _solve_one(problem: Problem, k: int, mode_name: str, layout: str, args):
     cert = ctp.certify(rel)
     st = sf.count_stats(rel, cert)
     sdp = sf.assemble(rel, cert)
-    cfg = cgal.CgalConfig(eps=args.eps, max_iters=args.max_iters, seed=args.seed)
+    cfg = cgal.CgalConfig(eps=args.eps, max_iters=args.max_iters)
     t0 = time.perf_counter()
     rep = cgal.solve(sdp, cfg)
     elapsed = time.perf_counter() - t0
@@ -288,7 +288,7 @@ def cmd_bench(args) -> int:
                     f"omega={st.omega} smax={st.smax} zeta={st.zeta} amax={st.amax:g}")
             if k == 1 and not args.count_only:
                 sdp = sf.assemble(rel, cert)
-                cfg = cgal.CgalConfig(eps=args.eps, max_iters=args.max_iters, seed=args.seed)
+                cfg = cgal.CgalConfig(eps=args.eps, max_iters=args.max_iters)
                 t0 = time.perf_counter()
                 rep = cgal.solve(sdp, cfg)
                 elapsed = time.perf_counter() - t0
@@ -348,7 +348,6 @@ def make_parser() -> argparse.ArgumentParser:
     _add_common(p, modes=("eig", "trace", "both"))
     p.add_argument("--eps", type=float, default=1e-4, help="solver accuracy (default 1e-4)")
     p.add_argument("--max-iters", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--export", default=None, help="also write the standard form to this path")
     p.set_defaults(func=cmd_solve)
 
@@ -358,7 +357,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["eig", "trace"], default="eig")
     p.add_argument("--eps", type=float, default=1e-4)
     p.add_argument("--max-iters", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="generator seed")
     p.add_argument("--count-only", action="store_true", help="skip the order-1 solves")
     p.add_argument("--csv", default=None, help="append CSV report rows to this file")
     p.set_defaults(func=cmd_bench)

@@ -10,7 +10,6 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.random import Generator, Philox
 
 import ncsdp
 
@@ -18,9 +17,9 @@ from ncsdp.cgal import (
     CgalConfig,
     CgalError,
     SolveReport,
-    _BlockEigs,
     _cgal_loop,
     _operator_norm,
+    _Spectrum,
     dual_bound,
     min_eigpair,
     solve,
@@ -41,45 +40,37 @@ def _sym(rng, size):
 def test_min_eigpair_matches_dense(size):
     rng = np.random.default_rng(size)
     a = _sym(rng, size)
-    lam, v = min_eigpair(a, tol=1e-12)
+    lam, v = min_eigpair(a)
     w = np.linalg.eigvalsh(a)
     assert abs(lam - w[0]) <= 1e-6 * (1 + abs(w[0]))
     assert np.linalg.norm(a @ v - lam * v) <= 1e-5 * (1 + np.abs(w).max())
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_min_eigpair_callable():
-    rng = np.random.default_rng(1)
-    a = _sym(rng, 150)
-    lam, v = min_eigpair(lambda u: a @ u, size=150, tol=1e-12)
-    w0 = np.linalg.eigvalsh(a)[0]
-    assert abs(lam - w0) <= 1e-6 * (1 + abs(w0))
-    with pytest.raises(ValueError):
-        min_eigpair(lambda u: u)
-
-
 def test_min_eigpair_size_one_and_degenerate():
-    lam, v = min_eigpair(lambda u: 3.5 * u, size=1)
+    lam, v = min_eigpair(np.array([[3.5]]))
     assert lam == 3.5
     assert v.shape == (1,)
-    lam, _ = min_eigpair(np.eye(100), tol=1e-10)
+    lam, _ = min_eigpair(np.eye(100))
     assert lam == pytest.approx(1.0, abs=1e-8)
 
 
-@pytest.mark.parametrize("size", [1, 2, 6])
-def test_min_eigpair_stack_matches_one_at_a_time(size):
+@pytest.mark.parametrize(
+    "size, dense_cutoff", [(1, 64), (2, 64), (6, 64), (9, 4)], ids=["1", "2", "6", "9-above-cutoff-4"]
+)
+def test_min_eigpair_stack_matches_one_at_a_time(size, dense_cutoff):
     rng = np.random.default_rng(10 + size)
     stack = np.array([_sym(rng, size) for _ in range(7)])
-    lam, vecs = min_eigpair(stack)
+    lam, vecs = min_eigpair(stack, dense_cutoff)
     assert lam.shape == (7,) and vecs.shape == (7, size)
     for k in range(7):
-        lam_k, v_k = min_eigpair(stack[k])
+        lam_k, v_k = min_eigpair(stack[k], dense_cutoff)
         assert lam[k] == lam_k
         assert np.array_equal(vecs[k], v_k)
 
 
 def test_norm_is_sqrt_of_dot():
-    # the solver and Lanczos take sqrt(v.dot(v)) for np.linalg.norm(v); the
+    # the solver takes sqrt(v.dot(v)) for np.linalg.norm(v); the
     # iterates stay bit-identical only while NumPy computes norm that way
     rng = np.random.default_rng(0)
     for size in [0, 1, 2, 3, 7, 16, 33, 100, 1001]:
@@ -99,14 +90,11 @@ def _dense_block(layout, g, i):
     return m
 
 
-def _reference_block_eigs(layout, g, tol, rng, dense_cutoff, lanczos_dim=100):
+def _reference_block_eigs(layout, g, dense_cutoff):
     # one eigensolve per block in block order; the first least eigenvalue wins
     lam_best, blk_best, v_best = np.inf, 0, None
     for i in range(len(layout.sizes)):
-        lam, v = min_eigpair(
-            _dense_block(layout, g, i), tol=tol, rng=rng,
-            dense_cutoff=dense_cutoff, lanczos_dim=lanczos_dim,
-        )
+        lam, v = min_eigpair(_dense_block(layout, g, i), dense_cutoff)
         if lam < lam_best:
             lam_best, blk_best, v_best = lam, i, v
     return lam_best, blk_best, v_best
@@ -123,17 +111,15 @@ def test_block_eigs_matches_per_block_loop(dense_cutoff):
     # a least 1 x 1 block (block 3) and the same value in a later 1 x 1 block (block 6)
     one = rng.standard_normal(layout.dim)
     one[layout.offsets[3]] = one[layout.offsets[6]] = -50.0
-    block_eigs = _BlockEigs(layout, dense_cutoff, lanczos_dim=100)
-    ref_rng, new_rng = Generator(Philox(3)), Generator(Philox(3))
+    spectrum = _Spectrum(layout)
     winners = []
     for t, g in enumerate(gs + [tie, one], start=1):
-        lam_ref, blk_ref, v_ref = _reference_block_eigs(layout, g, 1e-10, ref_rng, dense_cutoff)
-        lam, blk, v = block_eigs(g, 1e-10, new_rng, t)
+        lam_ref, blk_ref, v_ref = _reference_block_eigs(layout, g, dense_cutoff)
+        lam, blk, v = spectrum.least(g, t, dense_cutoff)
         assert (lam, blk) == (lam_ref, blk_ref)
         assert np.array_equal(v, v_ref)
         winners.append(blk)
-    if dense_cutoff >= 3:  # Lanczos runs on blocks 0 and 2 from different starts
-        assert winners[-2] == 0
+    assert winners[-2] == 0  # equal blocks give equal eigenvalues on every path
     assert winners[-1] == 3
     assert len(set(winners)) > 2
 
@@ -145,7 +131,6 @@ def _reference_solve(sdp, cfg):
     a = float(sdp.trace)
     layout, a_mat, b, c = sdp.layout, sdp.a_mat, sdp.b, sdp.c
     at_mat = a_mat.T.tocsr()
-    rng = Generator(Philox(cfg.seed))
     c_scaled = c / (float(np.linalg.norm(c)) or 1.0)
     sigma = _operator_norm(a_mat)
     res_scale = sigma * a
@@ -163,8 +148,7 @@ def _reference_solve(sdp, cfg):
         beta = cfg.beta0 * math.sqrt(t + 1.0)
         r = (ax - b) / res_scale
         g = c_scaled + at_mat @ ((z + beta * r) / sigma)
-        eig_tol = max(1e-10, 1.0 / (t + 1.0) ** 2)
-        _, blk, v = _reference_block_eigs(layout, g, eig_tol, rng, cfg.dense_cutoff, cfg.lanczos_dim)
+        _, blk, v = _reference_block_eigs(layout, g, cfg.dense_cutoff)
         eta = 2.0 / (t + 1.0)
         x *= 1.0 - eta
         layout.add_outer(x, blk, v, eta * a)
@@ -227,7 +211,7 @@ def _mixed_sdp():
     [
         ("converges", CgalConfig(eps=3e-3, max_iters=20_000)),
         ("iteration cap", CgalConfig(eps=1e-9, max_iters=400, seed=3)),
-        ("lanczos everywhere", CgalConfig(eps=1e-3, max_iters=150, dense_cutoff=0, lanczos_dim=2)),
+        ("subset eigh everywhere", CgalConfig(eps=1e-3, max_iters=150, dense_cutoff=0)),
         ("audits", CgalConfig(eps=1e-3, max_iters=400, check_psd=True, track_residuals=True)),
         ("dual cap", CgalConfig(eps=1e-3, max_iters=400, dual_cap=0.3, track_residuals=True)),
     ],
@@ -265,7 +249,7 @@ def test_solve_rejects_non_finite_eigenvalue():
     with np.errstate(invalid="ignore"):
         with pytest.raises(CgalError, match="block 1 is nan at iteration 1"):
             solve(sdp, CgalConfig(max_iters=10))
-        # the same error when block 1 runs Lanczos instead of a dense eigh
+        # the same error when block 1 takes the subset eigh instead of the stacked eigh
         with pytest.raises(CgalError, match="block 1 is nan at iteration 1"):
             solve(sdp, CgalConfig(max_iters=10, dense_cutoff=0))
         # an all-NaN gradient names the first block
@@ -365,6 +349,16 @@ def test_solve_deterministic_for_fixed_seed():
     assert np.array_equal(r1.x, r2.x)
 
 
+def test_solve_ignores_seed():
+    # blocks of 7 and 3 above dense_cutoff take the subset eigh, which draws
+    # no random start: the seed changes nothing
+    _, sdp = _ball_sdp(n=2, order=2)
+    r1 = solve(sdp, CgalConfig(eps=1e-3, max_iters=300, dense_cutoff=2, seed=0))
+    r2 = solve(sdp, CgalConfig(eps=1e-3, max_iters=300, dense_cutoff=2, seed=12345))
+    assert max(sdp.block_sizes) > 2
+    assert r1.x.tobytes() == r2.x.tobytes()
+
+
 def test_solve_trace_guard_raises(monkeypatch):
     _, sdp = _ball_sdp()
     monkeypatch.setattr(BlockLayout, "trace", lambda self, x: 999.0)
@@ -374,13 +368,35 @@ def test_solve_trace_guard_raises(monkeypatch):
 
 def test_solve_psd_guard_raises(monkeypatch):
     _, sdp = _ball_sdp()
-    # dense_cutoff=0 sends the eigenpair search through Lanczos, so patching
-    # eigvalsh corrupts only the audit's view of the iterate
-    monkeypatch.setattr(
-        np.linalg, "eigvalsh", lambda m: np.array([-1.0] + [0.0] * (m.shape[0] - 1))
-    )
-    with pytest.raises(CgalError, match="lost psd"):
-        solve(sdp, CgalConfig(eps=1e-3, max_iters=10, check_psd=True, dense_cutoff=0, lanczos_dim=4))
+    # dense_cutoff=0 sends solve straight to the CGAL loop, whose eigenpair
+    # search takes scipy.linalg.eigh, so patching eigvalsh corrupts only the
+    # audit's view of the iterate: every stacked block reads -1 as its least
+    # eigenvalue
+    def eigvalsh(m):
+        w = np.zeros(m.shape[:-1])
+        w[..., 0] = -1.0
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    with pytest.raises(CgalError, match="lost psd in block 0 at iteration 1"):
+        solve(sdp, CgalConfig(eps=1e-3, max_iters=10, check_psd=True, dense_cutoff=0))
+
+
+def test_psd_floor_names_the_first_block_in_block_order():
+    # size classes run 1, 2, 3; block order is 3, 2, 1
+    layout = BlockLayout([3, 2, 1])
+    spectrum = _Spectrum(layout)
+    x = np.zeros(layout.dim)
+    x[layout.diag] = 1.0
+    assert spectrum.floor(x, 1.0, 4) == 0.0
+    x[layout.index(2, 0, 0)] = -1e-12  # inside the tolerance: reported, not raised
+    assert spectrum.floor(x, 1.0, 4) == -1e-12
+    x[layout.index(1, 1, 1)] = -0.5
+    with pytest.raises(CgalError, match="lost psd in block 1 at iteration 4"):
+        spectrum.floor(x, 1.0, 4)
+    x[layout.index(0, 2, 2)] = -0.5
+    with pytest.raises(CgalError, match="lost psd in block 0 at iteration 4"):
+        spectrum.floor(x, 1.0, 4)
 
 
 def test_dual_cap_hits():
