@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 import warnings
@@ -245,8 +246,11 @@ def cmd_solve(args) -> int:
               f"residual {rep.residual:.2e}  iters {rep.iterations}  {elapsed:.1f}s  "
               f"({tag}, stop {rep.stop_reason})")
         if args.export:
-            sf.write_sdp(sdp, args.export)
-            print(f"standard form written to {args.export}")
+            # with both modes, F.ext becomes F-eig.ext and F-trace.ext
+            root, ext = os.path.splitext(args.export)
+            path = f"{root}-{mode_name}{ext}" if len(modes) > 1 else args.export
+            sf.write_sdp(sdp, path)
+            print(f"standard form written to {path}")
         if args.csv:
             _csv_row(args.csv, {
                 "n": problem.n, "l": len(problem.equalities), "k": k,
@@ -348,7 +352,8 @@ def make_parser() -> argparse.ArgumentParser:
     _add_common(p, modes=("eig", "trace", "both"))
     p.add_argument("--eps", type=float, default=1e-4, help="solver accuracy (default 1e-4)")
     p.add_argument("--max-iters", type=int, default=200_000)
-    p.add_argument("--export", default=None, help="also write the standard form to this path")
+    p.add_argument("--export", default=None, help="also write the standard form to this path "
+                   "(with --mode both, to PATH-eig and PATH-trace before the extension)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bench", help="run a built-in benchmark family")

@@ -476,11 +476,11 @@ def sampled_deviation(
     anchor with a non-finite moment vector raises ValueError.
     """
     eq_rows = 1 + sum(e.size * (e.size + 1) // 2 for e in rel.eq_blocks)
-    if len(rel.keys) * eq_rows > SAMPLING_BUDGET:
+    if rel.n_keys * eq_rows > SAMPLING_BUDGET:
         anchor = rel.problem.anchor
         if anchor is None:
             warnings.warn(
-                f"sampled trace check skipped: the equality system has {len(rel.keys)} x "
+                f"sampled trace check skipped: the equality system has {rel.n_keys} x "
                 f"{eq_rows} entries, over SAMPLING_BUDGET = {SAMPLING_BUDGET}, and the "
                 "problem has no anchor"
             )
@@ -497,7 +497,7 @@ def sampled_deviation(
     layout, psd = rel.layout, rel.forms[0]
     diag = np.flatnonzero(layout.row[psd.entry] == layout.col[psd.entry])
     d = np.concatenate(cert.block_scales)[np.searchsorted(layout.diag, psd.entry[diag])]
-    trace_form = np.bincount(psd.key[diag], weights=d * d * psd.coeff[diag], minlength=len(rel.keys))
+    trace_form = np.bincount(psd.key[diag], weights=d * d * psd.coeff[diag], minlength=rel.n_keys)
     return max((abs(float(y @ trace_form) - cert.trace_constant) for y in ys), default=0.0)
 
 

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import functools
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,13 +135,34 @@ class EntryForms(NamedTuple):
         return np.bincount(self.entry, weights=self.coeff * y[self.key], minlength=self.size)
 
 
+class KeyWords(Sequence):
+    """The key words as tuples, read from the rows of a key table on access."""
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(KeyWords(self.rows[i]))
+        row = self.rows[i]
+        return tuple(row[row > 0].tolist())
+
+    def __iter__(self):
+        lengths = np.count_nonzero(self.rows, axis=1).tolist()
+        return (tuple(w[:n]) for w, n in zip(self.rows.tolist(), lengths))
+
+
 @dataclass(eq=False, repr=False)
 class Relaxation:
     """Order-k moment relaxation with shared canonical moment indices.
 
-    `moment_keys[j]` holds the key of every entry of clique j's moment
-    block in svec order (upper triangle, row-major), as the scan of `build`
-    met them.
+    Row i of `key_words` holds the letters of key i's canonical word,
+    padded with 0 to 2k columns. `moment_keys[j]` holds the key of every
+    entry of clique j's moment block in svec order (upper triangle,
+    row-major), as the scan of `build` met them.
     """
 
     problem: Problem
@@ -149,8 +171,7 @@ class Relaxation:
     decomp: object
     blocks: list[Block]
     eq_blocks: list[Block]
-    keys: list[Word]
-    key_index: dict[Word, int]
+    key_words: np.ndarray
     moment_keys: list[np.ndarray]
     objective: dict[int, float]
 
@@ -169,6 +190,19 @@ class Relaxation:
 
         return _layout(tuple(self.block_sizes))
 
+    @property
+    def n_keys(self) -> int:
+        return len(self.key_words)
+
+    @property
+    def keys(self) -> KeyWords:
+        """The key words as tuples, read from `key_words` on access."""
+        return KeyWords(self.key_words)
+
+    @functools.cached_property
+    def key_index(self) -> dict[Word, int]:
+        return {w: i for i, w in enumerate(self.keys)}
+
     def key_of(self, w: Word) -> int:
         return self.key_index[canonicalize(tuple(w), self.mode)]
 
@@ -178,14 +212,6 @@ class Relaxation:
         of `layout` (a moment entry is one term of weight 1); eq entries run
         through the equality blocks' upper triangles, row-major, in order."""
         return _entry_forms(self)
-
-    def block_matrix(self, block_index: int, y: np.ndarray) -> np.ndarray:
-        """Evaluate one psd block at a moment vector."""
-        s = self.blocks[block_index].size
-        iu, ju = _upper(s)
-        out = np.empty((s, s))
-        out[iu, ju] = out[ju, iu] = self.forms[0].values(y)[self.layout.offsets[block_index] :][: iu.size]
-        return out
 
     def objective_value(self, y: np.ndarray) -> float:
         return float(sum(c * y[k] for k, c in self.objective.items()))
@@ -276,31 +302,64 @@ def _entry_forms(rel: Relaxation) -> tuple[EntryForms, EntryForms]:
     del lo, hi
 
     # sum the terms of an entry that share a key, in term order from 0.0
-    ident = np.repeat(np.arange(e_blk.size) * len(rel.keys), e_terms) + key
+    ident = np.repeat(np.arange(e_blk.size) * rel.n_keys, e_terms) + key
     order = np.argsort(ident, kind="stable")
     ident = ident[order]
     new = np.concatenate(([True], ident[1:] != ident[:-1]))
     coeff = np.bincount(np.cumsum(new) - 1, weights=np.fromiter(coeffs, float, len(coeffs))[term[order]])
     keep = coeff != 0.0
-    (entry, key), coeff = np.divmod(ident[new][keep], len(rel.keys)), coeff[keep]
+    (entry, key), coeff = np.divmod(ident[new][keep], rel.n_keys), coeff[keep]
     n = int(np.searchsorted(entry, dim := rel.layout.dim))
     psd = EntryForms(entry[:n], key[:n], coeff[:n], dim)
     return psd, EntryForms(entry[n:] - dim, key[n:], coeff[n:], e_blk.size - dim)
 
 
-def riesz(p: NcPolynomial, key_index: dict[Word, int], mode: SymmetryMode) -> dict[int, float]:
-    """Linear form of the Riesz functional of p over canonical moment indices."""
-    out: dict[int, float] = {}
-    for w, c in p.terms.items():
-        try:
-            key = key_index[canonicalize(w, mode)]
-        except KeyError:
-            raise ValueError(
-                f"word {w} has no moment index; its degree exceeds the relaxation "
-                "bound or it lies outside every clique"
-            ) from None
-        out[key] = out.get(key, 0.0) + c
-    return {k: c for k, c in out.items() if c != 0.0}
+def _first_seen(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct values of a 1-D array in order of first occurrence.
+
+    Returns where each number first occurs and the number of every value.
+    """
+    _, at, inverse = np.unique(values, return_index=True, return_inverse=True)
+    order = np.argsort(at)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return at[order], rank[inverse]
+
+
+@functools.lru_cache(maxsize=32)
+def _entry_words(m: int, k: int, mode: SymmetryMode) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical words of the moment entries of a clique of m letters at order k.
+
+    Entry (r, c) holds the word reverse(u_r) v_c. With letter positions as
+    base-m digits, the numerals of that word, of its reverse and of their
+    rotations follow from the numerals of u_r and v_c; all have one length,
+    so the least numeral is the graded-lex least word of the class. Returns
+    the distinct canonical words in the order the svec scan meets them, as
+    1-based letter positions padded with 0 to 2k columns (at least one, so
+    that rows compare as bytes), and the row of each entry.
+    """
+    _, _, (size,), _, _, length, num = _word_tables((m,), k)
+    # numeral of each basis word read backwards
+    t = np.arange(k)
+    shift = length[:, None] - 1 - t
+    rev = np.where(shift >= 0, num[:, None] // m ** np.maximum(shift, 0) % m * m**t, 0).sum(axis=1)
+    iu, ju = _upper(size)
+    span = length[iu] + length[ju]
+    # numerals of the entry's word and of its reverse
+    both = [rev[iu] * m ** length[ju] + num[ju], rev[ju] * m ** length[iu] + num[iu]]
+    best = np.minimum(*both)
+    if mode is SymmetryMode.STAR_CYCLIC:
+        for s in range(1, 2 * k):
+            p = m ** np.maximum(span - s, 0)  # a word no longer than s stays as it is
+            for w in both:
+                np.minimum(best, w % p * m**s + w // p, out=best)
+    power = m ** np.arange(2 * k + 1)
+    first = np.cumsum(power) - power  # graded numbering: words of length l start at first[l]
+    at, row = _first_seen(first[span] + best)
+    span, best = span[at], best[at]
+    t = np.arange(max(2 * k, 1))
+    shift = span[:, None] - 1 - t
+    return np.where(shift >= 0, best[:, None] // m ** np.maximum(shift, 0) % m + 1, 0), row
 
 
 def build(
@@ -312,13 +371,17 @@ def build(
 ) -> Relaxation:
     """Construct the order-k relaxation of a problem.
 
-    Moment indices are assigned in first-encounter order while scanning the
+    Moment indices are numbered in first-encounter order of a scan over the
     moment blocks (upper triangles, row-major, cliques in order); the scan
-    starts at the empty word, which so owns index 0. The scan records the
-    key of every moment entry in `moment_keys`. Localizing and equality
-    entries reference these indices; every word of degree <= 2k supported
-    on a clique factors through that clique's moment block, so the scan
-    realizes every index the relaxation needs.
+    starts at the empty word, which so owns index 0. `moment_keys` records
+    the key of every moment entry. The canonical word of an entry depends
+    only on the clique's size, so each clique maps the table of
+    `_entry_words` through its letters, and one `np.unique` over the rows
+    of all cliques (compared as bytes, so no letter count can overflow)
+    numbers them. Localizing and equality entries reference these indices;
+    every word of degree <= 2k supported on a clique factors through that
+    clique's moment block, so the scan realizes every index the relaxation
+    needs.
     """
     kmin = minimal_order(problem)
     if order < kmin:
@@ -328,33 +391,10 @@ def build(
 
         decomp = decompose(problem)
 
-    star_only = mode is SymmetryMode.STAR_ONLY
-    key_index: dict[Word, int] = {}
-    moment_keys: list[np.ndarray] = []
     blocks: list[Block] = []
     eq_blocks: list[Block] = []
-
-    assign = key_index.setdefault
     for j, letters in enumerate(decomp.cliques):
-        mbasis = WordBasis(letters, order, index_limit)
-        words = mbasis.words
-        nwords = len(words)
-        entry_keys: list[int] = []
-        record = entry_keys.append
-        for r in range(nwords):
-            u_star = words[r][::-1]
-            if star_only:
-                for c in range(r, nwords):
-                    w = u_star + words[c]
-                    rw = w[::-1]
-                    if rw < w:
-                        w = rw
-                    record(assign(w, len(key_index)))
-            else:
-                for c in range(r, nwords):
-                    record(assign(canonicalize(u_star + words[c], mode), len(key_index)))
-        moment_keys.append(np.array(entry_keys, dtype=np.intp))
-        blocks.append(Block(group=j, basis=mbasis))
+        blocks.append(Block(group=j, basis=WordBasis(letters, order, index_limit)))
         for gi in decomp.ineq_groups[j]:
             g = problem.inequalities[gi]
             kg = order - half_degree(g)
@@ -364,20 +404,39 @@ def build(
             kh = order - half_degree(h)
             eq_blocks.append(Block(group=j, basis=WordBasis(letters, kh, index_limit), poly=h))
 
-    rel = Relaxation(
+    # each clique's distinct entry words, then the objective's canonical words, one row each
+    width, dtype = max(2 * order, 1), np.min_scalar_type(problem.n)
+    tables = [_entry_words(len(c), order, mode) for c in decomp.cliques]
+    terms = problem.objective.terms
+    words = [canonicalize(w, mode) for w in terms]
+    rows = np.concatenate([
+        *(np.array((0, *c), dtype)[table] for c, (table, _) in zip(decomp.cliques, tables)),
+        np.array([w + (0,) * (width - len(w)) for w in words], dtype).reshape(len(words), width),
+    ])
+    at, key = _first_seen(rows.view(np.dtype((np.void, rows.itemsize * width))).ravel())
+    n_keys = int(np.searchsorted(at, len(rows) - len(terms)))  # the scan's keys come first
+    moment_keys, start = [], 0
+    for table, row in tables:
+        moment_keys.append(key[start:][row])
+        start += len(table)
+
+    objective: dict[int, float] = {}
+    for (w, c), k in zip(terms.items(), key[start:].tolist()):
+        if k >= n_keys:
+            raise ValueError(f"word {w} has no moment index; its degree exceeds the relaxation "
+                             "bound or it lies outside every clique")
+        objective[k] = objective.get(k, 0.0) + c
+    return Relaxation(
         problem=problem,
         order=order,
         mode=mode,
         decomp=decomp,
         blocks=blocks,
         eq_blocks=eq_blocks,
-        keys=list(key_index),
-        key_index=key_index,
+        key_words=rows[at[:n_keys]],
         moment_keys=moment_keys,
-        objective={},
+        objective={k: c for k, c in objective.items() if c != 0.0},
     )
-    rel.objective = riesz(problem.objective, key_index, mode)
-    return rel
 
 
 def moment_vector_from_evaluation(
@@ -426,14 +485,12 @@ def moment_vector_from_evaluation(
     if dim == 1:
         # at a scalar point y_w is the product of w's coordinates, taken left
         # to right as word_value does; letter 0 pads every word with a 1.0
-        deg = max(map(len, rel.keys), default=0)
-        letters = np.array([w + (0,) * (deg - len(w)) for w in rel.keys], dtype=np.intp).reshape(len(rel.keys), deg)
-        vals = np.array([1.0] + [float(m[0, 0]) for m in ms])[letters]
-        y = np.ones(len(rel.keys))
-        for j in range(deg):
-            y *= vals[:, j]
+        vals = np.array([1.0] + [float(m[0, 0]) for m in ms])[rel.key_words]
+        y = np.ones(rel.n_keys)
+        for column in vals.T:
+            y *= column
         return y
-    y = np.empty(len(rel.keys))
+    y = np.empty(rel.n_keys)
     if vv is not None:
         for i, w in enumerate(rel.keys):
             y[i] = float(vv @ word_value(w, ms, dim) @ vv)
@@ -446,7 +503,7 @@ def moment_vector_from_evaluation(
 def equality_system(rel: Relaxation) -> tuple[np.ndarray, np.ndarray]:
     """Dense matrix E and rhs e of {all equality entries = 0, y_1 = 1}."""
     _, eq = rel.forms
-    E = np.zeros((eq.size + 1, len(rel.keys)))
+    E = np.zeros((eq.size + 1, rel.n_keys))
     E[eq.entry, eq.key] = eq.coeff
     E[eq.size, 0] = 1.0
     e = np.zeros(eq.size + 1)

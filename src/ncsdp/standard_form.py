@@ -89,15 +89,10 @@ class BlockLayout:
             sq = self._squares[s] = (local, scale[local])
         return sq
 
-    def matrix(self, x: np.ndarray, i: int) -> np.ndarray:
-        """Dense symmetric block i of an svec vector."""
-        local, scale = self._square(self.sizes[i])
-        return x[self.offsets[i] : self.offsets[i + 1]][local] / scale
-
     def stack(self, x: np.ndarray, s: int) -> np.ndarray:
         """Dense blocks of size s of an svec vector, in block order, as a (k, s, s) array.
 
-        Entry for entry the same values as matrix(x, i) for each such block i.
+        Each entry is its svec value divided by the position's scale.
         """
         local, scale = self._square(s)
         pos = self._stacks.get(s)
@@ -175,10 +170,10 @@ def count_stats(rel: Relaxation, cert: CtpCertificate) -> CountStats:
 
     Every word a localizing or equality entry references factors through a
     moment block of its clique, so the distinct-key count is just
-    len(rel.keys); besides the pin, each psd entry but a key's representative
+    rel.n_keys; besides the pin, each psd entry but a key's representative
     owns a row. An equality entry whose terms all cancel gives no row.
     """
-    zeta = 1 + rel.layout.dim - len(rel.keys) + int(np.count_nonzero(rel.forms[1].firsts()))
+    zeta = 1 + rel.layout.dim - rel.n_keys + int(np.count_nonzero(rel.forms[1].firsts()))
     return CountStats(
         omega=len(rel.blocks),
         smax=max(b.size for b in rel.blocks),

@@ -86,15 +86,21 @@ def test_ctp_command(ball_instance, capsys):
 def test_solve_both_modes(ball_instance, capsys, tmp_path):
     csv_path = tmp_path / "rows.csv"
     export = tmp_path / "out.sdp"
-    code = main(["solve", ball_instance, "--mode", "both", "--eps", "1e-3",
+    # at order 2 the modes give different keys, so forms of different row counts
+    code = main(["solve", ball_instance, "--mode", "both", "--eps", "1e-3", "-k", "2",
                  "--csv", str(csv_path), "--export", str(export)])
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert out.count("value") == 2
-    assert "eig k=1" in out and "trace k=1" in out
+    assert "eig k=2" in out and "trace k=2" in out
     assert out.count("bound -") == 2 and out.count("(converged, stop gap)") == 2
-    back = read_sdp(str(export))
-    assert back.trace == 2.0
+    # one file per mode, each path printed; the eig form is not overwritten by the trace form
+    paths = [tmp_path / "out-eig.sdp", tmp_path / "out-trace.sdp"]
+    assert [line.split(" to ")[1] for line in out.splitlines() if "written" in line] == list(map(str, paths))
+    assert not export.exists()
+    eig, trace = (read_sdp(str(p)) for p in paths)
+    assert eig.trace == trace.trace == 3.0
+    assert eig.n_rows != trace.n_rows
     lines = open(csv_path).read().strip().splitlines()
     assert len(lines) == 3
     modes = {line.split(",")[-2] for line in lines[1:]}

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncsdp.free_algebra import EMPTY_WORD, NcPolynomial, SymmetryMode, canonicalize, evaluate, word_value
 from ncsdp.generator import gen_dense, gen_sparse
@@ -11,10 +13,10 @@ from ncsdp.relaxation import (
     half_degree,
     minimal_order,
     moment_vector_from_evaluation,
-    riesz,
     sample_equality_feasible_moments,
 )
 from ncsdp.sparsity import CliqueDecomposition
+from oracles import block_matrix, riesz, scan_keys
 
 
 def walked_form(rel, block, r, c) -> dict[int, float]:
@@ -211,9 +213,10 @@ def test_riesz_modes_and_missing_key():
     assert rel.objective == {rel.key_of((1, 2)): 2.0}
     relt = build(prob, order=1, mode=SymmetryMode.STAR_CYCLIC)
     assert relt.objective == {relt.key_of((1, 2)): 2.0}
-    deep = x1 * x1 * x1 + (x1 * x1 * x1).star()
-    with pytest.raises(ValueError):
-        riesz(deep, rel.key_index, rel.mode)
+    # an objective word outside the given cover has no key
+    bad = CliqueDecomposition(cliques=((1,), (2,)), ineq_groups=((0,), ()), eq_groups=((), ()))
+    with pytest.raises(ValueError, match=r"word \(1, 2\) has no moment index"):
+        build(prob, order=1, decomp=bad)
 
 
 def test_cyclic_mode_merges_keys():
@@ -224,6 +227,52 @@ def test_cyclic_mode_merges_keys():
     # the cyclic class of x1 x2 x1 x2 collapses onto x1 x1 x2 x2 classes only
     # when rotations allow; spot check one merged pair
     assert tr.key_of((1, 2, 1, 2)) == tr.key_of((2, 1, 2, 1))
+
+
+def assert_keys_match_scan(prob: Problem, order: int, mode: SymmetryMode):
+    rel = build(prob, order=order, mode=mode)
+    keys, moment_keys = scan_keys(rel.decomp.cliques, order, mode)
+    assert list(rel.keys) == keys
+    assert rel.n_keys == len(keys)
+    assert [m.tolist() for m in rel.moment_keys] == moment_keys
+    assert rel.objective == riesz(prob.objective, rel.key_index, mode)
+    return rel
+
+
+@st.composite
+def _covered_problems(draw):
+    """A problem over 1..n with a random overlapping clique cover, and an order 1..3.
+
+    Its objective symmetrizes random words of degree <= 2k, each inside one clique."""
+    n = draw(st.sampled_from([3, 6, 300]))
+    order = draw(st.integers(1, 3))
+    letters = st.integers(1, n)
+    size = {1: 4, 2: 3, 3: 2}[order]  # basis sizes stay small for the reference scan
+    cliques = draw(st.lists(st.lists(letters, min_size=1, max_size=size), min_size=1, max_size=3))
+    terms = {}
+    for c in draw(st.lists(st.sampled_from(cliques), max_size=4)):
+        w = tuple(draw(st.lists(st.sampled_from(c), max_size=2 * order)))
+        terms[w] = terms.get(w, 0.0) + 1.0
+        terms[w[::-1]] = terms.get(w[::-1], 0.0) + 1.0
+    return Problem(n=n, objective=NcPolynomial(n, terms), cliques=cliques), order
+
+
+@settings(max_examples=60, deadline=None)
+@given(_covered_problems(), st.sampled_from(SymmetryMode))
+def test_keys_match_reference_scan_property(case, mode):
+    # the key tables number the moment entries exactly as the per-entry scan does
+    prob, order = case
+    assert_keys_match_scan(prob, order, mode)
+
+
+@pytest.mark.parametrize("mode", [SymmetryMode.STAR_ONLY, SymmetryMode.STAR_CYCLIC])
+def test_keys_with_letters_past_int64_packing(mode):
+    # (n + 1)^(2k) = 3001^6 exceeds int64, so packed words would overflow
+    n = 3000
+    x1, xn = NcPolynomial.letter(n, 1), NcPolynomial.letter(n, n)
+    prob = Problem(n=n, objective=x1 * xn * xn + xn * xn * x1, cliques=[(1, n), (n - 1, n)])
+    rel = assert_keys_match_scan(prob, 3, mode)
+    assert (n,) * 6 in rel.keys and (n - 1, n, n, n, n, n) in rel.keys
 
 
 def test_moment_vector_from_evaluation_eig():
@@ -240,10 +289,10 @@ def test_moment_vector_from_evaluation_eig():
     vv = v / np.linalg.norm(v)
     assert y[rel.key_of((1, 2))] == pytest.approx(float(vv @ mats[0] @ mats[1] @ vv))
     # moment block equals the Gram matrix of the basis at (A, v)
-    m0 = rel.block_matrix(0, y)
+    m0 = block_matrix(rel, 0, y)
     assert np.allclose(m0[0], [1.0, vv @ mats[0] @ vv, vv @ mats[1] @ vv])
     assert np.linalg.eigvalsh(m0).min() >= -1e-10
-    loc = rel.block_matrix(1, y)
+    loc = block_matrix(rel, 1, y)
     g_val = evaluate(prob.inequalities[0], mats)
     assert loc[0, 0] == pytest.approx(float(vv @ g_val @ vv))
     assert rel.objective_value(y) == pytest.approx(float(vv @ (mats[0] + mats[1]) @ vv))

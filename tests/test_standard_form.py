@@ -22,6 +22,7 @@ from ncsdp.standard_form import (
     write_sdp,
     x_from_moments,
 )
+from oracles import layout_matrix
 
 
 def ball_problem(n: int) -> Problem:
@@ -33,7 +34,7 @@ def ball_problem(n: int) -> Problem:
 
 
 def svec_to_blocks(sdp, x):
-    return [sdp.layout.matrix(x, i) for i in range(len(sdp.block_sizes))]
+    return [layout_matrix(sdp.layout, x, i) for i in range(len(sdp.block_sizes))]
 
 
 def random_contraction_tuple(n: int, dim: int, rng) -> list[np.ndarray]:
@@ -65,10 +66,10 @@ def test_svec_index_layout():
     a = a + a.T
     x = np.zeros(layout.dim)
     x[:6] = a[layout.row[:6], layout.col[:6]] * layout.scale[:6]
-    assert np.allclose(layout.matrix(x, 0), a, rtol=0, atol=1e-15)
+    assert np.allclose(layout_matrix(layout, x, 0), a, rtol=0, atol=1e-15)
     v = rng.standard_normal(2)
     layout.add_outer(x, 1, v, 2.5)
-    assert np.allclose(layout.matrix(x, 1), 2.5 * np.outer(v, v), rtol=0, atol=1e-14)
+    assert np.allclose(layout_matrix(layout, x, 1), 2.5 * np.outer(v, v), rtol=0, atol=1e-14)
     assert layout.trace(x) == pytest.approx(np.trace(a) + 2.5 * (v @ v), abs=1e-13)
     # svec of a dense matrix or stack, the inverse of stack
     assert np.array_equal(layout.svec(a), a[layout.row[:6], layout.col[:6]] * layout.scale[:6])
