@@ -7,15 +7,17 @@ unconstrained concave problem max_u f(u) = b.u + a lambda_min(C - A^T u),
 and f(u) is a lower bound for every u. The path maximizes an
 entropy-smoothed f by L-BFGS, over all eigenpairs of every block, then
 builds a primal witness on the bottom eigenspaces of C - A^T u. It returns
-only when the witness is feasible to eps and its objective lies within eps
-of the bound. Otherwise, and for larger blocks, the conditional gradient
-augmented Lagrangian (CGAL) loop runs.
+only when the witness passes the gap test. Otherwise, and for larger blocks,
+the conditional gradient augmented Lagrangian (CGAL) loop runs.
 
 Each CGAL iteration linearizes the augmented Lagrangian, finds the smallest
 eigenpair of the block-diagonal gradient, and moves toward the rank-one
 atom a vv* placed in the block that owns the smallest eigenvalue; the trace
 constraint is therefore maintained exactly by construction, and every
 iterate is a convex combination of psd matrices.
+
+Both paths stop on one gap test: residual <= eps and |c.x - f(u)| <=
+eps (1 + |f(u)|), in original units.
 
 The eigenpair search groups the blocks by size. A 1 x 1 block is read
 straight from the gradient, with eigenvector [1]. All blocks of one larger
@@ -49,7 +51,6 @@ class CgalConfig:
     max_iters: int = 200_000  # CGAL steps, or dual evaluations on the spectral path
     beta0: float = 1.0
     dual_cap: float = 1e9
-    window: int = 50
     seed: int = 0  # no effect: every solve is deterministic; kept for callers that set it
     dense_cutoff: int = 64  # largest block for the stacked full eigh; the spectral path needs all blocks within it
     trace_tol: float = 1e-9
@@ -68,10 +69,10 @@ class SolveReport:
     runtime: float
     min_iterate_eig: float  # most negative block eigenvalue seen (0 unless audited)
     dual_cap_hits: int  # iterations whose dual update was rejected by dual_cap
-    stop_reason: str  # "gap", "plateau" or "max_iters"
+    stop_reason: str  # "gap" or "max_iters"
+    lower_bound: float  # certified bound f(u), the best over the solve
+    gap: float  # objective - lower_bound
     residual_history: np.ndarray | None = None  # per-iteration relative residuals
-    lower_bound: float | None = None  # certified bound f(u); None from the CGAL loop
-    gap: float | None = None  # objective - lower_bound
 
 
 def min_eigpair(a: np.ndarray, dense_cutoff: int = 64) -> tuple[float, np.ndarray]:
@@ -222,6 +223,11 @@ class _Spectrum:
             else:
                 out[pos] = self.layout.svec((v * w[:, None, :]) @ v.transpose(0, 2, 1))
         return out
+
+
+def _certified(residual: float, objective: float, bound: float, eps: float) -> bool:
+    """The gap test: residual <= eps and |objective - bound| <= eps (1 + |bound|)."""
+    return residual <= eps and abs(objective - bound) <= eps * (1.0 + abs(bound))
 
 
 def dual_bound(sdp: StandardSdp, u: np.ndarray) -> float:
@@ -432,8 +438,7 @@ def _spectral_dual(sdp: StandardSdp, cfg: CgalConfig) -> SolveReport | None:
     units, ten times that for each level still to come; a level that
     spends its _STAGE_EVALS budget ends the path, and
     max_iters caps the evaluations in all. Returns the report when the
-    witness has residual <= eps and |c.x - f(u)| <= eps (1 + |f(u)|) in
-    original units, None when it does not.
+    witness passes the gap test, None when it does not.
     """
     t0 = time.perf_counter()
     a = float(sdp.trace)
@@ -474,7 +479,7 @@ def _spectral_dual(sdp: StandardSdp, cfg: CgalConfig) -> SolveReport | None:
     residual = float(np.linalg.norm(sdp.a_mat @ x - sdp.b)) / (1.0 + b_norm)
     objective = float(sdp.c @ x)
     bound = dual_bound(sdp, c_norm * u / sigma)
-    if residual > cfg.eps or abs(objective - bound) > cfg.eps * (1.0 + abs(bound)):
+    if not _certified(residual, objective, bound, cfg.eps):
         return None
     return SolveReport(
         objective=objective,
@@ -487,14 +492,14 @@ def _spectral_dual(sdp: StandardSdp, cfg: CgalConfig) -> SolveReport | None:
         min_iterate_eig=min_seen,
         dual_cap_hits=0,
         stop_reason="gap",
-        residual_history=None if history is None else np.array(history),
         lower_bound=bound,
         gap=objective - bound,
+        residual_history=None if history is None else np.array(history),
     )
 
 
 def _cgal_loop(sdp: StandardSdp, cfg: CgalConfig) -> SolveReport:
-    """Run CGAL until the feasibility and objective-plateau tests pass.
+    """Run CGAL until the gap test passes or max_iters steps are spent.
 
     The dynamics are run on a normalized copy of the data (objective divided
     by its norm, constraint operator by its largest singular value, trace
@@ -502,20 +507,18 @@ def _cgal_loop(sdp: StandardSdp, cfg: CgalConfig) -> SolveReport:
     regardless of instance scale; iterates, objective values, and residuals
     are kept and reported in original units throughout.
 
-    Stops when ||A svec(X) - b|| / (1 + ||b||) <= eps and the objective has
-    settled: the change over the trailing window must be at most
-    eps (1 + |obj|), and so must its extrapolation to the remaining tail.
-    The objective approaches its limit like C / t, so a drift of d over the
-    last w iterations at iteration t projects to a further change of about
-    d t / w; without that projection the plateau test fires while the value
-    is still many multiples of eps away from its limit. The trace of every
-    iterate is checked against the constant; psd is audited per block when
-    check_psd is set (iterates are psd by construction, the audit guards
-    the arithmetic).
+    Each step's gradient is g = c / |c| + A^T mult, and its least eigenvalue
+    lam is what the step already computes. At u = -|c| mult, C - A^T u is
+    |c| g, so f(u) = |c| (a lam - b.mult): a certified lower bound at the
+    cost of one dot product. The report carries the best such bound, and
+    the loop stops when ||A svec(X) - b|| / (1 + ||b||) <= eps and
+    |c.x - bound| <= eps (1 + |bound|). max_iters is at least 1. The trace
+    of every iterate is checked against the constant; psd is audited per
+    block when check_psd is set (iterates are psd by construction, the
+    audit guards the arithmetic).
     """
     t0 = time.perf_counter()
     a = float(sdp.trace)
-    sizes = sdp.block_sizes
     layout = sdp.layout
     a_mat = sdp.a_mat
     at_mat = a_mat.T.tocsr()
@@ -527,37 +530,32 @@ def _cgal_loop(sdp: StandardSdp, cfg: CgalConfig) -> SolveReport:
     c_scaled = c / c_norm
     res_scale = sigma * a
 
-    total = sum(sizes)
     x = np.zeros(sdp.dim)
-    x[layout.diag] = a / total
+    x[layout.diag] = a / sum(sdp.block_sizes)
     z = np.zeros(a_mat.shape[0])
     ax = a_mat @ x
     b_norm = float(np.linalg.norm(b))
 
-    window: deque[float] = deque(maxlen=cfg.window + 1)
-    obj = float(c @ x)
-    resid_rel = float(np.linalg.norm(ax - b)) / (1.0 + b_norm)
-    converged = False
+    bound = -math.inf
     min_seen = 0.0
-    iters = 0
     resid_hist: list[float] | None = [] if cfg.track_residuals else None
     cap_hits = 0
     spectrum = _Spectrum(layout)
-    beta0, dual_cap, eps, span = cfg.beta0, cfg.dual_cap, cfg.eps, cfg.window
+    beta0, dual_cap, eps = cfg.beta0, cfg.dual_cap, cfg.eps
     trace_bound = cfg.trace_tol * max(1.0, a)
     add_outer, trace = layout.add_outer, layout.trace
     r = (ax - b) / res_scale
     mult = np.empty_like(r)  # the dual multiplier (z + beta r) / sigma
 
     for t in range(1, cfg.max_iters + 1):
-        iters = t
         beta = beta0 * math.sqrt(t + 1.0)
         np.multiply(r, beta, out=mult)
         mult += z
         mult /= sigma
         g = at_mat @ mult
         g += c_scaled
-        _, blk, v = spectrum.least(g, t, cfg.dense_cutoff)
+        lam, blk, v = spectrum.least(g, t, cfg.dense_cutoff)
+        bound = max(bound, c_norm * (a * lam - b.dot(mult)))
 
         eta = 2.0 / (t + 1.0)
         x *= 1.0 - eta
@@ -577,7 +575,6 @@ def _cgal_loop(sdp: StandardSdp, cfg: CgalConfig) -> SolveReport:
             z = z_new
         else:
             cap_hits += 1
-        rn = rn_scaled * res_scale
 
         tr = trace(x)
         if abs(tr - a) > trace_bound:
@@ -585,28 +582,26 @@ def _cgal_loop(sdp: StandardSdp, cfg: CgalConfig) -> SolveReport:
         if cfg.check_psd:
             min_seen = min(min_seen, spectrum.floor(x, a, t))
 
-        window.append(obj)
-        resid_rel = rn / (1.0 + b_norm)
+        resid_rel = rn_scaled * res_scale / (1.0 + b_norm)
         if resid_hist is not None:
             resid_hist.append(resid_rel)
-        if resid_rel <= eps and len(window) == span + 1:
-            drift = abs(window[-1] - window[0])
-            budget = eps * (1.0 + abs(obj))
-            if drift <= budget and drift * (t / span) <= budget:
-                converged = True
-                break
+        converged = _certified(resid_rel, obj, bound, eps)
+        if converged:
+            break
 
     return SolveReport(
         objective=obj,
         residual=resid_rel,
-        iterations=iters,
+        iterations=t,
         converged=converged,
         x=x,
         z=z,
         runtime=time.perf_counter() - t0,
         min_iterate_eig=min_seen,
         dual_cap_hits=cap_hits,
-        stop_reason="plateau" if converged else "max_iters",
+        stop_reason="gap" if converged else "max_iters",
+        lower_bound=bound,
+        gap=obj - bound,
         residual_history=None if resid_hist is None else np.array(resid_hist),
     )
 
@@ -615,12 +610,15 @@ def solve(sdp: StandardSdp, cfg: CgalConfig | None = None) -> SolveReport:
     """Solve sdp to accuracy eps: the spectral dual path when it applies, else CGAL.
 
     When eps > 0 and every block is at most dense_cutoff, the spectral dual
-    path runs first and returns a report with a certified lower_bound, the
-    gap to the witness objective and stop_reason "gap". When it cannot
-    certify, or a block is larger, the CGAL loop runs; its report has no
-    bound and stops on "plateau" or "max_iters". runtime covers both.
+    path runs first and returns only a report that passes the gap test.
+    When it cannot certify, or a block is larger, the CGAL loop runs. Every
+    report carries a certified lower_bound and the gap to its objective,
+    and stops on "gap" or "max_iters". runtime covers both paths. ValueError
+    when max_iters < 1 or eps is negative or not finite.
     """
     cfg = cfg or CgalConfig()
+    if cfg.max_iters < 1 or not (math.isfinite(cfg.eps) and cfg.eps >= 0.0):
+        raise ValueError(f"need max_iters >= 1 and a finite eps >= 0, got {cfg.max_iters} and {cfg.eps!r}")
     t0 = time.perf_counter()
     rep = None
     if cfg.eps > 0 and max(sdp.block_sizes, default=0) <= cfg.dense_cutoff:

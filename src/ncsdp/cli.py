@@ -240,9 +240,7 @@ def cmd_solve(args) -> int:
     for mode_name in modes:
         rel, st, sdp, rep, elapsed = _solve_one(problem, k, mode_name, args.layout, args)
         tag = "converged" if rep.converged else "iteration budget reached"
-        bound = "n/a" if rep.lower_bound is None else f"{rep.lower_bound:.6f}"
-        gap = "n/a" if rep.gap is None else f"{rep.gap:.1e}"
-        print(f"{mode_name} k={k}: value {rep.objective:.6f}  bound {bound}  gap {gap}  "
+        print(f"{mode_name} k={k}: value {rep.objective:.6f}  bound {rep.lower_bound:.6f}  gap {rep.gap:.1e}  "
               f"residual {rep.residual:.2e}  iters {rep.iterations}  {elapsed:.1f}s  "
               f"({tag}, stop {rep.stop_reason})")
         if args.export:

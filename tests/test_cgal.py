@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import time
-from collections import deque
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from ncsdp.cgal import (
     _cgal_loop,
     _operator_norm,
     _Spectrum,
+    _spectral_dual,
     dual_bound,
     min_eigpair,
     solve,
@@ -28,6 +28,7 @@ from ncsdp.ctp import certify
 from ncsdp.free_algebra import NcPolynomial
 from ncsdp.generator import gen_dense, gen_sparse
 from ncsdp.relaxation import Problem, build
+from ncsdp.sparsity import dense_decomposition
 from ncsdp.standard_form import BlockLayout, StandardSdp, assemble, read_sdp, recover_moments, write_sdp
 from oracles import layout_matrix
 
@@ -128,11 +129,13 @@ def test_block_eigs_matches_per_block_loop(dense_cutoff):
 def _reference_solve(sdp, cfg):
     # the solver loop as it was before 1 x 1 blocks were read from the
     # gradient: one eigensolve per block, np.linalg.norm, and r recomputed
-    # from A x every iteration
+    # from A x every iteration; the bound f(u) at u = -|c| m comes from the
+    # least block eigenvalue of the gradient c / |c| + A^T m
     a = float(sdp.trace)
     layout, a_mat, b, c = sdp.layout, sdp.a_mat, sdp.b, sdp.c
     at_mat = a_mat.T.tocsr()
-    c_scaled = c / (float(np.linalg.norm(c)) or 1.0)
+    c_norm = float(np.linalg.norm(c)) or 1.0
+    c_scaled = c / c_norm
     sigma = _operator_norm(a_mat)
     res_scale = sigma * a
     x = np.zeros(sdp.dim)
@@ -140,16 +143,18 @@ def _reference_solve(sdp, cfg):
     z = np.zeros(a_mat.shape[0])
     ax = a_mat @ x
     b_norm = float(np.linalg.norm(b))
-    window = deque(maxlen=cfg.window + 1)
-    obj = float(c @ x)
-    resid_rel = float(np.linalg.norm(ax - b)) / (1.0 + b_norm)
+    bound, u_best = -np.inf, None
     converged, iters, cap_hits, min_seen, hist = False, 0, 0, 0.0, []
     for t in range(1, cfg.max_iters + 1):
         iters = t
         beta = cfg.beta0 * math.sqrt(t + 1.0)
         r = (ax - b) / res_scale
-        g = c_scaled + at_mat @ ((z + beta * r) / sigma)
-        _, blk, v = _reference_block_eigs(layout, g, cfg.dense_cutoff)
+        m = (z + beta * r) / sigma
+        g = c_scaled + at_mat @ m
+        lam, blk, v = _reference_block_eigs(layout, g, cfg.dense_cutoff)
+        f = c_norm * (a * lam - float(b @ m))
+        if f > bound:
+            bound, u_best = f, -c_norm * m
         eta = 2.0 / (t + 1.0)
         x *= 1.0 - eta
         layout.add_outer(x, blk, v, eta * a)
@@ -170,19 +175,16 @@ def _reference_solve(sdp, cfg):
         if cfg.check_psd:
             for i in range(len(sdp.block_sizes)):
                 min_seen = min(min_seen, float(np.linalg.eigvalsh(layout_matrix(layout, x, i))[0]))
-        window.append(obj)
         resid_rel = rn_scaled * res_scale / (1.0 + b_norm)
         hist.append(resid_rel)
-        if resid_rel <= cfg.eps and len(window) == cfg.window + 1:
-            drift = abs(window[-1] - window[0])
-            budget = cfg.eps * (1.0 + abs(obj))
-            if drift <= budget and drift * (t / cfg.window) <= budget:
-                converged = True
-                break
+        if resid_rel <= cfg.eps and abs(obj - bound) <= cfg.eps * (1.0 + abs(bound)):
+            converged = True
+            break
     return dict(
         objective=obj, residual=resid_rel, iterations=iters, converged=converged, x=x, z=z,
         min_iterate_eig=min_seen, dual_cap_hits=cap_hits,
         residual_history=np.array(hist) if cfg.track_residuals else None,
+        lower_bound=bound, gap=obj - bound, stop_reason="gap" if converged else "max_iters", u_best=u_best,
     )
 
 
@@ -222,8 +224,11 @@ def test_solve_matches_reference_loop(problem, name, cfg):
     sdp = _mixed_sdp() if problem == "mixed" else _ball_sdp(n=2, order=2)[1]
     ref = _reference_solve(sdp, cfg)
     rep = _cgal_loop(sdp, cfg)
-    for field in ("objective", "residual", "iterations", "converged", "min_iterate_eig", "dual_cap_hits"):
+    for field in ("objective", "residual", "iterations", "converged", "min_iterate_eig", "dual_cap_hits",
+                  "lower_bound", "gap", "stop_reason"):
         assert getattr(rep, field) == ref[field], field
+    # the bound the loop reads off its eigenvalue is f at the multiplier that gave it
+    assert abs(rep.lower_bound - dual_bound(sdp, ref["u_best"])) <= 1e-12 * abs(rep.lower_bound)
     assert rep.x.tobytes() == ref["x"].tobytes()
     assert rep.z.tobytes() == ref["z"].tobytes()
     if cfg.track_residuals:
@@ -442,7 +447,7 @@ def test_stop_rule_consistent_across_accuracy():
 @pytest.mark.parametrize(
     "make, order, bound",
     [
-        # both stop at CGAL's 150k cap without passing its plateau test
+        # the spectral dual path certifies both, each in under 2 s
         (lambda: gen_sparse(9, 3, seed=1), 1, -4.500871),
         (lambda: gen_dense(4, "polydisc", seed=0), 2, -2.261803),
     ],
@@ -482,13 +487,17 @@ def test_spectral_dual_certifies_at_any_scale(trace, scale):
     assert rep.lower_bound <= float(c @ x0) + 1e-9 * (1 + abs(float(c @ x0)))
 
 
-def test_cgal_loop_reports_no_bound():
+def test_cgal_loop_reports_a_bound():
     _, sdp = _ball_sdp()
     rep = _cgal_loop(sdp, CgalConfig(eps=1e-3, max_iters=30_000))
-    assert rep.converged and rep.stop_reason == "plateau"
-    assert rep.lower_bound is None and rep.gap is None
+    assert rep.converged and rep.stop_reason == "gap"
+    assert isinstance(rep.lower_bound, float) and rep.gap == rep.objective - rep.lower_bound
+    # the relaxation value of sum X_j over the unit ball is -sqrt(2)
+    assert rep.lower_bound <= -np.sqrt(2.0) + 1e-12
+    assert abs(rep.gap) <= 1e-3 * (1 + abs(rep.lower_bound))
     capped = _cgal_loop(sdp, CgalConfig(eps=1e-9, max_iters=50))
-    assert capped.stop_reason == "max_iters"
+    assert capped.stop_reason == "max_iters" and not capped.converged
+    assert capped.lower_bound <= -np.sqrt(2.0) + 1e-12
     # a block above dense_cutoff, or eps = 0, sends solve straight to the loop;
     # five evaluations are too few for the spectral path at order 2, and an
     # infeasible form (x1 = 2 above the trace 1) has an unbounded dual, so in
@@ -502,8 +511,39 @@ def test_cgal_loop_reports_no_bound():
     )
     for form, cfg in cases:
         rep, ref = solve(form, cfg), _cgal_loop(form, cfg)
-        assert rep.lower_bound is None and rep.stop_reason == ref.stop_reason
+        assert rep.stop_reason == ref.stop_reason and rep.stop_reason in ("gap", "max_iters")
+        assert rep.lower_bound == ref.lower_bound and rep.gap == ref.gap
         assert rep.iterations == ref.iterations and rep.x.tobytes() == ref.x.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:clique chain")
+def test_cgal_loop_stops_on_the_gap_near_the_value():
+    # the objective stays near -1.525951 for 50 steps on this form, 20 eps
+    # above its value; the gap test waits until it is within eps
+    prob = gen_sparse(7, 3, seed=16)
+    rel = build(prob, 1, decomp=dense_decomposition(prob))
+    rep = _cgal_loop(assemble(rel, certify(rel)), CgalConfig(eps=1e-4))
+    value = -1.531072
+    assert rep.converged and rep.stop_reason == "gap"
+    assert abs(rep.objective - value) <= 1e-4 * (1 + abs(value))
+    assert abs(rep.lower_bound - value) <= 1e-4 * (1 + abs(value))
+
+
+@pytest.mark.parametrize(
+    "field, value", [("max_iters", 0), ("max_iters", -3), ("eps", -1.0), ("eps", math.nan), ("eps", math.inf)]
+)
+def test_solve_rejects_bad_budget(field, value):
+    _, sdp = _ball_sdp()
+    with pytest.raises(ValueError, match="max_iters >= 1 and a finite eps >= 0"):
+        solve(sdp, CgalConfig(**{field: value}))
+
+
+def test_solve_accepts_zero_eps_and_one_iteration():
+    # eps = 0 runs a fixed budget; one step already gives a bound
+    _, sdp = _ball_sdp()
+    rep = solve(sdp, CgalConfig(eps=0.0, max_iters=1))
+    assert rep.iterations == 1 and rep.stop_reason == "max_iters"
+    assert math.isfinite(rep.lower_bound) and rep.lower_bound <= -np.sqrt(2.0) + 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -528,13 +568,18 @@ def test_dual_bound_never_exceeds_a_feasible_value(data):
     slack = 1e-9 * (1 + abs(value))
     for scale in (0.1, 1.0, 10.0):
         assert dual_bound(sdp, scale * rng.standard_normal(m)) <= value + slack
-    rep = solve(sdp, CgalConfig(eps=1e-4, max_iters=20_000))
-    if rep.lower_bound is not None:
+    rep = _spectral_dual(sdp, CgalConfig(eps=1e-4, max_iters=20_000))
+    loop = _cgal_loop(sdp, CgalConfig(eps=1e-4, max_iters=300))
+    assert loop.lower_bound <= value + slack
+    reports = [loop]
+    if rep is not None:
         assert rep.lower_bound <= value + slack
         assert rep.lower_bound == dual_bound(sdp, -np.linalg.norm(c) * rep.z / _operator_norm(sdp.a_mat))
-    for i in range(len(sizes)):
-        assert np.linalg.eigvalsh(layout_matrix(layout, rep.x, i))[0] >= -1e-9 * a
-    assert abs(layout.trace(rep.x) - a) <= 1e-9 * a
+        reports.append(rep)
+    for r in reports:
+        for i in range(len(sizes)):
+            assert np.linalg.eigvalsh(layout_matrix(layout, r.x, i))[0] >= -1e-9 * a
+        assert abs(layout.trace(r.x) - a) <= 1e-9 * a
 
 
 def test_solve_does_not_import_scipy_optimize():

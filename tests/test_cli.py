@@ -112,6 +112,14 @@ def test_solve_missing_file(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--max-iters", "0"), ("--eps", "-1"), ("--eps", "nan")])
+def test_solve_rejects_bad_budget(ball_instance, capsys, flag, value):
+    assert main(["solve", ball_instance, flag, value]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "max_iters >= 1 and a finite eps >= 0" in captured.err
+    assert "value" not in captured.out
+
+
 def test_invalid_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
