@@ -107,16 +107,18 @@ def _require_finite(lam: np.ndarray, t: int) -> None:
         raise CgalError(f"smallest eigenvalue of block {bad} is {float(lam[bad])!r} at iteration {t}")
 
 
-def _operator_norm(a_mat) -> float:
+def _operator_norm(a_mat, at=None) -> float:
     """Largest singular value of a sparse matrix by deterministic power iteration.
 
     Used only to precondition the solver, so a few correct digits are enough;
-    the start vector is fixed to keep solves reproducible.
+    the start vector is fixed to keep solves reproducible. at is a_mat.T as
+    CSR, built here when not given.
     """
     m, n = a_mat.shape
     if m == 0 or n == 0:
         return 1.0
-    at = a_mat.T.tocsr()
+    if at is None:
+        at = a_mat.T.tocsr()
     v = np.ones(n) + 1e-3 * np.arange(n) / max(n - 1, 1)
     v /= np.linalg.norm(v)
     sig = 0.0
@@ -427,7 +429,7 @@ def _witness(dual: _SmoothedDual, u: np.ndarray, target: float) -> np.ndarray:
     return embed @ s
 
 
-def _spectral_dual(sdp: StandardSdp, cfg: CgalConfig) -> SolveReport | None:
+def _spectral_dual(sdp: StandardSdp, cfg: CgalConfig, sigma: float | None = None) -> SolveReport | None:
     """Maximize the smoothed dual, then certify the bound with a primal witness.
 
     Runs on the normalized data of the CGAL loop (objective over its norm,
@@ -438,13 +440,15 @@ def _spectral_dual(sdp: StandardSdp, cfg: CgalConfig) -> SolveReport | None:
     units, ten times that for each level still to come; a level that
     spends its _STAGE_EVALS budget ends the path, and
     max_iters caps the evaluations in all. Returns the report when the
-    witness passes the gap test, None when it does not.
+    witness passes the gap test, None when it does not. sigma is
+    _operator_norm(sdp.a_mat), computed here when not given.
     """
     t0 = time.perf_counter()
     a = float(sdp.trace)
     layout = sdp.layout
     c_norm = float(np.linalg.norm(sdp.c)) or 1.0
-    sigma = _operator_norm(sdp.a_mat)
+    if sigma is None:
+        sigma = _operator_norm(sdp.a_mat)
     b_norm = float(np.linalg.norm(sdp.b))
     res_scale = sigma * a / (1.0 + b_norm)  # normalized residual norm to relative residual
     history: list[float] | None = [] if cfg.track_residuals else None
@@ -498,7 +502,9 @@ def _spectral_dual(sdp: StandardSdp, cfg: CgalConfig) -> SolveReport | None:
     )
 
 
-def _cgal_loop(sdp: StandardSdp, cfg: CgalConfig) -> SolveReport:
+def _cgal_loop(
+    sdp: StandardSdp, cfg: CgalConfig, at_mat: sp.csr_matrix | None = None, sigma: float | None = None
+) -> SolveReport:
     """Run CGAL until the gap test passes or max_iters steps are spent.
 
     The dynamics are run on a normalized copy of the data (objective divided
@@ -515,18 +521,21 @@ def _cgal_loop(sdp: StandardSdp, cfg: CgalConfig) -> SolveReport:
     |c.x - bound| <= eps (1 + |bound|). max_iters is at least 1. The trace
     of every iterate is checked against the constant; psd is audited per
     block when check_psd is set (iterates are psd by construction, the
-    audit guards the arithmetic).
+    audit guards the arithmetic). at_mat is sdp.a_mat.T as CSR and sigma
+    _operator_norm(sdp.a_mat); each is computed here when not given.
     """
     t0 = time.perf_counter()
     a = float(sdp.trace)
     layout = sdp.layout
     a_mat = sdp.a_mat
-    at_mat = a_mat.T.tocsr()
+    if at_mat is None:
+        at_mat = a_mat.T.tocsr()
+    if sigma is None:
+        sigma = _operator_norm(a_mat, at_mat)
     b = sdp.b
     c = sdp.c
 
     c_norm = float(np.linalg.norm(c)) or 1.0
-    sigma = _operator_norm(a_mat)
     c_scaled = c / c_norm
     res_scale = sigma * a
 
@@ -613,17 +622,20 @@ def solve(sdp: StandardSdp, cfg: CgalConfig | None = None) -> SolveReport:
     path runs first and returns only a report that passes the gap test.
     When it cannot certify, or a block is larger, the CGAL loop runs. Every
     report carries a certified lower_bound and the gap to its objective,
-    and stops on "gap" or "max_iters". runtime covers both paths. ValueError
+    and stops on "gap" or "max_iters". Both paths share one transpose of A
+    and one operator norm. runtime covers both paths. ValueError
     when max_iters < 1 or eps is negative or not finite.
     """
     cfg = cfg or CgalConfig()
     if cfg.max_iters < 1 or not (math.isfinite(cfg.eps) and cfg.eps >= 0.0):
         raise ValueError(f"need max_iters >= 1 and a finite eps >= 0, got {cfg.max_iters} and {cfg.eps!r}")
     t0 = time.perf_counter()
+    at_mat = sdp.a_mat.T.tocsr()
+    sigma = _operator_norm(sdp.a_mat, at_mat)
     rep = None
     if cfg.eps > 0 and max(sdp.block_sizes, default=0) <= cfg.dense_cutoff:
-        rep = _spectral_dual(sdp, cfg)
+        rep = _spectral_dual(sdp, cfg, sigma)
     if rep is None:
-        rep = _cgal_loop(sdp, cfg)
+        rep = _cgal_loop(sdp, cfg, at_mat, sigma)
     rep.runtime = time.perf_counter() - t0
     return rep

@@ -439,6 +439,22 @@ def build(
     )
 
 
+def _scalar_value(p: NcPolynomial, point: list[float]) -> float:
+    """evaluate(p, 1 x 1 matrices of point), bit for bit, without the matrices.
+
+    Each word's product is taken left to right and the terms are summed in
+    order, as there; its symmetrization (a + a) / 2 is kept, so that a sum
+    past half the float range still becomes inf.
+    """
+    acc = 0.0
+    for w, c in p.terms.items():
+        v = 1.0  # exact: 1.0 * x == x for every float
+        for j in w:
+            v *= point[j - 1]
+        acc += c * v
+    return (acc + acc) / 2.0
+
+
 def moment_vector_from_evaluation(
     rel: Relaxation,
     mats: Sequence[np.ndarray],
@@ -451,7 +467,8 @@ def moment_vector_from_evaluation(
     y_w is the normalized trace of w(A). Infeasibility of A beyond feas_tol
     only warns, so deliberately infeasible probes remain possible. At a
     scalar point (1 x 1 matrices) both modes give the product of the
-    coordinates, computed for all keys at once.
+    coordinates, computed for all keys at once, and the constraints are
+    checked on the coordinates.
     """
     ms = [np.asarray(m, dtype=float) for m in mats]
     if len(ms) != rel.problem.n:
@@ -473,19 +490,20 @@ def moment_vector_from_evaluation(
             raise ValueError("v must be nonzero")
         vv = vv / nrm
 
+    point = [float(m[0, 0]) for m in ms] if dim == 1 else None
     for i, g in enumerate(rel.problem.inequalities):
-        lam = float(np.linalg.eigvalsh(evaluate(g, ms)).min())
+        lam = _scalar_value(g, point) if point else float(np.linalg.eigvalsh(evaluate(g, ms)).min())
         if lam < -feas_tol:
             warnings.warn(f"inequality {i} violated by {-lam:.3g} at the given tuple")
     for i, h in enumerate(rel.problem.equalities):
-        dev = float(np.abs(evaluate(h, ms)).max())
+        dev = abs(_scalar_value(h, point)) if point else float(np.abs(evaluate(h, ms)).max())
         if dev > feas_tol:
             warnings.warn(f"equality {i} off by {dev:.3g} at the given tuple")
 
-    if dim == 1:
+    if point:
         # at a scalar point y_w is the product of w's coordinates, taken left
         # to right as word_value does; letter 0 pads every word with a 1.0
-        vals = np.array([1.0] + [float(m[0, 0]) for m in ms])[rel.key_words]
+        vals = np.array([1.0] + point)[rel.key_words]
         y = np.ones(rel.n_keys)
         for column in vals.T:
             y *= column

@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,6 +280,25 @@ def x_from_moments(sdp: StandardSdp, rel: Relaxation, y: np.ndarray) -> np.ndarr
     return rel.forms[0].values(y) * layout.diag_products(sdp.scales) * layout.scale
 
 
+_ENTRY = np.dtype([("t", np.int64), ("blk", np.int64), ("i", np.int64), ("j", np.int64), ("val", float)])
+_CHUNK = 1 << 16  # entry lines per piece, written or parsed: bounds the memory each holds
+
+
+def _strings(keys: np.ndarray, fmt: str, args=np.ndarray.tolist) -> np.ndarray:
+    """fmt % a for a in args(distinct keys), each formatted once, at every key's place.
+
+    An object array of keys' shape; its strings are shared, not copied.
+    """
+    distinct, at = np.unique(keys, return_inverse=True)
+    return np.array([fmt % a for a in args(distinct)], dtype=object)[at]
+
+
+def _float_strings(values: np.ndarray, fmt: str) -> np.ndarray:
+    """_strings of floats, told apart by bit pattern so that -0.0 stays -0."""
+    bits = np.ascontiguousarray(values, dtype=float).view(np.uint64)
+    return _strings(bits, fmt, lambda d: d.view(float).tolist())
+
+
 def write_sdp(sdp: StandardSdp, path: str) -> None:
     """Write the standard form in sparse block text format.
 
@@ -286,15 +306,21 @@ def write_sdp(sdp: StandardSdp, path: str) -> None:
     number of constraints, the number of blocks, the block sizes, the right
     hand side, then quintuples `t blk i j value` with matrix entries of the
     objective (t = 0) and each constraint (t >= 1), upper triangle only,
-    1-based indices. The trace constant and the structural row count ride
-    in the comment line so a round trip preserves them.
+    1-based indices, values as %.17g. The trace constant and the structural
+    row count ride in the comment line so a round trip preserves them.
+    read_sdp also takes comment lines (first character " or *) and blank
+    lines anywhere; the last trace= and zeta= tokens win.
+
+    Entries are written in chunks of 64k. Within a chunk each distinct
+    constraint index, block, (i, j) pair and value is formatted once, and
+    the chunk's text is one join of those strings.
     """
     layout = sdp.layout
     lines = [f'"trace={sdp.trace!r} zeta={sdp.zeta}']
     lines.append(str(sdp.n_rows))
     lines.append(str(len(sdp.block_sizes)))
     lines.append(" ".join(str(s) for s in sdp.block_sizes))
-    lines.append(" ".join(f"{v:.17g}" for v in sdp.b))
+    lines.append(" ".join(_float_strings(sdp.b, "%.17g").tolist()))
 
     obj = np.flatnonzero(sdp.c)
     coo = sdp.a_mat.tocoo()
@@ -302,93 +328,162 @@ def write_sdp(sdp: StandardSdp, path: str) -> None:
     t = np.concatenate([np.zeros(obj.size, dtype=np.intp), coo.row[order] + 1])
     pos = np.concatenate([obj, coo.col[order]])
     val = np.concatenate([sdp.c[obj], coo.data[order]]) / layout.scale[pos]
+    side = max(sdp.block_sizes, default=1)  # (i, j) is the key i * side + j, 0-based
+
+    def pair(keys):
+        return zip((keys // side + 1).tolist(), (keys % side + 1).tolist())
+
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-        chunk = 1 << 16  # bounds the Python objects alive while formatting
-        for lo in range(0, pos.size, chunk):
-            sl = slice(lo, lo + chunk)
+        for lo in range(0, pos.size, _CHUNK):
+            sl = slice(lo, lo + _CHUNK)
             p = pos[sl]
-            entries = zip(
-                t[sl].tolist(),
-                (layout.block[p] + 1).tolist(),
-                (layout.row[p] + 1).tolist(),
-                (layout.col[p] + 1).tolist(),
-                val[sl].tolist(),
-            )
-            fh.write("".join(map("%d %d %d %d %.17g\n".__mod__, entries)))
+            text = np.stack([
+                _strings(t[sl], "%d "),
+                _strings(layout.block[p] + 1, "%d "),
+                _strings(layout.row[p] * side + layout.col[p], "%d %d ", pair),
+                _float_strings(val[sl], "%.17g\n"),
+            ], axis=1)
+            fh.write("".join(text.ravel().tolist()))
 
 
-_ENTRY = np.dtype([("t", np.int64), ("blk", np.int64), ("i", np.int64), ("j", np.int64), ("val", float)])
+def _data_lines(fh, meta: dict):
+    """Stripped lines of fh from its position on, comment and blank lines left out.
+
+    A comment line starts with " or *; each trace= or zeta= token in one is
+    stored in meta, a later token over an earlier one.
+    """
+    for raw in fh:
+        line = raw.strip()
+        if line.startswith(('"', "*")):
+            for tok in line[1:].split():
+                if tok.startswith("trace="):
+                    meta["trace"] = float(tok[6:])
+                elif tok.startswith("zeta="):
+                    meta["zeta"] = int(tok[5:])
+        elif line:
+            yield line
+
+
+def _header(lines, meta: dict) -> tuple[int, list[int], np.ndarray]:
+    """Constraint count, block sizes and right hand side from the first data lines.
+
+    ValueError also when meta's trace or the right hand side is not finite.
+    """
+    header = list(itertools.islice(lines, 1))
+    m = int(header[0]) if header else 0
+    # with no constraints the right hand side line is blank, and so skipped
+    head = 4 if m else 3
+    header += itertools.islice(lines, head - len(header))
+    if len(header) < head:
+        raise ValueError("file ends inside the header")
+    nblocks = int(header[1])
+    sizes = [int(s) for s in header[2].split()]
+    if len(sizes) != nblocks:
+        raise ValueError("block size list does not match block count")
+    b = np.array([float(v) for v in header[3].split()] if m else [])
+    if b.shape != (m,):
+        raise ValueError("right hand side length does not match constraint count")
+    if not np.isfinite(meta["trace"]) or not np.isfinite(b).all():
+        bad = "trace" if not np.isfinite(meta["trace"]) else f"right hand side row {np.argmin(np.isfinite(b)) + 1}"
+        raise ValueError(f"non-finite {bad} in the header")
+    return m, sizes, b
+
+
+def _entry_chunks(fh):
+    """The entry lines of fh from its position on, parsed _CHUNK rows at a time."""
+    while True:
+        part = np.loadtxt(fh, dtype=_ENTRY, comments=None, ndmin=1, max_rows=_CHUNK)
+        yield part
+        if part.size < _CHUNK:
+            return
+
+
+def _entries(parts, layout: BlockLayout, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row (-1 for the objective), svec position and svec value of every entry.
+
+    parts are pieces of the parsed entry table, in file order. ValueError
+    names the fault a check over the whole table meets first: a non-finite
+    value (the first such entry), a constraint index, a block index, then an
+    entry outside the upper triangle of its block. Once a piece has a fault,
+    the rest are only checked.
+    """
+    sizes = np.asarray(layout.sizes, dtype=np.int64)
+    faults: list[str | None] = [None] * 4
+    out = []
+    for ent in parts:
+        t, blk, r, c, val = (ent[f] for f in _ENTRY.names)
+        finite = np.isfinite(val)
+        if faults[0] is None and not finite.all():
+            bad = ent[np.argmin(finite)].tolist()
+            faults[0] = f"non-finite value in entry '{' '.join(map(str, bad))}'"
+        if np.any((t < 0) | (t > m)):
+            faults[1] = f"constraint index outside 0..{m}"
+        if np.any((blk < 1) | (blk > sizes.size)):
+            faults[2] = f"block index outside 1..{sizes.size}"
+            continue
+        blk = blk - 1
+        if np.any((r < 1) | (r > c) | (c > sizes[blk])):
+            faults[3] = "entry outside the upper triangle of its block"
+        if not any(faults):
+            idx = layout.index(blk, r - 1, c - 1)
+            out.append((t - 1, idx, val * layout.scale[idx]))
+    fault = next((f for f in faults if f), None)
+    if fault:
+        raise ValueError(fault)
+    return tuple(np.concatenate(x) for x in zip(*out))
 
 
 def read_sdp(path: str) -> StandardSdp:
     """Read a standard form written by write_sdp. Solvable but anonymous:
     the moment-recovery maps are not part of the text format.
 
+    Comment lines (first character " or *) and blank lines may appear
+    anywhere; a trace= or zeta= token in any comment line counts, and the
+    last one wins. np.loadtxt parses the entry lines straight from the open
+    file, _CHUNK rows at a time, so neither a list of lines nor the whole
+    parsed table is ever held.
+
     Raises ValueError on a malformed file, including an entry outside the
     upper triangle of its block, a constraint index above the row count, or
     a non-finite trace, right hand side or entry.
     """
-    trace = 0.0
-    zeta = 0
-    lines: list[str] = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith('"') or line.startswith("*"):
-                for tok in line[1:].split():
-                    if tok.startswith("trace="):
-                        trace = float(tok[6:])
-                    elif tok.startswith("zeta="):
-                        zeta = int(tok[5:])
-                continue
-            lines.append(line)
-    m = int(lines[0]) if lines else 0
-    # with no constraints the right hand side line is blank, and so skipped
-    head = 4 if m else 3
-    if len(lines) < head:
-        raise ValueError("file ends inside the header")
-    nblocks = int(lines[1])
-    sizes = [int(s) for s in lines[2].split()]
-    if len(sizes) != nblocks:
-        raise ValueError("block size list does not match block count")
-    b = np.array([float(v) for v in lines[3].split()] if m else [])
-    if b.shape != (m,):
-        raise ValueError("right hand side length does not match constraint count")
-    if not np.isfinite(trace) or not np.isfinite(b).all():
-        bad = "trace" if not np.isfinite(trace) else f"right hand side row {np.argmin(np.isfinite(b)) + 1}"
-        raise ValueError(f"non-finite {bad} in the header")
-    layout = _layout(tuple(sizes))
-
-    del lines[:head]  # the entry lines remain, until parsed
-    ent = np.loadtxt(lines, dtype=_ENTRY, comments=None, ndmin=1) if lines else np.zeros(0, _ENTRY)
-    del lines
-    t, blk, r, c = (ent[f] for f in ("t", "blk", "i", "j"))
-    if not np.isfinite(ent["val"]).all():
-        bad = ent[np.argmin(np.isfinite(ent["val"]))].tolist()
-        raise ValueError(f"non-finite value in entry '{' '.join(map(str, bad))}'")
-    if np.any((t < 0) | (t > m)):
-        raise ValueError(f"constraint index outside 0..{m}")
-    if np.any((blk < 1) | (blk > nblocks)):
-        raise ValueError(f"block index outside 1..{nblocks}")
-    blk = blk - 1
-    if np.any((r < 1) | (r > c) | (c > np.asarray(sizes, dtype=np.int64)[blk])):
-        raise ValueError("entry outside the upper triangle of its block")
-    idx = layout.index(blk, r - 1, c - 1)
-    sval = ent["val"] * layout.scale[idx]
-    obj = t == 0
+    with warnings.catch_warnings(), open(path) as fh:
+        # loadtxt's notes on an empty table and on blank lines under max_rows
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        warnings.filterwarnings("ignore", "Input line [0-9]+ contained no data", UserWarning)
+        try:
+            meta = {"trace": 0.0, "zeta": 0}
+            m, sizes, b = _header(_data_lines(fh, meta), meta)
+            layout = _layout(tuple(sizes))
+            # with comments=None loadtxt parses at C speed and skips blank
+            # lines; a comment line among the entries fails it, so on success
+            # the header's trace= and zeta= are the last ones
+            row, idx, sval = _entries(_entry_chunks(fh), layout, m)
+        except ValueError:
+            # comment lines among the entries, or a fault: read again so that
+            # faults are told in a fixed order (comment tokens anywhere, the
+            # header, its numbers, then the entry lines as one table, rows
+            # counted over the entry lines alone, then the entries)
+            fh.seek(0)
+            meta = {"trace": 0.0, "zeta": 0}
+            for _ in _data_lines(fh, meta):
+                pass
+            fh.seek(0)
+            lines = _data_lines(fh, {})
+            m, sizes, b = _header(lines, meta)
+            layout = _layout(tuple(sizes))
+            row, idx, sval = _entries([np.loadtxt(lines, dtype=_ENTRY, comments=None, ndmin=1)], layout, m)
+    obj = row < 0
     c_vec = np.zeros(layout.dim)
     np.add.at(c_vec, idx[obj], sval[obj])
-    a_mat = sp.csr_matrix(
-        sp.coo_matrix((sval[~obj], (t[~obj] - 1, idx[~obj])), shape=(m, layout.dim))
-    )
+    con = ~obj
+    a_mat = sp.csr_matrix((sval[con], (row[con], idx[con])), shape=(m, layout.dim))
     return StandardSdp(
         block_sizes=sizes,
         c=c_vec,
         a_mat=a_mat,
         b=b,
-        trace=trace,
-        zeta=zeta,
+        trace=meta["trace"],
+        zeta=meta["zeta"],
     )

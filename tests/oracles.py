@@ -52,3 +52,23 @@ def block_matrix(rel, block_index: int, y: np.ndarray) -> np.ndarray:
     out = np.empty((s, s))
     out[iu, ju] = out[ju, iu] = rel.forms[0].values(y)[rel.layout.offsets[block_index] :][: iu.size]
     return out
+
+
+def write_sdp_per_entry(sdp, path: str) -> None:
+    """The standard-form text file, each entry line %-formatted on its own."""
+    layout = sdp.layout
+    lines = [f'"trace={sdp.trace!r} zeta={sdp.zeta}']
+    lines.append(str(sdp.n_rows))
+    lines.append(str(len(sdp.block_sizes)))
+    lines.append(" ".join(str(s) for s in sdp.block_sizes))
+    lines.append(" ".join(f"{v:.17g}" for v in sdp.b))
+    obj = np.flatnonzero(sdp.c)
+    coo = sdp.a_mat.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    t = np.concatenate([np.zeros(obj.size, dtype=np.intp), coo.row[order] + 1])
+    pos = np.concatenate([obj, coo.col[order]])
+    val = np.concatenate([sdp.c[obj], coo.data[order]]) / layout.scale[pos]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+        for k, p in enumerate(pos.tolist()):
+            fh.write("%d %d %d %d %.17g\n" % (t[k], layout.block[p] + 1, layout.row[p] + 1, layout.col[p] + 1, val[k]))

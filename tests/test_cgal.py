@@ -516,6 +516,20 @@ def test_cgal_loop_reports_a_bound():
         assert rep.iterations == ref.iterations and rep.x.tobytes() == ref.x.tobytes()
 
 
+def test_solve_runs_one_power_iteration_across_a_fallback(monkeypatch):
+    # the spectral path gives up after five evaluations at order 2; the loop
+    # then reuses its operator norm, and the transpose built with it
+    norms, duals = [], []
+    norm, dual = ncsdp.cgal._operator_norm, ncsdp.cgal._spectral_dual
+    monkeypatch.setattr(ncsdp.cgal, "_operator_norm", lambda *a: norms.append(a) or norm(*a))
+    monkeypatch.setattr(ncsdp.cgal, "_spectral_dual", lambda *a: duals.append(dual(*a)) or duals[-1])
+    form, cfg = _ball_sdp(n=2, order=2)[1], CgalConfig(eps=1e-4, max_iters=5)
+    rep = solve(form, cfg)
+    assert duals == [None] and len(norms) == 1
+    ref = _cgal_loop(form, cfg)
+    assert rep.x.tobytes() == ref.x.tobytes() and rep.z.tobytes() == ref.z.tobytes()
+
+
 @pytest.mark.filterwarnings("ignore:clique chain")
 def test_cgal_loop_stops_on_the_gap_near_the_value():
     # the objective stays near -1.525951 for 50 steps on this form, 20 eps

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ncsdp.free_algebra import EMPTY_WORD, NcPolynomial, SymmetryMode, canonicalize, evaluate, word_value
 from ncsdp.generator import gen_dense, gen_sparse
 from ncsdp.relaxation import (
+    _scalar_value,
     Problem,
     build,
     half_degree,
@@ -361,3 +362,56 @@ def test_equality_sampling():
     for y in samples:
         assert y[0] == pytest.approx(1.0)
         assert np.abs(rel.forms[1].values(y)).max() <= 1e-8
+
+
+def test_scalar_anchor_check_matches_matrix_evaluation():
+    # at 1 x 1 matrices the constraints are evaluated on the coordinates; the
+    # warnings and moments must be those of the 1 x 1 matrix evaluation
+    n = 3
+    x = [NcPolynomial.letter(n, j) for j in range(1, n + 1)]
+    one = NcPolynomial.constant(n, 1.0)
+    ball = one - x[0] * x[0] - x[1] * x[1] - x[2] * x[2]
+    ineqs = [ball, x[0] * x[1] + x[1] * x[0] + 0.3 * one, x[2] * x[0] * x[2] - 0.7 * x[1] * x[1] * x[1] + 0.1 * one]
+    eqs = [x[0] * x[0] - 0.25 * one, x[1] * x[2] * x[1] + 1.5 * x[0] - 1e-3 * one]
+    prob = Problem(n=n, objective=x[0] + x[1], inequalities=ineqs, equalities=eqs)
+    for mode in SymmetryMode:
+        rel = build(prob, order=2, mode=mode)
+        for point in ([0.9, -1.3, 0.7], [1 / 3, 0.1, -2.0e-5], [3.7e100, -2.0, 1e-310], [0.5, 0.5, 0.0]):
+            mats = [np.array([[a]]) for a in point]
+            expected = []
+            with np.errstate(over="ignore"):  # 3.7e100 ** 4
+                for i, g in enumerate(ineqs):
+                    lam = float(np.linalg.eigvalsh(evaluate(g, mats)).min())
+                    if lam < -1e-8:
+                        expected.append(f"inequality {i} violated by {-lam:.3g} at the given tuple")
+                for i, h in enumerate(eqs):
+                    dev = float(np.abs(evaluate(h, mats)).max())
+                    if dev > 1e-8:
+                        expected.append(f"equality {i} off by {dev:.3g} at the given tuple")
+                ref = np.array([float(word_value(w, mats, 1)[0, 0]) for w in rel.keys])
+            assert expected  # every point is infeasible
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                y = moment_vector_from_evaluation(rel, mats, v=np.ones(1))
+            assert [str(w.message) for w in caught if w.category is UserWarning] == expected
+            # equal as numbers; a product that underflows keeps its sign here,
+            # while the 1 x 1 matmul of word_value gives +0.0
+            assert np.array_equal(y, ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    terms=st.lists(
+        st.tuples(st.lists(st.integers(1, 3), max_size=5).map(tuple), st.floats(-1e3, 1e3, allow_subnormal=False)),
+        max_size=8,
+    ),
+    point=st.lists(st.floats(-1e60, 1e60), min_size=3, max_size=3),
+)
+def test_scalar_value_matches_1x1_evaluate(terms, point):
+    p = NcPolynomial.zero(3)
+    for w, c in terms:
+        p = p + NcPolynomial(3, {w: c})
+    with np.errstate(all="ignore"):
+        ref = evaluate(p, [np.array([[a]]) for a in point])[0, 0]
+    # equal as numbers: only the sign of an underflowed zero may differ
+    assert np.array_equal([_scalar_value(p, point)], [ref], equal_nan=True)

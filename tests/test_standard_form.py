@@ -22,7 +22,7 @@ from ncsdp.standard_form import (
     write_sdp,
     x_from_moments,
 )
-from oracles import layout_matrix
+from oracles import layout_matrix, write_sdp_per_entry
 
 
 def ball_problem(n: int) -> Problem:
@@ -357,3 +357,142 @@ def test_read_sdp_rejects_malformed(tmp_path):
     back = read_sdp(str(path))
     assert back.c.tolist() == [0.0, 0.5 * np.sqrt(2.0), 0.0, 0.0]
     assert back.a_mat.toarray().tolist() == [[0.0, 0.0, 0.0, 3.0]]
+
+
+_HEAD = '"trace=2.0 zeta=1\n1\n2\n2 1\n1.0\n'
+
+
+def _read_text(tmp_path, text: str, newline: str | None = None):
+    path = tmp_path / "edge.sdp"
+    with open(path, "w", newline=newline) as fh:
+        fh.write(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an empty entry section is not a loadtxt "no data" warning
+        return read_sdp(str(path))
+
+
+def test_read_sdp_comments_between_entries(tmp_path):
+    # a " and a * comment among the entries; the last trace= and zeta= tokens win
+    back = _read_text(tmp_path, _HEAD + '0 1 1 2 0.5\n"trace=3.5 zeta=4 note\n\n1 2 1 1 3.0\n* trace=5.0\n')
+    assert (back.trace, back.zeta) == (5.0, 4)
+    assert back.c.tolist() == [0.0, 0.5 * np.sqrt(2.0), 0.0, 0.0]
+    assert back.a_mat.toarray().tolist() == [[0.0, 0.0, 0.0, 3.0]]
+
+
+def test_read_sdp_line_endings_and_whitespace(tmp_path):
+    plain = _read_text(tmp_path, _HEAD + "0 1 1 2 0.5\n1 2 1 1 3.0\n")
+    for text in (
+        (_HEAD + "0 1 1 2 0.5\n1 2 1 1 3.0\n").replace("\n", "\r\n"),
+        _HEAD + "0\t1 1 2\t0.5\n  1 2 1 1 3.0  \t",  # tabs, padding and no final newline
+        (_HEAD + "0 1 1 2 0.5\n1 2 1 1 3.0").replace("\n", "\r\n"),
+    ):
+        back = _read_text(tmp_path, text, newline="")
+        assert (back.trace, back.zeta, back.block_sizes) == (plain.trace, plain.zeta, plain.block_sizes)
+        assert back.c.tobytes() == plain.c.tobytes() and back.b.tobytes() == plain.b.tobytes()
+        assert (back.a_mat != plain.a_mat).nnz == 0
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ("0 1 1 1 1.0\n1 1 1 1 1.0 7\n",
+         "the dtype passed requires 5 columns but 6 were found at row 2; use `usecols` to select a "
+         "subset and avoid this error"),
+        ("0 1 1 1 1.0\n\n* c\n1 1 1 1\n",
+         "the dtype passed requires 5 columns but 4 were found at row 2; use `usecols` to select a "
+         "subset and avoid this error"),
+        ("0 1 1 1 1.0\n1 1 1 x 1.0\n", "could not convert string 'x' to int64 at row 1, column 4."),
+        ("0 1 1 1 1.0\n\n* c\n1 1 1 1 abc\n", "could not convert string 'abc' to float64 at row 1, column 5."),
+    ],
+)
+def test_read_sdp_malformed_entry_messages(tmp_path, entries, message):
+    # rows are counted over the entry lines alone, comments and blanks left out
+    with pytest.raises(ValueError) as err:
+        _read_text(tmp_path, _HEAD + entries)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("tail", ["", "\n\n", "* only a comment\n  \n"])
+def test_read_sdp_empty_entry_section(tmp_path, tail):
+    back = _read_text(tmp_path, _HEAD + tail)
+    assert back.c.tolist() == [0.0] * 4 and back.a_mat.nnz == 0 and back.b.tolist() == [1.0]
+    # with no constraints the right hand side line is blank
+    back = _read_text(tmp_path, '"trace=2.0\n0\n1\n2\n\n' + tail)
+    assert back.n_rows == 0 and back.c.tolist() == [0.0] * 3
+
+
+# signed zeros, subnormals, the ends of the float range, and a few values that
+# repeat often, as in an assembled form
+_PIECES = st.sampled_from([-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308, -1.7976931348623157e308, 1.0, -1.0, 0.1, 1 / 3])
+_VALUES = st.one_of(_PIECES, _PIECES, _FLOATS)
+
+
+def _same_bytes_as_oracle(sdp, tmp_path) -> bool:
+    write_sdp(sdp, str(tmp_path / "new.sdp"))
+    write_sdp_per_entry(sdp, str(tmp_path / "ref.sdp"))
+    return (tmp_path / "new.sdp").read_bytes() == (tmp_path / "ref.sdp").read_bytes()
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_write_sdp_bytes_match_per_entry_oracle(tmp_path, data):
+    sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4), label="sizes")
+    layout = BlockLayout(sizes)
+    m = data.draw(st.integers(0, 6), label="m")
+    # stored entries at distinct (row, position) cells, explicit zeros and -0.0 included
+    cell = st.tuples(st.integers(0, max(m - 1, 0)), st.integers(0, layout.dim - 1))
+    cells = data.draw(st.lists(cell, unique=True, max_size=3 * layout.dim), label="cells") if m else []
+    vals = data.draw(st.lists(_VALUES, min_size=len(cells), max_size=len(cells)), label="values")
+    rows, cols = (np.array(v, dtype=np.intp) for v in zip(*cells)) if cells else (np.zeros(0, np.intp),) * 2
+    a_mat = sp.csr_matrix(sp.coo_matrix((np.array(vals, dtype=float), (rows, cols)), shape=(m, layout.dim)))
+    assert a_mat.nnz == len(cells)
+    sdp = StandardSdp(
+        block_sizes=sizes,
+        c=data.draw(st.one_of(st.just(np.zeros(layout.dim)), arrays(float, layout.dim, elements=_VALUES)), label="c"),
+        a_mat=a_mat,
+        b=data.draw(arrays(float, m, elements=_VALUES), label="b"),
+        trace=data.draw(_VALUES, label="trace"),
+        zeta=data.draw(st.integers(0, m), label="zeta"),
+    )
+    assert _same_bytes_as_oracle(sdp, tmp_path)
+
+
+def test_write_sdp_bytes_match_per_entry_oracle_across_chunks(tmp_path):
+    # 2 x 45,150 entries from 40 distinct values: past the first 64k-entry chunk
+    layout = BlockLayout([300])
+    rng = np.random.default_rng(5)
+    pool = np.concatenate([[-0.0, 5e-324, 1e308], rng.standard_normal(37)])
+    a_dense = pool[rng.integers(0, pool.size, (2, layout.dim))]
+    a_dense[:, ::7] = 0.0
+    sdp = StandardSdp(
+        block_sizes=[300],
+        c=pool[rng.integers(0, pool.size, layout.dim)],
+        a_mat=sp.csr_matrix(a_dense),
+        b=np.array([1.0, -0.0]),
+        trace=3.0,
+        zeta=1,
+    )
+    assert sdp.a_mat.nnz + np.count_nonzero(sdp.c) > 1 << 16
+    assert _same_bytes_as_oracle(sdp, tmp_path)
+
+
+def test_read_sdp_across_parse_pieces(tmp_path):
+    # the entry table is parsed in pieces of 64k lines; a fault in an early
+    # piece does not hide one a whole-table check ranks first, and blank or
+    # comment lines at a piece boundary change nothing
+    body = "1 1 1 1 0.5\n" * 70_000
+    for entries, message in (
+        ("1 1 2 1 1.0\n" + body + "0 1 1 1 nan\n", "non-finite value in entry '0 1 1 1 nan'"),
+        ("1 1 2 1 1.0\n" + body + "1 3 1 1 1.0\n", "block index outside 1..2"),
+        ("1 3 1 1 1.0\n" + body + "2 1 1 1 1.0\n", "constraint index outside 0..1"),
+    ):
+        with pytest.raises(ValueError) as err:
+            _read_text(tmp_path, _HEAD + entries)
+        assert str(err.value) == message
+    lines = body.splitlines(keepends=True)
+    plain = _read_text(tmp_path, _HEAD + "0 2 1 1 -1.0\n" + body)
+    for gap in ("\n", "  \n\n", '"trace=3.0 note\n'):
+        back = _read_text(tmp_path, _HEAD + "0 2 1 1 -1.0\n" + "".join(lines[: (1 << 16) - 1]) + gap + "".join(lines[(1 << 16) - 1 :]))
+        assert back.c.tobytes() == plain.c.tobytes() and back.a_mat.data.tobytes() == plain.a_mat.data.tobytes()
+        assert back.trace == (3.0 if "trace" in gap else 2.0)
+    assert plain.a_mat.toarray().tolist() == [[70_000 * 0.5, 0.0, 0.0, 0.0]]
