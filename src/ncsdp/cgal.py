@@ -1,7 +1,7 @@
 """Block-diagonal SDP solver: a spectral dual path and the CGAL loop.
 
 Solves min <C, X> over block psd matrices with tr(X) = a and A svec(X) = b.
-solve dispatches on block size. When every block is at most dense_cutoff,
+solve dispatches on block size. When every block is at most _DENSE_CUTOFF,
 the spectral dual path runs first. With the trace fixed, the dual is the
 unconstrained concave problem max_u f(u) = b.u + a lambda_min(C - A^T u),
 and f(u) is a lower bound for every u. The path maximizes an
@@ -16,13 +16,14 @@ atom a vv* placed in the block that owns the smallest eigenvalue; the trace
 constraint is therefore maintained exactly by construction, and every
 iterate is a convex combination of psd matrices.
 
-Both paths stop on one gap test: residual <= eps and |c.x - f(u)| <=
-eps (1 + |f(u)|), in original units.
+Both paths run on one normalized copy of the data (_Scaled), stop on one
+gap test, residual <= eps and |c.x - f(u)| <= eps (1 + |f(u)|) in original
+units, and report through _report with the multiplier u of their bound.
 
 The eigenpair search groups the blocks by size. A 1 x 1 block is read
 straight from the gradient, with eigenvector [1]. All blocks of one larger
 size are gathered into a (k, s, s) stack and take one min_eigpair call: one
-stacked eigh up to dense_cutoff, a LAPACK subset eigh per block above it.
+stacked eigh up to _DENSE_CUTOFF, a LAPACK subset eigh per block above it.
 The first block with the least eigenvalue wins, and a non-finite eigenvalue
 stops the solve with CgalError.
 """
@@ -40,6 +41,11 @@ import scipy.sparse as sp
 
 from .standard_form import BlockLayout, StandardSdp
 
+_BETA0 = 1.0  # CGAL penalty weight in normalized units; the step's beta is _BETA0 sqrt(t + 1)
+_DUAL_CAP = 1e9  # the CGAL loop rejects a dual update that takes |z| above this
+_DENSE_CUTOFF = 64  # largest block for the stacked full eigh; the spectral path needs all blocks within it
+_TRACE_TOL = 1e-9  # an iterate whose trace is off a by more than this times max(1, a) is an error
+
 
 class CgalError(Exception):
     """Raised when an iterate violates a maintained invariant."""
@@ -49,11 +55,7 @@ class CgalError(Exception):
 class CgalConfig:
     eps: float = 1e-4  # 0 skips the spectral path and runs CGAL for max_iters steps
     max_iters: int = 200_000  # CGAL steps, or dual evaluations on the spectral path
-    beta0: float = 1.0
-    dual_cap: float = 1e9
     seed: int = 0  # no effect: every solve is deterministic; kept for callers that set it
-    dense_cutoff: int = 64  # largest block for the stacked full eigh; the spectral path needs all blocks within it
-    trace_tol: float = 1e-9
     check_psd: bool = False  # per-iteration psd audit; costs one eigvalsh per block size
     track_residuals: bool = False  # record the relative residual at every iteration
 
@@ -63,19 +65,25 @@ class SolveReport:
     objective: float
     residual: float
     iterations: int
-    converged: bool
     x: np.ndarray
-    z: np.ndarray  # dual multiplier in normalized units; u = -|c| z / sigma(A) in original units
-    runtime: float
+    u: np.ndarray  # multiplier in original units: dual_bound(sdp, u) gives lower_bound
     min_iterate_eig: float  # most negative block eigenvalue seen (0 unless audited)
-    dual_cap_hits: int  # iterations whose dual update was rejected by dual_cap
+    dual_cap_hits: int  # iterations whose dual update was rejected by _DUAL_CAP
     stop_reason: str  # "gap" or "max_iters"
     lower_bound: float  # certified bound f(u), the best over the solve
-    gap: float  # objective - lower_bound
     residual_history: np.ndarray | None = None  # per-iteration relative residuals
+    runtime: float = 0.0  # seconds in solve, both paths
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "gap"
+
+    @property
+    def gap(self) -> float:
+        return self.objective - self.lower_bound
 
 
-def min_eigpair(a: np.ndarray, dense_cutoff: int = 64) -> tuple[float, np.ndarray]:
+def min_eigpair(a: np.ndarray, dense_cutoff: int = _DENSE_CUTOFF) -> tuple[float, np.ndarray]:
     """Smallest eigenpair of a symmetric matrix, or of each matrix in a (k, s, s) stack.
 
     The size s picks the method: 1 x 1 matrices in closed form, s up to
@@ -107,18 +115,16 @@ def _require_finite(lam: np.ndarray, t: int) -> None:
         raise CgalError(f"smallest eigenvalue of block {bad} is {float(lam[bad])!r} at iteration {t}")
 
 
-def _operator_norm(a_mat, at=None) -> float:
+def _operator_norm(a_mat, at) -> float:
     """Largest singular value of a sparse matrix by deterministic power iteration.
 
     Used only to precondition the solver, so a few correct digits are enough;
     the start vector is fixed to keep solves reproducible. at is a_mat.T as
-    CSR, built here when not given.
+    CSR.
     """
     m, n = a_mat.shape
     if m == 0 or n == 0:
         return 1.0
-    if at is None:
-        at = a_mat.T.tocsr()
     v = np.ones(n) + 1e-3 * np.arange(n) / max(n - 1, 1)
     v /= np.linalg.norm(v)
     sig = 0.0
@@ -150,8 +156,9 @@ class _Spectrum:
     Every size class is gathered through BlockLayout.stack; a 1 x 1 block
     is its own eigenvalue, with eigenvector [1]. eig gives all eigenpairs
     (the spectral dual path), least the smallest one (the CGAL loop) and
-    floor the least eigenvalue (the psd audit). mix is the way back: the
-    svec of V diag(w) V^T in every block, for weights w on its eigenvectors.
+    lows the least eigenvalue of every block (the psd audit, and
+    dual_bound). mix is the way back: the svec of V diag(w) V^T in every
+    block, for weights w on its eigenvectors.
     """
 
     def __init__(self, layout: BlockLayout):
@@ -188,7 +195,7 @@ class _Spectrum:
             _require_finite(lam, t)
         return eigs
 
-    def least(self, g: np.ndarray, t: int, dense_cutoff: int) -> tuple[float, int, np.ndarray]:
+    def least(self, g: np.ndarray, t: int) -> tuple[float, int, np.ndarray]:
         """(eigenvalue, block, eigenvector) of the first block with the least eigenvalue.
 
         One min_eigpair call per size class above 1 x 1; a non-finite
@@ -201,17 +208,22 @@ class _Spectrum:
                 lam[blocks] = g[pos[:, 0]]
                 vecs.append(np.ones((blocks.size, 1)))
             else:
-                lam[blocks], v = min_eigpair(self.layout.stack(g, s), dense_cutoff)
+                lam[blocks], v = min_eigpair(self.layout.stack(g, s), _DENSE_CUTOFF)
                 vecs.append(v)
         _require_finite(lam, t)
         blk = int(lam.argmin())
         return float(lam[blk]), blk, vecs[self.cls[blk]][self.rank[blk]]
 
-    def floor(self, x: np.ndarray, a: float, t: int) -> float:
-        """Least eigenvalue over the blocks of x, at most 0; CgalError at the first block below -1e-9 max(1, a)."""
+    def lows(self, x: np.ndarray) -> np.ndarray:
+        """Least eigenvalue of every block of x, one eigvalsh per size class."""
         lam = np.empty(self.cls.size)
         for s, blocks, _ in self.classes:
             lam[blocks] = np.linalg.eigvalsh(self.layout.stack(x, s))[:, 0]
+        return lam
+
+    def floor(self, x: np.ndarray, a: float, t: int) -> float:
+        """Least eigenvalue over the blocks of x, at most 0; CgalError at the first block below -1e-9 max(1, a)."""
+        lam = self.lows(x)
         low = np.flatnonzero(lam < -1e-9 * max(1.0, a))
         if low.size:
             raise CgalError(f"iterate lost psd in block {int(low[0])} at iteration {t}")
@@ -238,10 +250,55 @@ def dual_bound(sdp: StandardSdp, u: np.ndarray) -> float:
     Every feasible X is psd with trace a, so <C, X> = b.u + <C - A^T u, X>
     >= f(u): f(u) is a lower bound on the optimal value for every u.
     """
-    g = sdp.c - sdp.a_mat.T @ u
-    layout = sdp.layout
-    lam = min(float(np.linalg.eigvalsh(layout.stack(g, s))[:, 0].min()) for s in set(layout.sizes))
+    lam = float(_Spectrum(sdp.layout).lows(sdp.c - sdp.a_mat.T @ u).min())
     return float(sdp.b @ u) + float(sdp.trace) * lam
+
+
+def _check_trace(tr: float, a: float, t: int) -> None:
+    """CgalError when the trace tr of the iterate at iteration t is off the constant a."""
+    if abs(tr - a) > _TRACE_TOL * max(1.0, a):
+        raise CgalError(f"trace drifted to {tr!r} against constant {a!r} at iteration {t}")
+
+
+class _Scaled:
+    """What both paths read off sdp, computed once per solve.
+
+    The trace a, c_norm = |c| (1 when c = 0), c_s = c / c_norm, b_norm =
+    |b|, at = A^T as CSR, and sigma, the largest singular value of A.
+    """
+
+    def __init__(self, sdp: StandardSdp):
+        self.sdp, self.a = sdp, float(sdp.trace)
+        self.c_norm = float(np.linalg.norm(sdp.c)) or 1.0
+        self.c_s = sdp.c / self.c_norm
+        self.b_norm = float(np.linalg.norm(sdp.b))
+        self.at = sdp.a_mat.T.tocsr()
+        self.sigma = _operator_norm(sdp.a_mat, self.at)
+
+
+def _report(
+    d: _Scaled, cfg: CgalConfig, x, u, bound, iterations: int, res_norm: float, *,
+    min_seen: float = 0.0, cap_hits: int = 0, history: list | None = None,
+) -> SolveReport:
+    """The report of either path on x, with the bound f(u) = bound at the multiplier u.
+
+    res_norm is |A svec(x) - b| as the path measured it. Computes the
+    objective, the relative residual and the verdict of the gap test.
+    """
+    objective = float(d.sdp.c @ x)
+    residual = res_norm / (1.0 + d.b_norm)
+    return SolveReport(
+        objective=objective,
+        residual=residual,
+        iterations=iterations,
+        x=x,
+        u=u,
+        min_iterate_eig=min_seen,
+        dual_cap_hits=cap_hits,
+        stop_reason="gap" if _certified(residual, objective, bound, cfg.eps) else "max_iters",
+        lower_bound=bound,
+        residual_history=None if history is None else np.array(history),
+    )
 
 
 class _SmoothedDual:
@@ -254,10 +311,11 @@ class _SmoothedDual:
     residual A svec(W) - b of that mixture.
     """
 
-    def __init__(self, spectrum: _Spectrum, c_s, a_s, b_s, history: list | None, res_scale: float):
-        self.spectrum, self.c_s, self.a_s, self.b_s = spectrum, c_s, a_s, b_s
-        self.at_s = a_s.T.tocsr()
-        self.mixture = np.empty(c_s.size)
+    def __init__(self, d: _Scaled, history: list | None, res_scale: float):
+        self.spectrum = _Spectrum(d.sdp.layout)
+        self.c_s, self.b_s = d.c_s, d.sdp.b / (d.sigma * d.a)
+        self.a_s, self.at_s = (d.sdp.a_mat / d.sigma).tocsr(), d.at / d.sigma
+        self.mixture = np.empty(d.c_s.size)
         self.history, self.res_scale = history, res_scale
         self.mu = 1.0
         self.evals = 0
@@ -429,31 +487,23 @@ def _witness(dual: _SmoothedDual, u: np.ndarray, target: float) -> np.ndarray:
     return embed @ s
 
 
-def _spectral_dual(sdp: StandardSdp, cfg: CgalConfig, sigma: float | None = None) -> SolveReport | None:
+def _spectral_dual(d: _Scaled, cfg: CgalConfig) -> SolveReport | None:
     """Maximize the smoothed dual, then certify the bound with a primal witness.
 
-    Runs on the normalized data of the CGAL loop (objective over its norm,
-    A over its largest singular value, trace 1). The smoothing mu falls by
-    tens from 1e-2 to the first level at most 0.1 eps, each level times
+    Runs on the normalized data of _Scaled (objective over its norm, A over
+    its largest singular value, trace 1). The smoothing mu falls by tens
+    from 1e-2 to the first level at most 0.1 eps, each level times
     max(1, |f|). Each level runs L-BFGS until the softmin mixture's
     residual is 0.1 eps, both relative in original units and in normalized
     units, ten times that for each level still to come; a level that
     spends its _STAGE_EVALS budget ends the path, and
     max_iters caps the evaluations in all. Returns the report when the
-    witness passes the gap test, None when it does not. sigma is
-    _operator_norm(sdp.a_mat), computed here when not given.
+    witness passes the gap test, None when it does not.
     """
-    t0 = time.perf_counter()
-    a = float(sdp.trace)
-    layout = sdp.layout
-    c_norm = float(np.linalg.norm(sdp.c)) or 1.0
-    if sigma is None:
-        sigma = _operator_norm(sdp.a_mat)
-    b_norm = float(np.linalg.norm(sdp.b))
-    res_scale = sigma * a / (1.0 + b_norm)  # normalized residual norm to relative residual
+    sdp, a = d.sdp, d.a
+    res_scale = d.sigma * a / (1.0 + d.b_norm)  # normalized residual norm to relative residual
     history: list[float] | None = [] if cfg.track_residuals else None
-    a_s = (sdp.a_mat / sigma).tocsr()
-    dual = _SmoothedDual(_Spectrum(layout), sdp.c / c_norm, a_s, sdp.b / (sigma * a), history, res_scale)
+    dual = _SmoothedDual(d, history, res_scale)
     gtol = 0.1 * cfg.eps * min(1.0, 1.0 / res_scale)
     levels = max(1, math.ceil(-math.log10(0.1 * cfg.eps) - 1e-9) - 1)
     u = np.zeros(sdp.n_rows)
@@ -476,95 +526,64 @@ def _spectral_dual(sdp: StandardSdp, cfg: CgalConfig, sigma: float | None = None
 
     x = a * _witness(dual, u, gtol)
     t = dual.evals
-    tr = layout.trace(x)
-    if abs(tr - a) > cfg.trace_tol * max(1.0, a):
-        raise CgalError(f"trace drifted to {tr!r} against constant {a!r} at iteration {t}")
+    _check_trace(sdp.layout.trace(x), a, t)
     min_seen = dual.spectrum.floor(x, a, t) if cfg.check_psd else 0.0
-    residual = float(np.linalg.norm(sdp.a_mat @ x - sdp.b)) / (1.0 + b_norm)
-    objective = float(sdp.c @ x)
-    bound = dual_bound(sdp, c_norm * u / sigma)
-    if not _certified(residual, objective, bound, cfg.eps):
-        return None
-    return SolveReport(
-        objective=objective,
-        residual=residual,
-        iterations=t,
-        converged=True,
-        x=x,
-        z=-u,
-        runtime=time.perf_counter() - t0,
-        min_iterate_eig=min_seen,
-        dual_cap_hits=0,
-        stop_reason="gap",
-        lower_bound=bound,
-        gap=objective - bound,
-        residual_history=None if history is None else np.array(history),
-    )
+    u = d.c_norm * u / d.sigma
+    res_norm = float(np.linalg.norm(sdp.a_mat @ x - sdp.b))
+    rep = _report(d, cfg, x, u, dual_bound(sdp, u), t, res_norm, min_seen=min_seen, history=history)
+    return rep if rep.converged else None
 
 
-def _cgal_loop(
-    sdp: StandardSdp, cfg: CgalConfig, at_mat: sp.csr_matrix | None = None, sigma: float | None = None
-) -> SolveReport:
+def _cgal_loop(d: _Scaled, cfg: CgalConfig) -> SolveReport:
     """Run CGAL until the gap test passes or max_iters steps are spent.
 
-    The dynamics are run on a normalized copy of the data (objective divided
-    by its norm, constraint operator by its largest singular value, trace
-    budget 1) so that the penalty weight beta0 = 1 sits in the right regime
-    regardless of instance scale; iterates, objective values, and residuals
-    are kept and reported in original units throughout.
+    The dynamics are run on the normalized data of _Scaled (objective
+    divided by its norm, constraint operator by its largest singular value,
+    trace budget 1) so that the penalty weight _BETA0 = 1 sits in the right
+    regime regardless of instance scale; iterates, objective values, and
+    residuals are kept and reported in original units throughout.
 
     Each step's gradient is g = c / |c| + A^T mult, and its least eigenvalue
     lam is what the step already computes. At u = -|c| mult, C - A^T u is
     |c| g, so f(u) = |c| (a lam - b.mult): a certified lower bound at the
-    cost of one dot product. The report carries the best such bound, and
-    the loop stops when ||A svec(X) - b|| / (1 + ||b||) <= eps and
+    cost of one dot product. The report carries the best such bound and its
+    u, and the loop stops when ||A svec(X) - b|| / (1 + ||b||) <= eps and
     |c.x - bound| <= eps (1 + |bound|). max_iters is at least 1. The trace
     of every iterate is checked against the constant; psd is audited per
     block when check_psd is set (iterates are psd by construction, the
-    audit guards the arithmetic). at_mat is sdp.a_mat.T as CSR and sigma
-    _operator_norm(sdp.a_mat); each is computed here when not given.
+    audit guards the arithmetic).
     """
-    t0 = time.perf_counter()
-    a = float(sdp.trace)
-    layout = sdp.layout
-    a_mat = sdp.a_mat
-    if at_mat is None:
-        at_mat = a_mat.T.tocsr()
-    if sigma is None:
-        sigma = _operator_norm(a_mat, at_mat)
-    b = sdp.b
-    c = sdp.c
-
-    c_norm = float(np.linalg.norm(c)) or 1.0
-    c_scaled = c / c_norm
+    sdp, a, sigma, c_norm, c_scaled, at_mat = d.sdp, d.a, d.sigma, d.c_norm, d.c_s, d.at
+    layout, a_mat, b, c = sdp.layout, sdp.a_mat, sdp.b, sdp.c
     res_scale = sigma * a
 
     x = np.zeros(sdp.dim)
     x[layout.diag] = a / sum(sdp.block_sizes)
     z = np.zeros(a_mat.shape[0])
     ax = a_mat @ x
-    b_norm = float(np.linalg.norm(b))
 
     bound = -math.inf
     min_seen = 0.0
     resid_hist: list[float] | None = [] if cfg.track_residuals else None
     cap_hits = 0
     spectrum = _Spectrum(layout)
-    beta0, dual_cap, eps = cfg.beta0, cfg.dual_cap, cfg.eps
-    trace_bound = cfg.trace_tol * max(1.0, a)
     add_outer, trace = layout.add_outer, layout.trace
     r = (ax - b) / res_scale
     mult = np.empty_like(r)  # the dual multiplier (z + beta r) / sigma
+    best = np.zeros_like(r)  # the mult that gave the best bound
 
     for t in range(1, cfg.max_iters + 1):
-        beta = beta0 * math.sqrt(t + 1.0)
+        beta = _BETA0 * math.sqrt(t + 1.0)
         np.multiply(r, beta, out=mult)
         mult += z
         mult /= sigma
         g = at_mat @ mult
         g += c_scaled
-        lam, blk, v = spectrum.least(g, t, cfg.dense_cutoff)
-        bound = max(bound, c_norm * (a * lam - b.dot(mult)))
+        lam, blk, v = spectrum.least(g, t)
+        f = c_norm * (a * lam - b.dot(mult))
+        if f > bound:
+            bound = f
+            np.copyto(best, mult)
 
         eta = 2.0 / (t + 1.0)
         x *= 1.0 - eta
@@ -578,64 +597,50 @@ def _cgal_loop(
         # directly gives the same bits without norm's dispatch
         rn_scaled = math.sqrt(r.dot(r))
         # in normalized units the trace budget is 1, so a drops out of the clip
-        gamma = beta0 if rn_scaled == 0.0 else min(beta0, 4.0 * beta * eta * eta / (rn_scaled * rn_scaled))
+        gamma = _BETA0 if rn_scaled == 0.0 else min(_BETA0, 4.0 * beta * eta * eta / (rn_scaled * rn_scaled))
         z_new = z + gamma * r
-        if math.sqrt(z_new.dot(z_new)) <= dual_cap:
+        if math.sqrt(z_new.dot(z_new)) <= _DUAL_CAP:
             z = z_new
         else:
             cap_hits += 1
 
-        tr = trace(x)
-        if abs(tr - a) > trace_bound:
-            raise CgalError(f"trace drifted to {tr!r} against constant {a!r} at iteration {t}")
+        _check_trace(trace(x), a, t)
         if cfg.check_psd:
             min_seen = min(min_seen, spectrum.floor(x, a, t))
 
-        resid_rel = rn_scaled * res_scale / (1.0 + b_norm)
+        res_norm = rn_scaled * res_scale
+        resid_rel = res_norm / (1.0 + d.b_norm)
         if resid_hist is not None:
             resid_hist.append(resid_rel)
-        converged = _certified(resid_rel, obj, bound, eps)
-        if converged:
+        if _certified(resid_rel, obj, bound, cfg.eps):
             break
 
-    return SolveReport(
-        objective=obj,
-        residual=resid_rel,
-        iterations=t,
-        converged=converged,
-        x=x,
-        z=z,
-        runtime=time.perf_counter() - t0,
-        min_iterate_eig=min_seen,
-        dual_cap_hits=cap_hits,
-        stop_reason="gap" if converged else "max_iters",
-        lower_bound=bound,
-        gap=obj - bound,
-        residual_history=None if resid_hist is None else np.array(resid_hist),
+    return _report(
+        d, cfg, x, -c_norm * best, bound, t, res_norm, min_seen=min_seen, cap_hits=cap_hits, history=resid_hist
     )
 
 
 def solve(sdp: StandardSdp, cfg: CgalConfig | None = None) -> SolveReport:
     """Solve sdp to accuracy eps: the spectral dual path when it applies, else CGAL.
 
-    When eps > 0 and every block is at most dense_cutoff, the spectral dual
+    When eps > 0 and every block is at most _DENSE_CUTOFF, the spectral dual
     path runs first and returns only a report that passes the gap test.
-    When it cannot certify, or a block is larger, the CGAL loop runs. Every
-    report carries a certified lower_bound and the gap to its objective,
-    and stops on "gap" or "max_iters". Both paths share one transpose of A
-    and one operator norm. runtime covers both paths. ValueError
-    when max_iters < 1 or eps is negative or not finite.
+    When it cannot certify, or a block is larger, the CGAL loop runs. Both
+    paths read one _Scaled copy of the data: its norms, one transpose of A and
+    one operator norm. Every report carries a certified lower_bound, the
+    multiplier u that gives it, and the gap to its objective, and stops on
+    "gap" or "max_iters". runtime covers both paths. ValueError when
+    max_iters < 1 or eps is negative or not finite.
     """
     cfg = cfg or CgalConfig()
     if cfg.max_iters < 1 or not (math.isfinite(cfg.eps) and cfg.eps >= 0.0):
         raise ValueError(f"need max_iters >= 1 and a finite eps >= 0, got {cfg.max_iters} and {cfg.eps!r}")
     t0 = time.perf_counter()
-    at_mat = sdp.a_mat.T.tocsr()
-    sigma = _operator_norm(sdp.a_mat, at_mat)
+    d = _Scaled(sdp)
     rep = None
-    if cfg.eps > 0 and max(sdp.block_sizes, default=0) <= cfg.dense_cutoff:
-        rep = _spectral_dual(sdp, cfg, sigma)
+    if cfg.eps > 0 and max(sdp.block_sizes, default=0) <= _DENSE_CUTOFF:
+        rep = _spectral_dual(d, cfg)
     if rep is None:
-        rep = _cgal_loop(sdp, cfg, at_mat, sigma)
+        rep = _cgal_loop(d, cfg)
     rep.runtime = time.perf_counter() - t0
     return rep

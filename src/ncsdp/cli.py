@@ -2,11 +2,14 @@
 
 Subcommands: gen (random instances), count (structure statistics), ctp
 (certify the constant trace property), solve (full pipeline through the
-solver; the result line prints the value, the certified bound, the gap and
-the stop reason), bench (the built-in benchmark families).
+solver; the result line prints the value, the certified bound, the gap, the
+certificate's verify residual and the stop reason), bench (the built-in
+benchmark families). Every command but gen re-checks its certificate with
+ctp.verify.
 
 Exit codes: 0 success, 1 usage error, 2 invalid input, 3 constant trace
-property not certified.
+property not certified, or its verify residual above VERIFY_LIMIT times
+max(1, trace constant).
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_NO_CTP = 3
+# largest accepted verify residual per unit of trace constant (at least 1): the residual is absolute
+# and grows with the trace constant; for constants up to 1, this is the benchmark gate's limit
+VERIFY_LIMIT = 1e-8
 
 CSV_COLUMNS = ["n", "l", "k", "omega", "smax", "zeta", "amax", "val", "time", "resid", "mode", "sparse"]
 
@@ -125,16 +131,33 @@ def load_problem(path: str) -> Problem:
 # shared pipeline pieces
 
 
-def _mode(name: str) -> SymmetryMode:
-    return SymmetryMode.STAR_CYCLIC if name == "trace" else SymmetryMode.STAR_ONLY
+def _certified(problem: Problem, k: int, mode_name: str, layout: str = "auto", samples: int = 5):
+    """Decompose, build the relaxation, certify constant trace, count and verify the certificate.
+
+    layout "dense" takes one clique, "detect" detects cliques from the
+    sparsity and "auto" takes the instance's own. Returns (rel, cert,
+    stats, residual, seconds), where seconds times the steps before the
+    verify; ctp.CtpError, exit code 3, when the verify residual is above
+    VERIFY_LIMIT * max(1, trace constant).
+    """
+    t0 = time.perf_counter()
+    mode = SymmetryMode.STAR_CYCLIC if mode_name == "trace" else SymmetryMode.STAR_ONLY
+    decomp = dense_decomposition(problem) if layout == "dense" else decompose(problem, detect=layout == "detect")
+    rel = build(problem, k, mode, decomp=decomp)
+    cert = ctp.certify(rel)
+    st = sf.count_stats(rel, cert)
+    seconds = time.perf_counter() - t0
+    residual = ctp.verify(rel, cert, samples=samples)
+    limit = VERIFY_LIMIT * max(1.0, cert.trace_constant)
+    if not residual <= limit:
+        raise ctp.CtpError(f"certificate verify residual {residual:.3e} is above {limit:.3g}")
+    return rel, cert, st, residual, seconds
 
 
-def _decomposition(problem: Problem, layout: str):
-    if layout == "dense":
-        return dense_decomposition(problem)
-    if layout == "detect":
-        return decompose(problem, detect=True)
-    return decompose(problem)
+def _stats_row(problem: Problem, k: int, mode_name: str, rel, st: sf.CountStats) -> dict:
+    """The CSV columns of every command: the instance, the order, the structure counts and the mode."""
+    return {"n": problem.n, "l": len(problem.equalities), "k": k, "omega": st.omega, "smax": st.smax,
+            "zeta": st.zeta, "amax": st.amax, "mode": mode_name, "sparse": int(rel.n_groups > 1)}
 
 
 def _order(problem: Problem, k: int | None) -> int:
@@ -192,45 +215,29 @@ def cmd_gen(args) -> int:
 def cmd_count(args) -> int:
     problem = load_problem(args.instance)
     k = _order(problem, args.order)
-    decomp = _decomposition(problem, args.layout)
-    rel = build(problem, k, _mode(args.mode), decomp=decomp)
-    cert = ctp.certify(rel)
-    st = sf.count_stats(rel, cert)
+    rel, _, st, _, _ = _certified(problem, k, args.mode, args.layout)
     print(f"n={problem.n} k={k} groups={rel.n_groups} "
           f"omega={st.omega} smax={st.smax} zeta={st.zeta} amax={st.amax:g}")
     if args.csv:
-        _csv_row(args.csv, {
-            "n": problem.n, "l": len(problem.equalities), "k": k,
-            "omega": st.omega, "smax": st.smax, "zeta": st.zeta, "amax": st.amax,
-            "mode": args.mode, "sparse": int(rel.n_groups > 1),
-        })
+        _csv_row(args.csv, _stats_row(problem, k, args.mode, rel, st))
     return EXIT_OK
 
 
 def cmd_ctp(args) -> int:
     problem = load_problem(args.instance)
     k = _order(problem, args.order)
-    decomp = _decomposition(problem, args.layout)
-    rel = build(problem, k, _mode(args.mode), decomp=decomp)
-    cert = ctp.certify(rel)
+    rel, cert, _, residual, _ = _certified(problem, k, args.mode, args.layout, args.samples)
     for g, (prov, a_g) in enumerate(zip(cert.provenances, cert.group_traces)):
         print(f"group {g}: {prov} a={a_g:g}")
-    residual = ctp.verify(rel, cert, samples=args.samples)
     print(f"trace constant {cert.trace_constant:g}; verification residual {residual:.3e}")
     return EXIT_OK
 
 
-def _solve_one(problem: Problem, k: int, mode_name: str, layout: str, args):
-    decomp = _decomposition(problem, layout)
-    rel = build(problem, k, _mode(mode_name), decomp=decomp)
-    cert = ctp.certify(rel)
-    st = sf.count_stats(rel, cert)
-    sdp = sf.assemble(rel, cert)
-    cfg = cgal.CgalConfig(eps=args.eps, max_iters=args.max_iters)
+def _timed_solve(sdp: sf.StandardSdp, args):
+    """(report, seconds) of cgal.solve at the command's eps and max_iters."""
     t0 = time.perf_counter()
-    rep = cgal.solve(sdp, cfg)
-    elapsed = time.perf_counter() - t0
-    return rel, st, sdp, rep, elapsed
+    rep = cgal.solve(sdp, cgal.CgalConfig(eps=args.eps, max_iters=args.max_iters))
+    return rep, time.perf_counter() - t0
 
 
 def cmd_solve(args) -> int:
@@ -238,10 +245,12 @@ def cmd_solve(args) -> int:
     k = _order(problem, args.order)
     modes = ["eig", "trace"] if args.mode == "both" else [args.mode]
     for mode_name in modes:
-        rel, st, sdp, rep, elapsed = _solve_one(problem, k, mode_name, args.layout, args)
+        rel, cert, st, verified, _ = _certified(problem, k, mode_name, args.layout)
+        sdp = sf.assemble(rel, cert)
+        rep, elapsed = _timed_solve(sdp, args)
         tag = "converged" if rep.converged else "iteration budget reached"
         print(f"{mode_name} k={k}: value {rep.objective:.6f}  bound {rep.lower_bound:.6f}  gap {rep.gap:.1e}  "
-              f"residual {rep.residual:.2e}  iters {rep.iterations}  {elapsed:.1f}s  "
+              f"residual {rep.residual:.2e}  verify {verified:.1e}  iters {rep.iterations}  {elapsed:.1f}s  "
               f"({tag}, stop {rep.stop_reason})")
         if args.export:
             # with both modes, F.ext becomes F-eig.ext and F-trace.ext
@@ -250,13 +259,8 @@ def cmd_solve(args) -> int:
             sf.write_sdp(sdp, path)
             print(f"standard form written to {path}")
         if args.csv:
-            _csv_row(args.csv, {
-                "n": problem.n, "l": len(problem.equalities), "k": k,
-                "omega": st.omega, "smax": st.smax, "zeta": st.zeta, "amax": st.amax,
-                "val": f"{rep.objective:.8f}", "time": f"{elapsed:.3f}",
-                "resid": f"{rep.residual:.3e}", "mode": mode_name,
-                "sparse": int(rel.n_groups > 1),
-            })
+            _csv_row(args.csv, {**_stats_row(problem, k, mode_name, rel, st), "val": f"{rep.objective:.8f}",
+                                "time": f"{elapsed:.3f}", "resid": f"{rep.residual:.3e}"})
     return EXIT_OK
 
 
@@ -275,25 +279,12 @@ def cmd_bench(args) -> int:
         else:
             problem = generator.gen_dense(n, kind=kind, l=l, seed=args.seed)
         for k in (1, 2):
-            t0 = time.perf_counter()
-            rel = build(problem, k, _mode(args.mode))
-            cert = ctp.certify(rel)
-            st = sf.count_stats(rel, cert)
-            count_time = time.perf_counter() - t0
-            row = {
-                "n": n, "l": len(problem.equalities), "k": k,
-                "omega": st.omega, "smax": st.smax, "zeta": st.zeta, "amax": st.amax,
-                "mode": args.mode, "sparse": int(rel.n_groups > 1),
-                "time": f"{count_time:.3f}",
-            }
+            rel, cert, st, _, count_time = _certified(problem, k, args.mode)  # the time leaves out the verify
+            row = {**_stats_row(problem, k, args.mode, rel, st), "time": f"{count_time:.3f}"}
             line = (f"table {args.table} {kind} n={n} l={len(problem.equalities)} k={k}: "
                     f"omega={st.omega} smax={st.smax} zeta={st.zeta} amax={st.amax:g}")
             if k == 1 and not args.count_only:
-                sdp = sf.assemble(rel, cert)
-                cfg = cgal.CgalConfig(eps=args.eps, max_iters=args.max_iters)
-                t0 = time.perf_counter()
-                rep = cgal.solve(sdp, cfg)
-                elapsed = time.perf_counter() - t0
+                rep, elapsed = _timed_solve(sf.assemble(rel, cert), args)
                 row.update(val=f"{rep.objective:.8f}", time=f"{elapsed:.3f}",
                            resid=f"{rep.residual:.3e}")
                 line += f"  val={rep.objective:.6f} resid={rep.residual:.1e} time={elapsed:.1f}s"
@@ -373,10 +364,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"ncsdp: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (CliqueAssignmentError, CapacityError, ValueError) as exc:
+    except (InputError, CliqueAssignmentError, CapacityError, ValueError) as exc:
         print(f"ncsdp: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ctp.CtpError as exc:

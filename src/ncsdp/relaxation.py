@@ -502,7 +502,8 @@ def moment_vector_from_evaluation(
 
     if point:
         # at a scalar point y_w is the product of w's coordinates, taken left
-        # to right as word_value does; letter 0 pads every word with a 1.0
+        # to right: word_value's value, but an underflowed product keeps its
+        # sign (-0.0 where matmul gives +0.0); letter 0 pads words with a 1.0
         vals = np.array([1.0] + point)[rel.key_words]
         y = np.ones(rel.n_keys)
         for column in vals.T:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncsdp
+from ncsdp import cgal
 
 from ncsdp.cgal import (
     CgalConfig,
@@ -18,6 +19,7 @@ from ncsdp.cgal import (
     SolveReport,
     _cgal_loop,
     _operator_norm,
+    _Scaled,
     _Spectrum,
     _spectral_dual,
     dual_bound,
@@ -103,7 +105,8 @@ def _reference_block_eigs(layout, g, dense_cutoff):
 
 
 @pytest.mark.parametrize("dense_cutoff", [64, 2, 0])
-def test_block_eigs_matches_per_block_loop(dense_cutoff):
+def test_block_eigs_matches_per_block_loop(monkeypatch, dense_cutoff):
+    monkeypatch.setattr(cgal, "_DENSE_CUTOFF", dense_cutoff)
     layout = BlockLayout([3, 1, 3, 1, 5, 2, 1])
     rng = np.random.default_rng(dense_cutoff)
     gs = [rng.standard_normal(layout.dim) for _ in range(20)]
@@ -117,7 +120,7 @@ def test_block_eigs_matches_per_block_loop(dense_cutoff):
     winners = []
     for t, g in enumerate(gs + [tie, one], start=1):
         lam_ref, blk_ref, v_ref = _reference_block_eigs(layout, g, dense_cutoff)
-        lam, blk, v = spectrum.least(g, t, dense_cutoff)
+        lam, blk, v = spectrum.least(g, t)
         assert (lam, blk) == (lam_ref, blk_ref)
         assert np.array_equal(v, v_ref)
         winners.append(blk)
@@ -130,13 +133,15 @@ def _reference_solve(sdp, cfg):
     # the solver loop as it was before 1 x 1 blocks were read from the
     # gradient: one eigensolve per block, np.linalg.norm, and r recomputed
     # from A x every iteration; the bound f(u) at u = -|c| m comes from the
-    # least block eigenvalue of the gradient c / |c| + A^T m
+    # least block eigenvalue of the gradient c / |c| + A^T m; the constants
+    # are read from the module, where a test may have patched them
+    beta0, dual_cap, dense_cutoff = cgal._BETA0, cgal._DUAL_CAP, cgal._DENSE_CUTOFF
     a = float(sdp.trace)
     layout, a_mat, b, c = sdp.layout, sdp.a_mat, sdp.b, sdp.c
     at_mat = a_mat.T.tocsr()
     c_norm = float(np.linalg.norm(c)) or 1.0
     c_scaled = c / c_norm
-    sigma = _operator_norm(a_mat)
+    sigma = _operator_norm(a_mat, at_mat)
     res_scale = sigma * a
     x = np.zeros(sdp.dim)
     x[layout.diag] = a / sum(sdp.block_sizes)
@@ -147,11 +152,11 @@ def _reference_solve(sdp, cfg):
     converged, iters, cap_hits, min_seen, hist = False, 0, 0, 0.0, []
     for t in range(1, cfg.max_iters + 1):
         iters = t
-        beta = cfg.beta0 * math.sqrt(t + 1.0)
+        beta = beta0 * math.sqrt(t + 1.0)
         r = (ax - b) / res_scale
         m = (z + beta * r) / sigma
         g = c_scaled + at_mat @ m
-        lam, blk, v = _reference_block_eigs(layout, g, cfg.dense_cutoff)
+        lam, blk, v = _reference_block_eigs(layout, g, dense_cutoff)
         f = c_norm * (a * lam - float(b @ m))
         if f > bound:
             bound, u_best = f, -c_norm * m
@@ -163,12 +168,12 @@ def _reference_solve(sdp, cfg):
         r_new = (ax - b) / res_scale
         rn_scaled = float(np.linalg.norm(r_new))
         gamma = (
-            cfg.beta0
+            beta0
             if rn_scaled == 0.0
-            else min(cfg.beta0, 4.0 * beta * eta * eta / (rn_scaled * rn_scaled))
+            else min(beta0, 4.0 * beta * eta * eta / (rn_scaled * rn_scaled))
         )
         z_new = z + gamma * r_new
-        if float(np.linalg.norm(z_new)) <= cfg.dual_cap:
+        if float(np.linalg.norm(z_new)) <= dual_cap:
             z = z_new
         else:
             cap_hits += 1
@@ -181,7 +186,7 @@ def _reference_solve(sdp, cfg):
             converged = True
             break
     return dict(
-        objective=obj, residual=resid_rel, iterations=iters, converged=converged, x=x, z=z,
+        objective=obj, residual=resid_rel, iterations=iters, converged=converged, x=x,
         min_iterate_eig=min_seen, dual_cap_hits=cap_hits,
         residual_history=np.array(hist) if cfg.track_residuals else None,
         lower_bound=bound, gap=obj - bound, stop_reason="gap" if converged else "max_iters", u_best=u_best,
@@ -209,28 +214,34 @@ def _mixed_sdp():
     return _direct_sdp(sizes, c, rows, rows @ x0, trace=2.0)
 
 
+# module constants a case of test_solve_matches_reference_loop sets
+_CASE_CONSTANTS = {"subset eigh everywhere": ("_DENSE_CUTOFF", 0), "dual cap": ("_DUAL_CAP", 0.3)}
+
+
 @pytest.mark.parametrize(
     "name, cfg",
     [
         ("converges", CgalConfig(eps=3e-3, max_iters=20_000)),
         ("iteration cap", CgalConfig(eps=1e-9, max_iters=400, seed=3)),
-        ("subset eigh everywhere", CgalConfig(eps=1e-3, max_iters=150, dense_cutoff=0)),
+        ("subset eigh everywhere", CgalConfig(eps=1e-3, max_iters=150)),
         ("audits", CgalConfig(eps=1e-3, max_iters=400, check_psd=True, track_residuals=True)),
-        ("dual cap", CgalConfig(eps=1e-3, max_iters=400, dual_cap=0.3, track_residuals=True)),
+        ("dual cap", CgalConfig(eps=1e-3, max_iters=400, track_residuals=True)),
     ],
 )
 @pytest.mark.parametrize("problem", ["mixed", "ball"])
-def test_solve_matches_reference_loop(problem, name, cfg):
+def test_solve_matches_reference_loop(monkeypatch, problem, name, cfg):
+    if name in _CASE_CONSTANTS:
+        monkeypatch.setattr(cgal, *_CASE_CONSTANTS[name])
     sdp = _mixed_sdp() if problem == "mixed" else _ball_sdp(n=2, order=2)[1]
     ref = _reference_solve(sdp, cfg)
-    rep = _cgal_loop(sdp, cfg)
+    rep = _cgal_loop(_Scaled(sdp), cfg)
     for field in ("objective", "residual", "iterations", "converged", "min_iterate_eig", "dual_cap_hits",
                   "lower_bound", "gap", "stop_reason"):
         assert getattr(rep, field) == ref[field], field
-    # the bound the loop reads off its eigenvalue is f at the multiplier that gave it
-    assert abs(rep.lower_bound - dual_bound(sdp, ref["u_best"])) <= 1e-12 * abs(rep.lower_bound)
+    # the reported multiplier is the one that gave the bound, and f there is the bound
+    assert rep.u.tobytes() == ref["u_best"].tobytes()
+    assert abs(rep.lower_bound - dual_bound(sdp, rep.u)) <= 1e-12 * abs(rep.lower_bound)
     assert rep.x.tobytes() == ref["x"].tobytes()
-    assert rep.z.tobytes() == ref["z"].tobytes()
     if cfg.track_residuals:
         assert rep.residual_history.tobytes() == ref["residual_history"].tobytes()
     else:
@@ -245,7 +256,7 @@ def test_solve_matches_reference_loop(problem, name, cfg):
         assert rep.min_iterate_eig <= 0.0
 
 
-def test_solve_rejects_non_finite_eigenvalue():
+def test_solve_rejects_non_finite_eigenvalue(monkeypatch):
     # an infinite objective entry gives inf / inf = NaN in the gradient of block 1 only
     sizes = [1, 2]
     layout = BlockLayout(sizes)
@@ -256,8 +267,10 @@ def test_solve_rejects_non_finite_eigenvalue():
         with pytest.raises(CgalError, match="block 1 is nan at iteration 1"):
             solve(sdp, CgalConfig(max_iters=10))
         # the same error when block 1 takes the subset eigh instead of the stacked eigh
-        with pytest.raises(CgalError, match="block 1 is nan at iteration 1"):
-            solve(sdp, CgalConfig(max_iters=10, dense_cutoff=0))
+        with monkeypatch.context() as patch:
+            patch.setattr(cgal, "_DENSE_CUTOFF", 0)
+            with pytest.raises(CgalError, match="block 1 is nan at iteration 1"):
+                solve(sdp, CgalConfig(max_iters=10))
         # an all-NaN gradient names the first block
         sdp.c = np.full(layout.dim, np.nan)
         with pytest.raises(CgalError, match="block 0 is nan at iteration 1"):
@@ -355,12 +368,13 @@ def test_solve_deterministic_for_fixed_seed():
     assert np.array_equal(r1.x, r2.x)
 
 
-def test_solve_ignores_seed():
-    # blocks of 7 and 3 above dense_cutoff take the subset eigh, which draws
+def test_solve_ignores_seed(monkeypatch):
+    # blocks of 7 and 3 above the cutoff take the subset eigh, which draws
     # no random start: the seed changes nothing
+    monkeypatch.setattr(cgal, "_DENSE_CUTOFF", 2)
     _, sdp = _ball_sdp(n=2, order=2)
-    r1 = solve(sdp, CgalConfig(eps=1e-3, max_iters=300, dense_cutoff=2, seed=0))
-    r2 = solve(sdp, CgalConfig(eps=1e-3, max_iters=300, dense_cutoff=2, seed=12345))
+    r1 = solve(sdp, CgalConfig(eps=1e-3, max_iters=300, seed=0))
+    r2 = solve(sdp, CgalConfig(eps=1e-3, max_iters=300, seed=12345))
     assert max(sdp.block_sizes) > 2
     assert r1.x.tobytes() == r2.x.tobytes()
 
@@ -374,7 +388,7 @@ def test_solve_trace_guard_raises(monkeypatch):
 
 def test_solve_psd_guard_raises(monkeypatch):
     _, sdp = _ball_sdp()
-    # dense_cutoff=0 sends solve straight to the CGAL loop, whose eigenpair
+    # a cutoff of 0 sends solve straight to the CGAL loop, whose eigenpair
     # search takes scipy.linalg.eigh, so patching eigvalsh corrupts only the
     # audit's view of the iterate: every stacked block reads -1 as its least
     # eigenvalue
@@ -384,8 +398,9 @@ def test_solve_psd_guard_raises(monkeypatch):
         return w
 
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    monkeypatch.setattr(cgal, "_DENSE_CUTOFF", 0)
     with pytest.raises(CgalError, match="lost psd in block 0 at iteration 1"):
-        solve(sdp, CgalConfig(eps=1e-3, max_iters=10, check_psd=True, dense_cutoff=0))
+        solve(sdp, CgalConfig(eps=1e-3, max_iters=10, check_psd=True))
 
 
 def test_psd_floor_names_the_first_block_in_block_order():
@@ -405,10 +420,11 @@ def test_psd_floor_names_the_first_block_in_block_order():
         spectrum.floor(x, 1.0, 4)
 
 
-def test_dual_cap_hits():
+def test_dual_cap_hits(monkeypatch):
     _, sdp = _ball_sdp()
-    assert _cgal_loop(sdp, CgalConfig(eps=1e-3, max_iters=2000)).dual_cap_hits == 0
-    capped = _cgal_loop(sdp, CgalConfig(eps=1e-3, max_iters=2000, dual_cap=1e-6))
+    assert _cgal_loop(_Scaled(sdp), CgalConfig(eps=1e-3, max_iters=2000)).dual_cap_hits == 0
+    monkeypatch.setattr(cgal, "_DUAL_CAP", 1e-6)
+    capped = _cgal_loop(_Scaled(sdp), CgalConfig(eps=1e-3, max_iters=2000))
     assert 0 < capped.dual_cap_hits <= capped.iterations
 
 
@@ -419,13 +435,13 @@ def test_report_fields():
     assert rep.iterations >= 1
     assert rep.runtime >= 0.0
     assert rep.x.shape == (sdp.dim,)
-    assert rep.z.shape == (sdp.n_rows,)
+    assert rep.u.shape == (sdp.n_rows,)
     assert rep.residual_history is None
 
 
 def test_residual_history_non_increasing_over_windows():
     _, sdp = _ball_sdp(n=3, order=2)
-    rep = _cgal_loop(sdp, CgalConfig(eps=1e-4, max_iters=100_000, track_residuals=True))
+    rep = _cgal_loop(_Scaled(sdp), CgalConfig(eps=1e-4, max_iters=100_000, track_residuals=True))
     h = rep.residual_history
     assert h is not None
     assert len(h) == rep.iterations
@@ -487,33 +503,70 @@ def test_spectral_dual_certifies_at_any_scale(trace, scale):
     assert rep.lower_bound <= float(c @ x0) + 1e-9 * (1 + abs(float(c @ x0)))
 
 
-def test_cgal_loop_reports_a_bound():
+def test_cgal_loop_reports_a_bound(monkeypatch):
     _, sdp = _ball_sdp()
-    rep = _cgal_loop(sdp, CgalConfig(eps=1e-3, max_iters=30_000))
+    rep = _cgal_loop(_Scaled(sdp), CgalConfig(eps=1e-3, max_iters=30_000))
     assert rep.converged and rep.stop_reason == "gap"
     assert isinstance(rep.lower_bound, float) and rep.gap == rep.objective - rep.lower_bound
     # the relaxation value of sum X_j over the unit ball is -sqrt(2)
     assert rep.lower_bound <= -np.sqrt(2.0) + 1e-12
     assert abs(rep.gap) <= 1e-3 * (1 + abs(rep.lower_bound))
-    capped = _cgal_loop(sdp, CgalConfig(eps=1e-9, max_iters=50))
+    capped = _cgal_loop(_Scaled(sdp), CgalConfig(eps=1e-9, max_iters=50))
     assert capped.stop_reason == "max_iters" and not capped.converged
     assert capped.lower_bound <= -np.sqrt(2.0) + 1e-12
-    # a block above dense_cutoff, or eps = 0, sends solve straight to the loop;
+    # a block above the cutoff, or eps = 0, sends solve straight to the loop;
     # five evaluations are too few for the spectral path at order 2, and an
     # infeasible form (x1 = 2 above the trace 1) has an unbounded dual, so in
     # both solve falls back to the loop
     cases = (
-        (sdp, CgalConfig(eps=1e-3, max_iters=2000, dense_cutoff=2)),
-        (sdp, CgalConfig(eps=0.0, max_iters=500)),
-        (_ball_sdp(n=2, order=2)[1], CgalConfig(eps=1e-4, max_iters=5)),
+        (sdp, CgalConfig(eps=1e-3, max_iters=2000), 2),
+        (sdp, CgalConfig(eps=0.0, max_iters=500), 64),
+        (_ball_sdp(n=2, order=2)[1], CgalConfig(eps=1e-4, max_iters=5), 64),
         (_direct_sdp([1, 1], [1.0, 2.0], [[1.0, 0.0]], [2.0], trace=1.0),
-         CgalConfig(eps=1e-4, max_iters=300)),
+         CgalConfig(eps=1e-4, max_iters=300), 64),
     )
-    for form, cfg in cases:
-        rep, ref = solve(form, cfg), _cgal_loop(form, cfg)
+    for form, cfg, cutoff in cases:
+        monkeypatch.setattr(cgal, "_DENSE_CUTOFF", cutoff)
+        rep, ref = solve(form, cfg), _cgal_loop(_Scaled(form), cfg)
         assert rep.stop_reason == ref.stop_reason and rep.stop_reason in ("gap", "max_iters")
         assert rep.lower_bound == ref.lower_bound and rep.gap == ref.gap
         assert rep.iterations == ref.iterations and rep.x.tobytes() == ref.x.tobytes()
+
+
+@pytest.mark.parametrize("path", ["loop k=1", "loop k=2", "dual"])
+def test_multiplier_reproduces_the_bound(path):
+    # dual_bound at the reported u gives the reported bound, up to rounding
+    if path == "dual":
+        sdp = _ball_sdp()[1]
+        rep = _spectral_dual(_Scaled(sdp), CgalConfig(eps=1e-4, max_iters=20_000))
+        assert rep is not None and max(sdp.block_sizes) <= cgal._DENSE_CUTOFF
+    else:
+        rel = build(gen_dense(2, "ball", seed=0), int(path[-1]))
+        sdp = assemble(rel, certify(rel))
+        rep = _cgal_loop(_Scaled(sdp), CgalConfig(eps=1e-3, max_iters=3000))
+    assert rep.u.shape == (sdp.n_rows,)
+    assert abs(dual_bound(sdp, rep.u) - rep.lower_bound) <= 1e-12 * (1 + abs(rep.lower_bound))
+
+
+@pytest.mark.parametrize(
+    "sizes, eps, dual",
+    [([64, 1], 1e-4, True), ([2, 64], 1e-4, True), ([65, 1], 1e-4, False), ([2, 65], 1e-4, False),
+     ([64, 1], 0.0, False)],
+)
+def test_solve_picks_the_path_by_block_size(monkeypatch, sizes, eps, dual):
+    # the spectral dual path is tried exactly when eps > 0 and no block is
+    # above the cutoff; a spy that declines sends every solve on to the loop
+    calls = []
+    monkeypatch.setattr(cgal, "_spectral_dual", lambda d, cfg: calls.append(d.sdp.block_sizes))
+    layout = BlockLayout(sizes)
+    rng = np.random.default_rng(3)
+    x0 = np.zeros(layout.dim)
+    x0[layout.diag] = 1.0 / sum(sizes)
+    rows = rng.standard_normal((2, layout.dim))
+    rep = solve(_direct_sdp(sizes, rng.standard_normal(layout.dim), rows, rows @ x0, trace=1.0),
+                CgalConfig(eps=eps, max_iters=3))
+    assert calls == ([sizes] if dual else [])
+    assert rep.iterations == 3
 
 
 def test_solve_runs_one_power_iteration_across_a_fallback(monkeypatch):
@@ -526,8 +579,8 @@ def test_solve_runs_one_power_iteration_across_a_fallback(monkeypatch):
     form, cfg = _ball_sdp(n=2, order=2)[1], CgalConfig(eps=1e-4, max_iters=5)
     rep = solve(form, cfg)
     assert duals == [None] and len(norms) == 1
-    ref = _cgal_loop(form, cfg)
-    assert rep.x.tobytes() == ref.x.tobytes() and rep.z.tobytes() == ref.z.tobytes()
+    ref = _cgal_loop(_Scaled(form), cfg)
+    assert rep.x.tobytes() == ref.x.tobytes() and rep.u.tobytes() == ref.u.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:clique chain")
@@ -536,7 +589,7 @@ def test_cgal_loop_stops_on_the_gap_near_the_value():
     # above its value; the gap test waits until it is within eps
     prob = gen_sparse(7, 3, seed=16)
     rel = build(prob, 1, decomp=dense_decomposition(prob))
-    rep = _cgal_loop(assemble(rel, certify(rel)), CgalConfig(eps=1e-4))
+    rep = _cgal_loop(_Scaled(assemble(rel, certify(rel))), CgalConfig(eps=1e-4))
     value = -1.531072
     assert rep.converged and rep.stop_reason == "gap"
     assert abs(rep.objective - value) <= 1e-4 * (1 + abs(value))
@@ -582,13 +635,13 @@ def test_dual_bound_never_exceeds_a_feasible_value(data):
     slack = 1e-9 * (1 + abs(value))
     for scale in (0.1, 1.0, 10.0):
         assert dual_bound(sdp, scale * rng.standard_normal(m)) <= value + slack
-    rep = _spectral_dual(sdp, CgalConfig(eps=1e-4, max_iters=20_000))
-    loop = _cgal_loop(sdp, CgalConfig(eps=1e-4, max_iters=300))
+    rep = _spectral_dual(_Scaled(sdp), CgalConfig(eps=1e-4, max_iters=20_000))
+    loop = _cgal_loop(_Scaled(sdp), CgalConfig(eps=1e-4, max_iters=300))
     assert loop.lower_bound <= value + slack
     reports = [loop]
     if rep is not None:
         assert rep.lower_bound <= value + slack
-        assert rep.lower_bound == dual_bound(sdp, -np.linalg.norm(c) * rep.z / _operator_norm(sdp.a_mat))
+        assert rep.lower_bound == dual_bound(sdp, rep.u)
         reports.append(rep)
     for r in reports:
         for i in range(len(sizes)):

@@ -94,6 +94,7 @@ def test_solve_both_modes(ball_instance, capsys, tmp_path):
     assert out.count("value") == 2
     assert "eig k=2" in out and "trace k=2" in out
     assert out.count("bound -") == 2 and out.count("(converged, stop gap)") == 2
+    assert out.count("verify ") == 2
     # one file per mode, each path printed; the eig form is not overwritten by the trace form
     paths = [tmp_path / "out-eig.sdp", tmp_path / "out-trace.sdp"]
     assert [line.split(" to ")[1] for line in out.splitlines() if "written" in line] == list(map(str, paths))
@@ -170,6 +171,33 @@ def test_uncertifiable_instance_exits_three(tmp_path, capsys):
     }))
     assert main(["ctp", str(path)]) == EXIT_NO_CTP
     assert "not certified" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["solve", "--eps", "1e-3"], ["count"], ["ctp"], ["bench", "--table", "1"]])
+def test_failed_verify_exits_three(ball_instance, monkeypatch, capsys, command):
+    # every command re-checks the certificate and stops before any output
+    monkeypatch.setattr("ncsdp.ctp.verify", lambda *args, **kwargs: 1.0)
+    argv = command[:1] + ([] if command[0] == "bench" else [ball_instance]) + command[1:]
+    assert main(argv) == EXIT_NO_CTP
+    captured = capsys.readouterr()
+    assert "verify residual 1.000e+00 is above 2e-08" in captured.err  # the limit scales with a = 2 at k = 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", [["count"], ["ctp"], ["solve", "--max-iters", "50"]])
+def test_large_trace_constant_passes_verify(tmp_path, monkeypatch, capsys, command):
+    # ball of radius 1000 at k = 2: a = 1e12 + 1e6 + 1 and an absolute residual of about 1e-4,
+    # sound in relative terms; the anchor stands in for the sampled traces
+    monkeypatch.setattr("ncsdp.ctp.SAMPLING_BUDGET", 0)
+    problem = Problem(n=2, objective=gen_dense(2, seed=3).objective,
+                      inequalities=[NcPolynomial(2, {(): 1e6, (1, 1): -1.0, (2, 2): -1.0})],
+                      anchor=np.array([300.0, 700.0]))
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(problem_to_json(problem)))
+    assert main(command[:1] + [str(path), "-k", "2"] + command[1:]) == EXIT_OK
+    out = capsys.readouterr().out
+    if command[0] == "ctp":
+        assert float(out.split("residual ")[-1]) > 1e-8
 
 
 def test_asymmetric_input_symmetrized(tmp_path, capsys):

@@ -328,7 +328,9 @@ def test_moment_vector_validation_and_warnings():
 @pytest.mark.parametrize("problem", ["ball", "chain"])
 def test_moment_vector_at_scalar_point_matches_word_products(problem, mode):
     # at 1 x 1 matrices the keys are evaluated in one pass; the per-key
-    # word_value loop it replaced is the reference, bit for bit
+    # word_value loop it replaced is the reference, bit for bit at these
+    # anchors, where no product underflows (an underflowed product is -0.0
+    # in the pass and +0.0 through word_value's matmul)
     prob = gen_dense(4, kind="ball", seed=2) if problem == "ball" else gen_sparse(9, 3, seed=1)
     rel = build(prob, order=2, mode=mode)
     mats = [np.array([[a]]) for a in prob.anchor]
