@@ -29,7 +29,6 @@ from .relaxation import (
     build,
     minimal_order,
     moment_vector_from_evaluation,
-    sample_equality_feasible_moments,
 )
 from .sparsity import CliqueAssignmentError, CliqueDecomposition, decompose
 from .standard_form import CountStats, StandardSdp, assemble, count_stats, read_sdp, recover_moments, write_sdp
@@ -72,7 +71,6 @@ __all__ = [
     "moment_vector_from_evaluation",
     "read_sdp",
     "recover_moments",
-    "sample_equality_feasible_moments",
     "solve",
     "solve_lp",
     "verify",

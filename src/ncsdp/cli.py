@@ -131,7 +131,7 @@ def load_problem(path: str) -> Problem:
 # shared pipeline pieces
 
 
-def _certified(problem: Problem, k: int, mode_name: str, layout: str = "auto", samples: int = 5):
+def _certified(problem: Problem, k: int, mode_name: str, layout: str = "auto"):
     """Decompose, build the relaxation, certify constant trace, count and verify the certificate.
 
     layout "dense" takes one clique, "detect" detects cliques from the
@@ -147,7 +147,7 @@ def _certified(problem: Problem, k: int, mode_name: str, layout: str = "auto", s
     cert = ctp.certify(rel)
     st = sf.count_stats(rel, cert)
     seconds = time.perf_counter() - t0
-    residual = ctp.verify(rel, cert, samples=samples)
+    residual = ctp.verify(rel, cert)
     limit = VERIFY_LIMIT * max(1.0, cert.trace_constant)
     if not residual <= limit:
         raise ctp.CtpError(f"certificate verify residual {residual:.3e} is above {limit:.3g}")
@@ -226,7 +226,7 @@ def cmd_count(args) -> int:
 def cmd_ctp(args) -> int:
     problem = load_problem(args.instance)
     k = _order(problem, args.order)
-    rel, cert, _, residual, _ = _certified(problem, k, args.mode, args.layout, args.samples)
+    rel, cert, _, residual, _ = _certified(problem, k, args.mode, args.layout)
     for g, (prov, a_g) in enumerate(zip(cert.provenances, cert.group_traces)):
         print(f"group {g}: {prov} a={a_g:g}")
     print(f"trace constant {cert.trace_constant:g}; verification residual {residual:.3e}")
@@ -331,8 +331,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ctp", help="certify the constant trace property")
     p.add_argument("instance", help="instance JSON file")
-    p.add_argument("--samples", type=int, default=5,
-                   help="sampled moment vectors in verification (default 5)")
     _add_common(p)
     p.set_defaults(func=cmd_ctp)
 

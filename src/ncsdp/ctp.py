@@ -14,12 +14,12 @@ and y_1 = 1, where P = blockdiag(G_i^{1/2}).
 Certificates come from closed forms for the constraint patterns produced by
 the instance generator (ball, polydisc, square equalities), and from a small
 LP for anything else. Both routes are checked by `verify`, which expands the
-identity symbolically and samples the trace over the feasible affine span.
+identity symbolically and pushes it through the relaxation's entry forms,
+key by key.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +32,7 @@ from .free_algebra import (
     basis_size,
 )
 from .lp import LpInstance, LpResult, solve_lp
-from .relaxation import Relaxation, moment_vector_from_evaluation, sample_equality_feasible_moments
+from .relaxation import Relaxation
 
 PROV_BALL = "ball-closed-form"
 PROV_POLYDISC = "polydisc-closed-form"
@@ -104,64 +104,16 @@ def ball_terms(letters: tuple[int, ...]) -> dict[Word, float]:
     return terms
 
 
-def ball_decomposition_residual(n: int, k: int, coeffs: dict[Word, float]) -> float:
-    """Max |coeff| of sum_{W_k} w*w - (1+k) - sum_u d_u u*(sum X^2 - 1)u."""
-    acc: dict[Word, float] = {}
-    for w in WordBasis(range(1, n + 1), k).words:
-        _add_term(acc, w[::-1] + w, 1.0)
-    _add_term(acc, EMPTY_WORD, -float(1 + k))
-    q = {(j, j): 1.0 for j in range(1, n + 1)}
-    q[EMPTY_WORD] = -1.0
-    for u, du in coeffs.items():
-        _add_conjugation(acc, u, q, u, -du)
-    return max((abs(c) for c in acc.values()), default=0.0)
-
-
-def derive_ball_coeffs(n: int, k: int) -> dict[Word, float]:
-    """Re-derive the ball multipliers by coefficient matching.
-
-    The word u* X_j X_j u appears once in sum_{W_k} w*w (as w*w for
-    w = X_j u), with weight -d_u from the u term and +d_{X_j u} from the
-    square-free part of the X_j u term. Matching its coefficient to zero
-    forces d_u = 1 + d_{X_j u}, with d_u = 1 at degree k-1. Every letter j
-    must give the same answer, which is checked.
-    """
-    coeffs: dict[Word, float] = {}
-    words = sorted(WordBasis(range(1, n + 1), k - 1).words, key=len, reverse=True)
-    for u in words:
-        values = set()
-        for j in range(1, n + 1):
-            ext = (j,) + u
-            values.add(1.0 + coeffs.get(ext, 0.0))
-        if len(values) != 1:
-            raise CtpError("ball multiplier matching is inconsistent")
-        coeffs[u] = values.pop()
-    return coeffs
-
-
-_BALL_CACHE: dict[tuple[int, int], dict[Word, float]] = {}
-
-
 def ball_coeffs(n: int, k: int) -> dict[Word, float]:
     """Multipliers d_u over W_{k-1} for the ball trace identity.
 
     Realizes sum_{w in W_k} w*w = (1+k) + sum_u d_u u*(sum_j X_j^2 - 1)u
-    with d_u = k - deg(u). Validated once per (n, k) against the matching
-    oracle and the exact symbolic expansion; the validated identity is what
-    makes a = 1 + k the ball trace constant.
+    with d_u = k - deg(u), which makes a = 1 + k the ball trace constant.
+    Every certificate built from it is re-checked by `verify`.
     """
     if k < 1:
         raise ValueError("order must be >= 1")
-    cached = _BALL_CACHE.get((n, k))
-    if cached is not None:
-        return dict(cached)
-    coeffs = {u: float(k - len(u)) for u in WordBasis(range(1, n + 1), k - 1).words}
-    if coeffs != derive_ball_coeffs(n, k):
-        raise CtpError("ball multipliers disagree with the matching oracle")
-    if ball_decomposition_residual(n, k, coeffs) != 0.0:
-        raise CtpError("ball multipliers do not satisfy the trace identity")
-    _BALL_CACHE[(n, k)] = dict(coeffs)
-    return coeffs
+    return {u: float(k - len(u)) for u in WordBasis(range(1, n + 1), k - 1).words}
 
 
 def square_equality_multipliers(n: int, k: int) -> dict[Word, float]:
@@ -456,56 +408,45 @@ def symbolic_residual(rel: Relaxation, cert: CtpCertificate) -> float:
     return worst
 
 
-SAMPLING_BUDGET = 2_000_000
+def trace_identity_residual(rel: Relaxation, cert: CtpCertificate) -> np.ndarray:
+    """The certificate's identity under the moment functional, one coefficient per key.
 
-
-def sampled_deviation(
-    rel: Relaxation, cert: CtpCertificate, samples: int = 5, seed: int = 0
-) -> float:
-    """Max |tr(P D(y) P) - a| over random y in the feasible affine span.
-
-    The span is {equality entries = 0, y_1 = 1}; positivity is irrelevant
-    to the constant trace property, so unconstrained directions in the
-    span give a sound check. The samples come from projecting Gaussian
-    vectors onto the null space of the equality system, which costs one
-    thin SVD of that (rows x keys) system. When it holds more than
-    SAMPLING_BUDGET entries, the anchor evaluation stands in as the sample
-    (the symbolic expansion is the actual proof of the identity; sampling
-    guards the wiring between polynomials and entry forms). Without an
-    anchor the check is skipped with a warning and 0.0 is returned; an
-    anchor with a non-finite moment vector raises ValueError.
+    Each term (G_i)_uu . u* g_i u becomes the diagonal entry form of its psd
+    block, and (H_j)_uv . u* h_j v the entry form of its equality block; the
+    pair (u, v), (v, u) is one star class, so both read the upper entry's
+    form. The result is sum_i tr(G_i D_i(y)) + sum_j <H_j, E_j(y)> - a y_1
+    as a vector over the keys (the empty word is key 0). When it vanishes,
+    tr(P D_k(y) P) = a for every y with vanishing equality entries and
+    y_1 = 1.
     """
-    eq_rows = 1 + sum(e.size * (e.size + 1) // 2 for e in rel.eq_blocks)
-    if rel.n_keys * eq_rows > SAMPLING_BUDGET:
-        anchor = rel.problem.anchor
-        if anchor is None:
-            warnings.warn(
-                f"sampled trace check skipped: the equality system has {rel.n_keys} x "
-                f"{eq_rows} entries, over SAMPLING_BUDGET = {SAMPLING_BUDGET}, and the "
-                "problem has no anchor"
-            )
-            return 0.0
-        mats = [np.array([[float(v)]]) for v in anchor]
-        ys = [moment_vector_from_evaluation(rel, mats, v=np.ones(1))]
-        bad = np.flatnonzero(~np.isfinite(ys[0]))
-        if bad.size:  # verify's max(residual, nan) would keep the residual and pass
-            w = rel.keys[bad[0]]
-            raise ValueError(f"the anchor gives the non-finite moment {float(ys[0][bad[0]])!r} for word {list(w)}")
-    else:
-        ys = sample_equality_feasible_moments(rel, samples, seed=seed)
-    # tr(P D(y) P) is one linear form in y: the diagonal entry forms, weighted by P^2
-    layout, psd = rel.layout, rel.forms[0]
+    layout, (psd, eq) = rel.layout, rel.forms
     diag = np.flatnonzero(layout.row[psd.entry] == layout.col[psd.entry])
     d = np.concatenate(cert.block_scales)[np.searchsorted(layout.diag, psd.entry[diag])]
-    trace_form = np.bincount(psd.key[diag], weights=d * d * psd.coeff[diag], minlength=rel.n_keys)
-    return max((abs(float(y @ trace_form) - cert.trace_constant) for y in ys), default=0.0)
+    h = np.concatenate([np.zeros(0)] + [
+        np.where(iu == ju, m[iu, ju], m[iu, ju] + m[ju, iu])
+        for m in cert.eq_multipliers
+        for iu, ju in [np.triu_indices(len(m))]
+    ])
+    return np.bincount(
+        np.concatenate([psd.key[diag], eq.key, [0]]),
+        weights=np.concatenate([d * d * psd.coeff[diag], h[eq.entry] * eq.coeff, [-cert.trace_constant]]),
+        minlength=rel.n_keys,
+    )
 
 
-def verify(
-    rel: Relaxation, cert: CtpCertificate, samples: int = 5, seed: int = 0
-) -> float:
-    """Residual of a certificate: symbolic expansion plus sampled traces."""
-    res = symbolic_residual(rel, cert)
-    if samples > 0:
-        res = max(res, sampled_deviation(rel, cert, samples, seed))
-    return res
+def sampled_deviation(rel: Relaxation, cert: CtpCertificate) -> float:
+    """Max |coeff| of `trace_identity_residual`: the exact trace check on the feasible affine span.
+
+    It checks the wiring between the certificate's polynomials and the
+    relaxation's entry forms, which the symbolic expansion never reads.
+    The name is the span name under which pipebench times this check.
+    """
+    return float(np.abs(trace_identity_residual(rel, cert)).max())
+
+
+def verify(rel: Relaxation, cert: CtpCertificate) -> float:
+    """Residual of a certificate: the larger of the symbolic expansion and the entry-form check.
+
+    Deterministic; a NaN in either check is the result.
+    """
+    return float(np.max([symbolic_residual(rel, cert), sampled_deviation(rel, cert)]))

@@ -42,7 +42,8 @@ class Problem:
     h(X) = 0 for every equality h. The unit inequality is implicit. An
     optional clique cover restricts every constraint and every objective
     monomial to one clique; `anchor` is a scalar point known to satisfy the
-    equalities, kept for diagnostics when available.
+    equalities. The generator stores it and the instance files carry it, but
+    no step of the pipeline reads it.
     """
 
     n: int
@@ -517,44 +518,3 @@ def moment_vector_from_evaluation(
         for i, w in enumerate(rel.keys):
             y[i] = float(np.trace(word_value(w, ms, dim))) / dim
     return y
-
-
-def equality_system(rel: Relaxation) -> tuple[np.ndarray, np.ndarray]:
-    """Dense matrix E and rhs e of {all equality entries = 0, y_1 = 1}."""
-    _, eq = rel.forms
-    E = np.zeros((eq.size + 1, rel.n_keys))
-    E[eq.entry, eq.key] = eq.coeff
-    E[eq.size, 0] = 1.0
-    e = np.zeros(eq.size + 1)
-    e[eq.size] = 1.0
-    return E, e
-
-
-def sample_equality_feasible_moments(
-    rel: Relaxation,
-    count: int = 5,
-    seed: int = 0,
-    scale: float = 1.0,
-) -> list[np.ndarray]:
-    """Random moment vectors satisfying every equality entry and y_1 = 1.
-
-    The samples live on the affine solution set of the equality system; no
-    positivity is imposed, which is exactly the premise of the constant
-    trace property.
-
-    One thin SVD of E gives the min-norm solution y0 and an orthonormal
-    basis R of the row space. Each sample is y0 + g - R^T (R g) for
-    g ~ N(0, scale^2 I): the projection of g onto the null space of E,
-    which never has to be formed. That costs O(rank * keys) memory where a
-    null-space basis would cost O(keys^2).
-    """
-    E, e = equality_system(rel)
-    u, sv, vt = np.linalg.svd(E, full_matrices=False)
-    rank = int((sv > 1e-10 * sv[0]).sum())
-    row_basis = vt[:rank]
-    y0 = row_basis.T @ ((u[:, :rank].T @ e) / sv[:rank])
-    if float(np.linalg.norm(E @ y0 - e)) > 1e-8 * (1.0 + float(np.linalg.norm(e))):
-        raise ValueError("equality system is inconsistent")
-    rng = np.random.Generator(np.random.Philox(seed))
-    g = scale * rng.standard_normal((count, E.shape[1]))
-    return list(y0 + g - (g @ row_basis.T) @ row_basis)

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ncsdp.free_algebra import NcPolynomial, SymmetryMode, Word, WordBasis, canonicalize
+from ncsdp.ctp import _add_conjugation, _add_term
+from ncsdp.free_algebra import EMPTY_WORD, NcPolynomial, SymmetryMode, Word, WordBasis, canonicalize
 
 
 def scan_keys(cliques, order: int, mode: SymmetryMode) -> tuple[list[Word], list[list[int]]]:
@@ -72,3 +73,58 @@ def write_sdp_per_entry(sdp, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
         for k, p in enumerate(pos.tolist()):
             fh.write("%d %d %d %d %.17g\n" % (t[k], layout.block[p] + 1, layout.row[p] + 1, layout.col[p] + 1, val[k]))
+
+
+def ball_decomposition_residual(n: int, k: int, coeffs: dict[Word, float]) -> float:
+    """Max |coeff| of sum_{W_k} w*w - (1+k) - sum_u d_u u*(sum X^2 - 1)u."""
+    acc: dict[Word, float] = {}
+    for w in WordBasis(range(1, n + 1), k).words:
+        _add_term(acc, w[::-1] + w, 1.0)
+    _add_term(acc, EMPTY_WORD, -float(1 + k))
+    q = {(j, j): 1.0 for j in range(1, n + 1)}
+    q[EMPTY_WORD] = -1.0
+    for u, du in coeffs.items():
+        _add_conjugation(acc, u, q, u, -du)
+    return max((abs(c) for c in acc.values()), default=0.0)
+
+
+def derive_ball_coeffs(n: int, k: int) -> dict[Word, float]:
+    """Re-derive the ball multipliers by coefficient matching.
+
+    The word u* X_j X_j u appears once in sum_{W_k} w*w (as w*w for
+    w = X_j u), with weight -d_u from the u term and +d_{X_j u} from the
+    square-free part of the X_j u term. Matching its coefficient to zero
+    forces d_u = 1 + d_{X_j u}, with d_u = 1 at degree k-1. Every letter j
+    must give the same answer, which is asserted.
+    """
+    coeffs: dict[Word, float] = {}
+    words = sorted(WordBasis(range(1, n + 1), k - 1).words, key=len, reverse=True)
+    for u in words:
+        values = {1.0 + coeffs.get((j,) + u, 0.0) for j in range(1, n + 1)}
+        assert len(values) == 1, "ball multiplier matching is inconsistent"
+        coeffs[u] = values.pop()
+    return coeffs
+
+
+def trace_identity_by_words(rel, cert) -> np.ndarray:
+    """The certificate's identity over the keys, one word at a time.
+
+    Walks every diagonal word u* g u of every psd block (weight g^2, the
+    squared scale) and every word u_r* h u_c of every equality block
+    (weight H[r, c]), maps it to its key with `rel.key_of` and subtracts
+    the trace constant at the empty word.
+    """
+    out = np.zeros(rel.n_keys)
+    for block, scale in zip(rel.blocks, cert.block_scales):
+        terms = {(): 1.0} if block.poly is None else block.poly.terms
+        for u, g in zip(block.basis.words, scale):
+            for w, c in terms.items():
+                out[rel.key_of(u[::-1] + w + u)] += g * g * c
+    for block, h in zip(rel.eq_blocks, cert.eq_multipliers):
+        words = block.basis.words
+        for r, u in enumerate(words):
+            for c, v in enumerate(words):
+                for w, co in block.poly.terms.items():
+                    out[rel.key_of(u[::-1] + w + v)] += h[r, c] * co
+    out[rel.key_of(())] -= cert.trace_constant
+    return out

@@ -296,7 +296,7 @@ def test_criterion_08_certificate_soundness():
                 prob = gen_sparse(n, u, seed=seed)
             rel = build(prob, 1)
             cert = certify(rel)
-            assert verify(rel, cert, samples=3, seed=seed) <= 1e-8, seed
+            assert verify(rel, cert) <= 1e-8, seed
             sdp = assemble(rel, cert)
             a = sdp.trace
             rep = solve(

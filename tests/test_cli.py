@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncsdp import ctp
 from ncsdp.cli import (
     CSV_COLUMNS,
     EXIT_INPUT,
@@ -22,8 +23,8 @@ from ncsdp.cli import (
     problem_to_json,
 )
 from ncsdp.free_algebra import NcPolynomial
-from ncsdp.generator import gen_dense
-from ncsdp.relaxation import Problem
+from ncsdp.generator import gen_dense, random_vanishing_equality
+from ncsdp.relaxation import Problem, build
 from ncsdp.standard_form import read_sdp
 
 
@@ -61,6 +62,9 @@ def test_usage_errors_exit_one():
     assert exc.value.code == 1
     with pytest.raises(SystemExit) as exc:
         main(["gen"])  # missing --n
+    assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["ctp", "inst.json", "--samples", "3"])  # verify takes no sampling options
     assert exc.value.code == 1
 
 
@@ -185,10 +189,9 @@ def test_failed_verify_exits_three(ball_instance, monkeypatch, capsys, command):
 
 
 @pytest.mark.parametrize("command", [["count"], ["ctp"], ["solve", "--max-iters", "50"]])
-def test_large_trace_constant_passes_verify(tmp_path, monkeypatch, capsys, command):
+def test_large_trace_constant_passes_verify(tmp_path, capsys, command):
     # ball of radius 1000 at k = 2: a = 1e12 + 1e6 + 1 and an absolute residual of about 1e-4,
-    # sound in relative terms; the anchor stands in for the sampled traces
-    monkeypatch.setattr("ncsdp.ctp.SAMPLING_BUDGET", 0)
+    # sound in relative terms
     problem = Problem(n=2, objective=gen_dense(2, seed=3).objective,
                       inequalities=[NcPolynomial(2, {(): 1e6, (1, 1): -1.0, (2, 2): -1.0})],
                       anchor=np.array([300.0, 700.0]))
@@ -198,6 +201,26 @@ def test_large_trace_constant_passes_verify(tmp_path, monkeypatch, capsys, comma
     out = capsys.readouterr().out
     if command[0] == "ctp":
         assert float(out.split("residual ")[-1]) > 1e-8
+
+
+def test_wide_moments_with_an_equality_pass_verify(tmp_path, capsys):
+    # ball of radius 100 with an equality vanishing at (30, 40), k = 2: moments span 1 to 1e8,
+    # the LP route certifies a = 1 + 1e4 + 1e8, and the check needs no rank decision
+    anchor = np.array([30.0, 40.0])
+    equality = random_vanishing_equality(2, (1, 2), anchor, np.random.Generator(np.random.Philox(0)))
+    problem = Problem(n=2, objective=gen_dense(2, seed=3).objective,
+                      inequalities=[NcPolynomial(2, {(): 1e4, (1, 1): -1.0, (2, 2): -1.0})],
+                      equalities=[equality], anchor=anchor)
+    rel = build(problem, 2)
+    cert = ctp.certify(rel)
+    assert cert.provenances == (ctp.PROV_LP,)
+    assert cert.trace_constant == pytest.approx(100010001.0)
+    assert ctp.verify(rel, cert) <= 1e-8 * cert.trace_constant
+    path = tmp_path / "wide-eq.json"
+    path.write_text(json.dumps(problem_to_json(problem)))
+    for command in ("count", "ctp"):
+        assert main([command, str(path), "-k", "2"]) == EXIT_OK
+    assert "verification residual" in capsys.readouterr().out
 
 
 def test_asymmetric_input_symmetrized(tmp_path, capsys):

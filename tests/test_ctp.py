@@ -1,6 +1,6 @@
 """Constant trace certification: oracles, closed forms, LP route, verify."""
 
-import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,9 +13,7 @@ from ncsdp.ctp import (
     PROV_SQUARE_EQ,
     CtpError,
     ball_coeffs,
-    ball_decomposition_residual,
     certify,
-    derive_ball_coeffs,
     sampled_deviation,
     square_equality_multipliers,
     symbolic_residual,
@@ -24,8 +22,9 @@ from ncsdp.ctp import (
 from ncsdp.free_algebra import NcPolynomial, SymmetryMode, WordBasis, basis_size
 from ncsdp.generator import ball_inequality, gen_dense, gen_sparse, polydisc_inequalities
 from ncsdp.lp import solve_lp
-from ncsdp.relaxation import Problem, build, equality_system, sample_equality_feasible_moments
+from ncsdp.relaxation import EntryForms, Problem, build
 from ncsdp.sparsity import dense_decomposition
+from oracles import ball_decomposition_residual, derive_ball_coeffs, trace_identity_by_words
 
 
 def _letters(n):
@@ -271,93 +270,101 @@ def test_verify_detects_tampering():
     assert verify(rel, tampered) > 0.1
 
 
-def test_sampled_deviation_budget_fallback(monkeypatch):
+def _square_equality_problem():
     n = 2
     x = _letters(n)
     one = NcPolynomial.constant(n, 1.0)
-    prob = Problem(
-        n=n,
-        objective=x[0],
-        equalities=[x[0] * x[0] - one, x[1] * x[1] - one],
-        anchor=np.array([1.0, -1.0]),
-    )
-    rel = build(prob, order=2)
+    return Problem(n=n, objective=x[0], equalities=[2.0 * (x[0] * x[0] - one), 0.5 * (x[1] * x[1] - one)])
+
+
+def _lp_equality_problem():
+    # the equality on X1 rides along an inequality on X2, so no closed form matches
+    # and the LP certificate needs a nonzero H
+    n = 2
+    x = _letters(n)
+    one = NcPolynomial.constant(n, 1.0)
+    return Problem(n=n, objective=x[0] + x[1], inequalities=[one - x[1] * x[1]], equalities=[x[0] * x[0] - one])
+
+
+# (problem, order, dense layout, provenance of every group)
+FORMS = {
+    "ball": (lambda: gen_dense(3, kind="ball", l=1, seed=0), 2, False, PROV_BALL),
+    "polydisc": (lambda: gen_dense(3, kind="polydisc", l=1, seed=1), 2, False, PROV_POLYDISC),
+    "square-eq": (_square_equality_problem, 2, False, PROV_SQUARE_EQ),
+    "lp-eq": (_lp_equality_problem, 2, False, PROV_LP),
+    "lp-dense": (lambda: gen_sparse(6, 3, seed=2), 1, True, PROV_LP),
+    "chain": (lambda: gen_sparse(9, 3, seed=1), 2, False, PROV_BALL),
+}
+
+
+@pytest.mark.filterwarnings("ignore:clique chain")
+@pytest.mark.parametrize("mode", [SymmetryMode.STAR_ONLY, SymmetryMode.STAR_CYCLIC])
+@pytest.mark.parametrize("name", sorted(FORMS))
+def test_trace_identity_matches_word_walk(name, mode):
+    make, order, dense, prov = FORMS[name]
+    prob = make()
+    rel = build(prob, order, mode, decomp=dense_decomposition(prob) if dense else None)
     cert = certify(rel)
-    full = sampled_deviation(rel, cert, samples=3, seed=1)
-    assert full <= 1e-9
-    monkeypatch.setattr(ctp, "SAMPLING_BUDGET", 1)
-    via_anchor = sampled_deviation(rel, cert, samples=3, seed=1)
-    assert via_anchor <= 1e-9
-    prob_no_anchor = Problem(
-        n=n, objective=x[0], equalities=list(prob.equalities)
-    )
-    rel2 = build(prob_no_anchor, order=2)
-    cert2 = certify(rel2)
-    with pytest.warns(UserWarning, match="sampled trace check skipped"):
-        assert sampled_deviation(rel2, cert2, samples=3, seed=1) == 0.0
+    assert set(cert.provenances) == {prov}
+    if name in ("square-eq", "lp-eq"):
+        assert any(np.any(h != 0.0) for h in cert.eq_multipliers)
+    got = ctp.trace_identity_residual(rel, cert)
+    assert np.abs(got - trace_identity_by_words(rel, cert)).max() <= 1e-12
+    assert sampled_deviation(rel, cert) == float(np.abs(got).max()) <= 1e-12 * max(1.0, cert.trace_constant)
+    assert verify(rel, cert) == verify(rel, cert) <= 1e-9
 
 
-def test_sampled_deviation_rejects_non_finite_anchor(monkeypatch):
-    prob = gen_dense(3, kind="ball", seed=0)
-    rel = build(prob, order=2)
+def test_sampled_deviation_catches_tampered_multipliers():
+    rel = build(_square_equality_problem(), 2)
     cert = certify(rel)
-    monkeypatch.setattr(ctp, "SAMPLING_BUDGET", 1)
-    assert verify(rel, cert) <= 1e-12
-    # max(residual, nan) kept the residual, so a NaN anchor used to pass verify
-    prob.anchor[1] = np.nan
-    with pytest.raises(ValueError, match="non-finite moment nan for word"):
-        verify(rel, cert)
-    prob.anchor[1] = np.inf
-    with np.errstate(invalid="ignore"), pytest.warns(UserWarning, match="violated by inf"):
-        with pytest.raises(ValueError, match="non-finite moment"):
-            sampled_deviation(rel, cert)
+    assert sampled_deviation(rel, cert) <= 1e-15
+    tampered = replace(cert, eq_multipliers=tuple(1.01 * h for h in cert.eq_multipliers))
+    # the multipliers supply 6 of the trace constant's 7 at the empty word, so 1% more
+    # of them leaves 0.06 there
+    assert sampled_deviation(rel, tampered) == pytest.approx(0.06, rel=1e-9)
+    assert verify(rel, tampered) > 1e-3
 
 
-def test_sampled_deviation_projects_without_null_basis():
-    # ball n = 10 at k = 2: E is 199 x 5666, so a null-space basis would be 257 MB
+def test_sampled_deviation_reads_group_trace_offset():
+    # ball n = 10 at k = 2, 5666 keys: the check is one pass over the entry forms
     rel = build(gen_dense(10, kind="ball", seed=0), order=2)
-    E, e = equality_system(rel)
-    assert E.shape == (199, 5666)
-    tracemalloc.start()
-    try:
-        samples = sample_equality_feasible_moments(rel, count=3, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2**20
-    for y in samples:
-        assert np.abs(E @ y - e).max() <= 1e-10
-    assert np.abs(samples[0] - samples[1]).max() > 1e-6
+    assert rel.n_keys == 5666
     cert = certify(rel)
-    tampered = ctp.CtpCertificate(
-        order=cert.order,
-        block_scales=cert.block_scales,
-        eq_multipliers=cert.eq_multipliers,
-        group_traces=(cert.group_traces[0] + 1e-3,),
-        provenances=cert.provenances,
-    )
+    tampered = replace(cert, group_traces=(cert.group_traces[0] + 1e-3,))
     for c, expect in ((cert, 0.0), (tampered, 1e-3)):
-        dev = sampled_deviation(rel, c, samples=3, seed=0)
-        assert dev == pytest.approx(expect, abs=1e-8)
-        # reference: walk every diagonal entry of every block for every sample,
-        # canonicalizing each word u_r* w u_r
-        def diag_entry(block, r, y):
-            u = block.basis.words[r]
-            terms = {(): 1.0} if block.poly is None else block.poly.terms
-            return sum(co * y[rel.key_of(u[::-1] + w + u)] for w, co in terms.items())
+        assert sampled_deviation(rel, c) == pytest.approx(expect, abs=1e-12)
+        assert np.abs(ctp.trace_identity_residual(rel, c) - trace_identity_by_words(rel, c)).max() <= 1e-12
 
-        ref = max(
-            abs(
-                sum(
-                    c.block_scales[i][r] ** 2 * diag_entry(block, r, y)
-                    for i, block in enumerate(rel.blocks)
-                    for r in range(block.size)
-                )
-                - c.trace_constant
-            )
-            for y in samples
-        )
-        assert dev == pytest.approx(ref, abs=1e-12)
+
+@pytest.mark.parametrize("part", ["psd", "eq"])
+def test_sampled_deviation_catches_miswired_entry_forms(part):
+    # a wrong key in an entry form is invisible to the symbolic expansion, which reads
+    # only the polynomials; the trace check reads the forms
+    rel = build(_square_equality_problem() if part == "eq" else ball_problem(2), 2)
+    cert = certify(rel)
+    psd, eq = rel.forms
+    if part == "psd":
+        layout = rel.layout
+        at = int(np.flatnonzero(layout.row[psd.entry] == layout.col[psd.entry])[-1])
+        forms = psd
+    else:
+        at = int(np.flatnonzero(eq.key != 0)[0])
+        forms = eq
+    key = forms.key.copy()
+    key[at] = (key[at] + 1) % rel.n_keys
+    bad = EntryForms(forms.entry, key, forms.coeff, forms.size)
+    rel.forms = (bad, eq) if part == "psd" else (psd, bad)
+    assert symbolic_residual(rel, cert) <= 1e-12
+    assert sampled_deviation(rel, cert) > 0.1
+    assert verify(rel, cert) > 0.1
+
+
+def test_verify_propagates_nan():
+    rel = build(ball_problem(2), order=2)
+    cert = certify(rel)
+    scales = list(cert.block_scales)
+    scales[1] = np.full_like(scales[1], np.nan)
+    assert np.isnan(verify(rel, replace(cert, block_scales=tuple(scales))))
 
 
 def test_certify_trace_mode():

@@ -14,7 +14,6 @@ from ncsdp.relaxation import (
     half_degree,
     minimal_order,
     moment_vector_from_evaluation,
-    sample_equality_feasible_moments,
 )
 from ncsdp.sparsity import CliqueDecomposition
 from oracles import block_matrix, riesz, scan_keys
@@ -349,21 +348,6 @@ def test_moment_vector_at_scalar_point_matches_word_products(problem, mode):
         warnings.simplefilter("always")
         moment_vector_from_evaluation(rel, [np.array([[3.0]])] * prob.n, v=vv)
     assert any("at the given tuple" in str(w.message) for w in caught)
-
-
-def test_equality_sampling():
-    n = 2
-    x1, x2 = NcPolynomial.letter(n, 1), NcPolynomial.letter(n, 2)
-    one = NcPolynomial.constant(n, 1.0)
-    prob = Problem(n=n, objective=x1 + x2, equalities=[x1 * x1 - one, x2 * x2 - one])
-    rel = build(prob, order=2)
-    samples = sample_equality_feasible_moments(rel, count=4, seed=11, scale=2.0)
-    assert len(samples) == 4
-    spread = max(np.abs(a - b).max() for a in samples for b in samples)
-    assert spread > 1e-6  # the null space is explored, not just the lstsq point
-    for y in samples:
-        assert y[0] == pytest.approx(1.0)
-        assert np.abs(rel.forms[1].values(y)).max() <= 1e-8
 
 
 def test_scalar_anchor_check_matches_matrix_evaluation():
