@@ -70,6 +70,7 @@ class SolveReport:
     min_iterate_eig: float  # most negative block eigenvalue seen (0 unless audited)
     dual_cap_hits: int  # iterations whose dual update was rejected by _DUAL_CAP
     stop_reason: str  # "gap" or "max_iters"
+    path: str  # "dual" (the spectral dual path) or "loop" (the CGAL loop)
     lower_bound: float  # certified bound f(u), the best over the solve
     residual_history: np.ndarray | None = None  # per-iteration relative residuals
     runtime: float = 0.0  # seconds in solve, both paths
@@ -277,10 +278,10 @@ class _Scaled:
 
 
 def _report(
-    d: _Scaled, cfg: CgalConfig, x, u, bound, iterations: int, res_norm: float, *,
+    d: _Scaled, cfg: CgalConfig, path: str, x, u, bound, iterations: int, res_norm: float, *,
     min_seen: float = 0.0, cap_hits: int = 0, history: list | None = None,
 ) -> SolveReport:
-    """The report of either path on x, with the bound f(u) = bound at the multiplier u.
+    """The report of path ("dual" or "loop") on x, with the bound f(u) = bound at the multiplier u.
 
     res_norm is |A svec(x) - b| as the path measured it. Computes the
     objective, the relative residual and the verdict of the gap test.
@@ -296,6 +297,7 @@ def _report(
         min_iterate_eig=min_seen,
         dual_cap_hits=cap_hits,
         stop_reason="gap" if _certified(residual, objective, bound, cfg.eps) else "max_iters",
+        path=path,
         lower_bound=bound,
         residual_history=None if history is None else np.array(history),
     )
@@ -530,7 +532,7 @@ def _spectral_dual(d: _Scaled, cfg: CgalConfig) -> SolveReport | None:
     min_seen = dual.spectrum.floor(x, a, t) if cfg.check_psd else 0.0
     u = d.c_norm * u / d.sigma
     res_norm = float(np.linalg.norm(sdp.a_mat @ x - sdp.b))
-    rep = _report(d, cfg, x, u, dual_bound(sdp, u), t, res_norm, min_seen=min_seen, history=history)
+    rep = _report(d, cfg, "dual", x, u, dual_bound(sdp, u), t, res_norm, min_seen=min_seen, history=history)
     return rep if rep.converged else None
 
 
@@ -616,7 +618,7 @@ def _cgal_loop(d: _Scaled, cfg: CgalConfig) -> SolveReport:
             break
 
     return _report(
-        d, cfg, x, -c_norm * best, bound, t, res_norm, min_seen=min_seen, cap_hits=cap_hits, history=resid_hist
+        d, cfg, "loop", x, -c_norm * best, bound, t, res_norm, min_seen=min_seen, cap_hits=cap_hits, history=resid_hist
     )
 
 
@@ -629,7 +631,8 @@ def solve(sdp: StandardSdp, cfg: CgalConfig | None = None) -> SolveReport:
     paths read one _Scaled copy of the data: its norms, one transpose of A and
     one operator norm. Every report carries a certified lower_bound, the
     multiplier u that gives it, and the gap to its objective, and stops on
-    "gap" or "max_iters". runtime covers both paths. ValueError when
+    "gap" or "max_iters", and names the path that produced it ("dual" or
+    "loop"). runtime covers both paths. ValueError when
     max_iters < 1 or eps is negative or not finite.
     """
     cfg = cfg or CgalConfig()

@@ -3,9 +3,9 @@
 Subcommands: gen (random instances), count (structure statistics), ctp
 (certify the constant trace property), solve (full pipeline through the
 solver; the result line prints the value, the certified bound, the gap, the
-certificate's verify residual and the stop reason), bench (the built-in
-benchmark families). Every command but gen re-checks its certificate with
-ctp.verify.
+certificate's verify residual, the stop reason and the solver path), bench
+(the built-in benchmark families). Every command but gen re-checks its
+certificate with ctp.verify.
 
 Exit codes: 0 success, 1 usage error, 2 invalid input, 3 constant trace
 property not certified, or its verify residual above VERIFY_LIMIT times
@@ -39,7 +39,7 @@ EXIT_NO_CTP = 3
 # and grows with the trace constant; for constants up to 1, this is the benchmark gate's limit
 VERIFY_LIMIT = 1e-8
 
-CSV_COLUMNS = ["n", "l", "k", "omega", "smax", "zeta", "amax", "val", "time", "resid", "mode", "sparse"]
+CSV_COLUMNS = ["n", "l", "k", "omega", "smax", "zeta", "amax", "val", "time", "resid", "mode", "sparse", "bound"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -170,14 +170,18 @@ def _order(problem: Problem, k: int | None) -> int:
 
 
 def _csv_row(path: str, row: dict) -> None:
+    """Append a row; a new or empty file gets the header, one with another header is refused."""
     try:
-        with open(path) as fh:
-            new = not fh.readline()
+        with open(path, newline="") as fh:
+            header = fh.readline().rstrip("\r\n")
     except OSError:
-        new = True
+        header = ""
+    if header and header != ",".join(CSV_COLUMNS):
+        raise InputError(f"{path} has the header {header!r}, not {','.join(CSV_COLUMNS)!r}; "
+                         "write the rows to another file")
     with open(path, "a", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        if new:
+        if not header:
             writer.writeheader()
         writer.writerow({k: row.get(k, "") for k in CSV_COLUMNS})
 
@@ -251,7 +255,7 @@ def cmd_solve(args) -> int:
         tag = "converged" if rep.converged else "iteration budget reached"
         print(f"{mode_name} k={k}: value {rep.objective:.6f}  bound {rep.lower_bound:.6f}  gap {rep.gap:.1e}  "
               f"residual {rep.residual:.2e}  verify {verified:.1e}  iters {rep.iterations}  {elapsed:.1f}s  "
-              f"({tag}, stop {rep.stop_reason})")
+              f"({tag}, stop {rep.stop_reason}, path {rep.path})")
         if args.export:
             # with both modes, F.ext becomes F-eig.ext and F-trace.ext
             root, ext = os.path.splitext(args.export)
@@ -260,7 +264,8 @@ def cmd_solve(args) -> int:
             print(f"standard form written to {path}")
         if args.csv:
             _csv_row(args.csv, {**_stats_row(problem, k, mode_name, rel, st), "val": f"{rep.objective:.8f}",
-                                "time": f"{elapsed:.3f}", "resid": f"{rep.residual:.3e}"})
+                                "time": f"{elapsed:.3f}", "resid": f"{rep.residual:.3e}",
+                                "bound": f"{rep.lower_bound:.8f}"})
     return EXIT_OK
 
 
@@ -286,8 +291,9 @@ def cmd_bench(args) -> int:
             if k == 1 and not args.count_only:
                 rep, elapsed = _timed_solve(sf.assemble(rel, cert), args)
                 row.update(val=f"{rep.objective:.8f}", time=f"{elapsed:.3f}",
-                           resid=f"{rep.residual:.3e}")
-                line += f"  val={rep.objective:.6f} resid={rep.residual:.1e} time={elapsed:.1f}s"
+                           resid=f"{rep.residual:.3e}", bound=f"{rep.lower_bound:.8f}")
+                line += (f"  val={rep.objective:.6f} bound={rep.lower_bound:.6f} resid={rep.residual:.1e} "
+                         f"time={elapsed:.1f}s")
             print(line)
             if args.csv:
                 _csv_row(args.csv, row)

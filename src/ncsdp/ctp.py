@@ -427,11 +427,12 @@ def trace_identity_residual(rel: Relaxation, cert: CtpCertificate) -> np.ndarray
         for m in cert.eq_multipliers
         for iu, ju in [np.triu_indices(len(m))]
     ])
-    return np.bincount(
-        np.concatenate([psd.key[diag], eq.key, [0]]),
-        weights=np.concatenate([d * d * psd.coeff[diag], h[eq.entry] * eq.coeff, [-cert.trace_constant]]),
-        minlength=rel.n_keys,
-    )
+    out = np.bincount(psd.key[diag], weights=d * d * psd.coeff[diag], minlength=rel.n_keys)
+    weights = h[eq.entry]
+    weights *= eq.coeff
+    out += np.bincount(eq.key, weights=weights, minlength=rel.n_keys)
+    out[0] -= cert.trace_constant
+    return out
 
 
 def sampled_deviation(rel: Relaxation, cert: CtpCertificate) -> float:

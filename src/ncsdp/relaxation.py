@@ -128,10 +128,6 @@ class EntryForms(NamedTuple):
     coeff: np.ndarray
     size: int
 
-    def firsts(self) -> np.ndarray:
-        """Whether each triplet is the first of its entry."""
-        return np.concatenate(([True], self.entry[1:] != self.entry[:-1]))[: self.entry.size]
-
     def values(self, y: np.ndarray) -> np.ndarray:
         return np.bincount(self.entry, weights=self.coeff * y[self.key], minlength=self.size)
 
@@ -218,6 +214,9 @@ class Relaxation:
         return float(sum(c * y[k] for k, c in self.objective.items()))
 
 
+_PIECE = 1 << 16  # (entry, term) rows that _entry_forms holds at a time
+
+
 @functools.lru_cache(maxsize=64)
 def _upper(s: int) -> np.ndarray:
     """Rows and columns, (2, s(s+1)/2), of the upper triangle of an s x s matrix, row-major."""
@@ -284,35 +283,57 @@ def _entry_forms(rel: Relaxation) -> tuple[EntryForms, EntryForms]:
     e_blk = np.repeat(np.arange(len(blocks)), [s * (s + 1) // 2 for s in size])
     e_grp = np.array([b.group for b in blocks])[e_blk]
     e_terms = t_count[e_blk]
-    start = np.cumsum(e_terms) - e_terms - (np.cumsum(t_count) - t_count)[e_blk]  # row minus term id
-    term = np.arange(e_terms.sum()) - np.repeat(start, e_terms)
+    ends = np.cumsum(e_terms)  # one past each entry's last row
+    begins = ends - e_terms
+    start = begins - (np.cumsum(t_count) - t_count)[e_blk]  # row minus term id
     # basis index of reverse(w1) u_r: first[len(w1) + len(u_r)] + numeral(reverse(w1))
     # m^len(u_r) + numeral(u_r); likewise for w2 v_c
     at = tab_off[e_grp] + np.concatenate([*map(_upper, size)], axis=1)
     flat = e_grp * power.shape[1] + length[at]
     w_len, w_num = np.fromiter(halves, np.int64, len(halves)).reshape(-1, 2, 2).T
-    index = [np.repeat(power.ravel()[flat[side]], e_terms) * w_num[side][term] for side in (0, 1)]
-    for side in (0, 1):  # in place, one side at a time, to bound the temporaries
-        index[side] += np.repeat(num[at[side]], e_terms)
-        index[side] += first.ravel()[np.repeat(flat[side], e_terms) + w_len[side][term]]
-    lo, hi = np.minimum(*index), np.maximum(*index)
-    del index
-    hi += np.repeat(key_off[e_grp], e_terms) - lo * (lo - 1) // 2 - lo
-    hi += lo * np.repeat(msize[e_grp], e_terms)
-    key = np.concatenate(rel.moment_keys)[hi]
-    del lo, hi
+    term_coeff = np.fromiter(coeffs, float, len(coeffs))
+    moment_keys = np.concatenate(rel.moment_keys)
 
-    # sum the terms of an entry that share a key, in term order from 0.0
-    ident = np.repeat(np.arange(e_blk.size) * rel.n_keys, e_terms) + key
-    order = np.argsort(ident, kind="stable")
-    ident = ident[order]
-    new = np.concatenate(([True], ident[1:] != ident[:-1]))
-    coeff = np.bincount(np.cumsum(new) - 1, weights=np.fromiter(coeffs, float, len(coeffs))[term[order]])
-    keep = coeff != 0.0
-    (entry, key), coeff = np.divmod(ident[new][keep], rel.n_keys), coeff[keep]
+    def piece(e0: int, e1: int) -> tuple[np.ndarray, np.ndarray]:
+        """Entry * n_keys + key and summed coefficient of the triplets of entries e0 .. e1 - 1."""
+        reps, grp = e_terms[e0:e1], e_grp[e0:e1]
+        term = np.arange(begins[e0], ends[e1 - 1]) - np.repeat(start[e0:e1], reps)
+        index = [np.repeat(power.ravel()[flat[side, e0:e1]], reps) * w_num[side][term] for side in (0, 1)]
+        for side in (0, 1):  # in place, one side at a time, to bound the temporaries
+            index[side] += np.repeat(num[at[side, e0:e1]], reps)
+            index[side] += first.ravel()[np.repeat(flat[side, e0:e1], reps) + w_len[side][term]]
+        lo, hi = np.minimum(*index), np.maximum(*index)
+        del index
+        hi += np.repeat(key_off[grp], reps) - lo * (lo - 1) // 2 - lo
+        hi += lo * np.repeat(msize[grp], reps)
+        ident = np.repeat(np.arange(e0, e1) * rel.n_keys, reps) + moment_keys[hi]
+        del lo, hi
+
+        # sum the terms of an entry that share a key, in term order from 0.0
+        order = np.argsort(ident, kind="stable")
+        ident = ident[order]
+        new = np.concatenate(([True], ident[1:] != ident[:-1]))
+        coeff = np.bincount(np.cumsum(new) - 1, weights=term_coeff[term[order]])
+        keep = coeff != 0.0
+        return ident[new][keep], coeff[keep]
+
+    # whole entries, at most _PIECE rows a piece (an entry with more is a piece of its
+    # own); pieces ascend by entry, so their triplets follow each other in the outputs,
+    # which have room for every row and keep the first `filled`
+    entry, key = np.empty((2, ends[-1]), dtype=np.int64)
+    coeff = np.empty(ends[-1])
+    filled = e0 = 0
+    while e0 < e_blk.size:
+        e1 = max(e0 + 1, int(np.searchsorted(ends, begins[e0] + _PIECE, "right")))
+        ident, sums = piece(e0, e1)
+        done = filled + sums.size
+        np.divmod(ident, rel.n_keys, out=(entry[filled:done], key[filled:done]))
+        coeff[filled:done] = sums
+        filled, e0 = done, e1
+    entry, key, coeff = entry[:filled], key[:filled], coeff[:filled]
     n = int(np.searchsorted(entry, dim := rel.layout.dim))
-    psd = EntryForms(entry[:n], key[:n], coeff[:n], dim)
-    return psd, EntryForms(entry[n:] - dim, key[n:], coeff[n:], e_blk.size - dim)
+    entry[n:] -= dim
+    return EntryForms(entry[:n], key[:n], coeff[:n], dim), EntryForms(entry[n:], key[n:], coeff[n:], e_blk.size - dim)
 
 
 def _first_seen(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -174,7 +174,7 @@ def count_stats(rel: Relaxation, cert: CtpCertificate) -> CountStats:
     rel.n_keys; besides the pin, each psd entry but a key's representative
     owns a row. An equality entry whose terms all cancel gives no row.
     """
-    zeta = 1 + rel.layout.dim - rel.n_keys + int(np.count_nonzero(rel.forms[1].firsts()))
+    zeta = 1 + rel.layout.dim - rel.n_keys + int(np.count_nonzero(np.bincount(rel.forms[1].entry)))
     return CountStats(
         omega=len(rel.blocks),
         smax=max(b.size for b in rel.blocks),
@@ -186,16 +186,26 @@ def count_stats(rel: Relaxation, cert: CtpCertificate) -> CountStats:
 def assemble(rel: Relaxation, cert: CtpCertificate) -> StandardSdp:
     """Materialize the standard form of a certified relaxation.
 
-    Rows are built as (row, svec position, coefficient) terms. The rows up
+    Each row's terms are (svec position, coefficient) pairs. The rows up
     to the last localizing row each own one entry of X with weight
     1 / (g_r g_c) in moment scale: the pin owns the representative of the
     empty word, a sharing row its repeated entry, a localizing row its
     localizing entry. Every other term refers to a moment key and lands on
-    that key's representative entry, with the same weight.
+    that key's representative entry, with the same weight: its value is
+    coeff * weight[pos] / scale[pos].
+
+    The CSR arrays are filled segment by segment, with no sort over all
+    terms. Only the owned rows are sorted, among themselves. The equality
+    rows are in (row, position) order as they stand: entry-form triplets
+    ascend by entry, then key, and a key's representative position ascends
+    with the key, since build numbers keys as its svec scan meets them.
+    The trace rows are too: blocks come clique by clique, so diagonal
+    positions ascend with the group.
     """
     layout = rel.layout
     prod = layout.diag_products(cert.block_scales)
     weight = 1.0 / prod
+    scale = layout.scale
     # a key's representative is its first entry in build's scan (svec order), which numbers
     # keys as it meets them: an entry is a first exactly where the running maximum grows
     moment = np.array([b.is_moment for b in rel.blocks])[layout.block]
@@ -206,6 +216,7 @@ def assemble(rel: Relaxation, cert: CtpCertificate) -> StandardSdp:
     rep_pos = moment_pos[~dup]
     own_pos = np.concatenate([rep_pos[:1], moment_pos[dup], np.flatnonzero(~moment)])
     n_own = own_pos.size
+    key_weight, key_scale = weight[rep_pos], scale[rep_pos]
 
     # a sharing or localizing row subtracts its entry's form; an equality
     # row is the form of an equality entry that has terms
@@ -213,35 +224,43 @@ def assemble(rel: Relaxation, cert: CtpCertificate) -> StandardSdp:
     row_of = np.zeros(layout.dim, dtype=np.intp)
     row_of[own_pos[1:]] = np.arange(1, n_own)
     mine = row_of[psd.entry] > 0
-    firsts = eq.firsts()
-    eq_rows = n_own - 1 + np.cumsum(firsts)
-    zeta = nrow = n_own + int(np.count_nonzero(firsts))
-    key_rows = np.concatenate([row_of[psd.entry[mine]], eq_rows])
-    key_keys = np.concatenate([psd.key[mine], eq.key])
-    key_coeffs = np.concatenate([-psd.coeff[mine], eq.coeff])
+    eq_counts = np.bincount(eq.entry, minlength=eq.size)
+    eq_counts = eq_counts[eq_counts > 0]
+    zeta = n_own + eq_counts.size
+    nrow = zeta + rel.n_groups - 1
 
     # per-group partial traces (all groups but the first; the solver keeps
     # the total trace at its constant)
     groups = np.array([b.group for b in rel.blocks])[layout.block[layout.diag]]
     later = groups > 0
     trace_pos = layout.diag[later]
-    nrow += rel.n_groups - 1
 
-    key_pos = rep_pos[key_keys]
-    scale = layout.scale
-    rows = np.concatenate([np.arange(n_own), key_rows, zeta - 1 + groups[later]])
-    cols = np.concatenate([own_pos, key_pos, trace_pos])
-    vals = np.concatenate([
-        weight[own_pos] / scale[own_pos],
-        key_coeffs * weight[key_pos] / scale[key_pos],
-        np.ones(trace_pos.size),
-    ])
     # no (row, position) pair repeats: a row's keys are distinct, so are
     # their representatives, and an owned entry is never a representative
+    keys = psd.key[mine]
+    rows = np.concatenate([np.arange(n_own), row_of[psd.entry[mine]]])
+    cols = np.concatenate([own_pos, rep_pos[keys]])
+    vals = np.concatenate([weight[own_pos] / scale[own_pos], -psd.coeff[mine] * key_weight[keys] / key_scale[keys]])
     order = np.lexsort((cols, rows))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nrow))])
-    idx = np.int32 if max(nrow, layout.dim, cols.size) < 2**31 else np.int64  # scipy's own choice, made here
-    a_mat = sp.csr_matrix((vals[order], cols[order].astype(idx), indptr.astype(idx)), shape=(nrow, layout.dim))
+    counts = np.concatenate([
+        np.bincount(rows, minlength=n_own),
+        eq_counts,
+        np.bincount(groups[later] - 1, minlength=rel.n_groups - 1),
+    ])
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    nnz = int(indptr[-1])
+    idx = np.int32 if max(nrow, layout.dim, nnz) < 2**31 else np.int64  # scipy's own choice, made here
+    data, indices = np.empty(nnz), np.empty(nnz, dtype=idx)
+    own = slice(0, rows.size)
+    eqs = slice(own.stop, own.stop + eq.key.size)
+    tr = slice(eqs.stop, nnz)
+    data[own], indices[own] = vals[order], cols[order]
+    np.take(rep_pos.astype(idx), eq.key, out=indices[eqs])
+    np.take(key_weight, eq.key, out=data[eqs])
+    data[eqs] *= eq.coeff  # weight * coeff is coeff * weight, bit for bit
+    data[eqs] /= key_scale[eq.key]
+    data[tr], indices[tr] = 1.0, trace_pos
+    a_mat = sp.csr_matrix((data, indices, indptr.astype(idx)), shape=(nrow, layout.dim))
 
     b = np.zeros(nrow)
     b[0] = 1.0

@@ -1,15 +1,27 @@
 """Reference implementations that the tests compare the library against.
 
 Each one is the plain loop or dense gather that an array pass in `src/`
-replaced, kept here so results can be checked entry for entry.
+replaced, kept here so results can be checked entry for entry; with them
+is a problem that more than one test file builds.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from ncsdp.ctp import _add_conjugation, _add_term
 from ncsdp.free_algebra import EMPTY_WORD, NcPolynomial, SymmetryMode, Word, WordBasis, canonicalize
+from ncsdp.relaxation import Problem
+from ncsdp.standard_form import StandardSdp
+
+
+def cancelling_problem() -> Problem:
+    """Ball in 2 letters plus an equality whose cyclic classes cancel at entry (0, 0)."""
+    x1, x2 = NcPolynomial.letter(2, 1), NcPolynomial.letter(2, 2)
+    ball = NcPolynomial.constant(2, 1.0) - x1 * x1 - x2 * x2
+    h = x1 * x1 * x2 + x2 * x1 * x1 - 2.0 * (x1 * x2 * x1)
+    return Problem(n=2, objective=x1 * x2 + x2 * x1, inequalities=[ball], equalities=[h])
 
 
 def scan_keys(cliques, order: int, mode: SymmetryMode) -> tuple[list[Word], list[list[int]]]:
@@ -128,3 +140,83 @@ def trace_identity_by_words(rel, cert) -> np.ndarray:
                     out[rel.key_of(u[::-1] + w + v)] += h[r, c] * co
     out[rel.key_of(())] -= cert.trace_constant
     return out
+
+
+def assemble_by_lexsort(rel, cert):
+    """The standard form with its CSR terms put in order by one lexsort over all of them.
+
+    Rows are built as (row, svec position, coefficient) terms. The rows up
+    to the last localizing row each own one entry of X with weight
+    1 / (g_r g_c) in moment scale: the pin owns the representative of the
+    empty word, a sharing row its repeated entry, a localizing row its
+    localizing entry. Every other term refers to a moment key and lands on
+    that key's representative entry, with the same weight.
+    """
+    layout = rel.layout
+    prod = layout.diag_products(cert.block_scales)
+    weight = 1.0 / prod
+    # a key's representative is its first entry in build's scan (svec order), which numbers
+    # keys as it meets them: an entry is a first exactly where the running maximum grows
+    moment = np.array([b.is_moment for b in rel.blocks])[layout.block]
+    moment_pos = np.flatnonzero(moment)
+    moment_keys = np.concatenate(rel.moment_keys)
+    dup = np.zeros(moment_keys.size, dtype=bool)
+    np.less_equal(moment_keys[1:], np.maximum.accumulate(moment_keys)[:-1], out=dup[1:])
+    rep_pos = moment_pos[~dup]
+    own_pos = np.concatenate([rep_pos[:1], moment_pos[dup], np.flatnonzero(~moment)])
+    n_own = own_pos.size
+
+    # a sharing or localizing row subtracts its entry's form; an equality
+    # row is the form of an equality entry that has terms
+    psd, eq = rel.forms
+    row_of = np.zeros(layout.dim, dtype=np.intp)
+    row_of[own_pos[1:]] = np.arange(1, n_own)
+    mine = row_of[psd.entry] > 0
+    firsts = np.concatenate(([True], eq.entry[1:] != eq.entry[:-1]))[: eq.entry.size]  # first triplet of its entry
+    eq_rows = n_own - 1 + np.cumsum(firsts)
+    zeta = nrow = n_own + int(np.count_nonzero(firsts))
+    key_rows = np.concatenate([row_of[psd.entry[mine]], eq_rows])
+    key_keys = np.concatenate([psd.key[mine], eq.key])
+    key_coeffs = np.concatenate([-psd.coeff[mine], eq.coeff])
+
+    # per-group partial traces (all groups but the first; the solver keeps
+    # the total trace at its constant)
+    groups = np.array([b.group for b in rel.blocks])[layout.block[layout.diag]]
+    later = groups > 0
+    trace_pos = layout.diag[later]
+    nrow += rel.n_groups - 1
+
+    key_pos = rep_pos[key_keys]
+    scale = layout.scale
+    rows = np.concatenate([np.arange(n_own), key_rows, zeta - 1 + groups[later]])
+    cols = np.concatenate([own_pos, key_pos, trace_pos])
+    vals = np.concatenate([
+        weight[own_pos] / scale[own_pos],
+        key_coeffs * weight[key_pos] / scale[key_pos],
+        np.ones(trace_pos.size),
+    ])
+    # no (row, position) pair repeats: a row's keys are distinct, so are
+    # their representatives, and an owned entry is never a representative
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nrow))])
+    idx = np.int32 if max(nrow, layout.dim, cols.size) < 2**31 else np.int64  # scipy's own choice, made here
+    a_mat = sp.csr_matrix((vals[order], cols[order].astype(idx), indptr.astype(idx)), shape=(nrow, layout.dim))
+
+    b = np.zeros(nrow)
+    b[0] = 1.0
+    b[zeta:] = cert.group_traces[1:]
+
+    c_vec = np.zeros(layout.dim)
+    obj_pos = rep_pos[np.array(list(rel.objective), dtype=np.intp)]
+    c_vec[obj_pos] = np.array(list(rel.objective.values())) / prod[obj_pos] / scale[obj_pos]
+
+    return StandardSdp(
+        block_sizes=rel.block_sizes,
+        c=c_vec,
+        a_mat=a_mat,
+        b=b,
+        trace=cert.trace_constant,
+        zeta=zeta,
+        scales=cert.block_scales,
+        rep_entry=rep_pos,
+    )

@@ -613,6 +613,16 @@ def test_solve_accepts_zero_eps_and_one_iteration():
     assert math.isfinite(rep.lower_bound) and rep.lower_bound <= -np.sqrt(2.0) + 1e-12
 
 
+@pytest.mark.parametrize("eps, max_iters, path", [(1e-4, 100_000, "dual"), (0.0, 100, "loop"), (1e-4, 1, "loop")])
+def test_solve_reports_its_path(eps, max_iters, path):
+    # eps = 0 skips the dual path; one dual evaluation cannot certify, so the
+    # loop takes over, and the report says which of the two produced it
+    _, sdp = _ball_sdp()
+    rep = solve(sdp, CgalConfig(eps=eps, max_iters=max_iters))
+    assert rep.path == path
+    assert rep.converged == (path == "dual")
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_dual_bound_never_exceeds_a_feasible_value(data):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncsdp import ctp
+from ncsdp import cli, ctp
 from ncsdp.cli import (
     CSV_COLUMNS,
     EXIT_INPUT,
@@ -80,6 +80,16 @@ def test_count_reports_structure(ball_instance, capsys, tmp_path):
     assert row["n"] == "2" and row["k"] == "2" and row["sparse"] == "0"
 
 
+def test_csv_with_another_header_is_refused(ball_instance, capsys, tmp_path):
+    # a file from before the bound column: appending would put 13 fields under 12 names
+    csv_path = tmp_path / "rows.csv"
+    old = ",".join(CSV_COLUMNS[:-1]) + "\r\n" + "2,1,2,1,7,10,3,-1.0,0.1,1e-05,eig,0\r\n"
+    csv_path.write_text(old)
+    assert main(["count", ball_instance, "-k", "2", "--csv", str(csv_path)]) == EXIT_INPUT
+    assert str(csv_path) in capsys.readouterr().err
+    assert csv_path.read_bytes() == old.encode()
+
+
 def test_ctp_command(ball_instance, capsys):
     assert main(["ctp", ball_instance]) == EXIT_OK
     out = capsys.readouterr().out
@@ -97,7 +107,7 @@ def test_solve_both_modes(ball_instance, capsys, tmp_path):
     out = capsys.readouterr().out
     assert out.count("value") == 2
     assert "eig k=2" in out and "trace k=2" in out
-    assert out.count("bound -") == 2 and out.count("(converged, stop gap)") == 2
+    assert out.count("bound -") == 2 and out.count("(converged, stop gap, path ") == 2
     assert out.count("verify ") == 2
     # one file per mode, each path printed; the eig form is not overwritten by the trace form
     paths = [tmp_path / "out-eig.sdp", tmp_path / "out-trace.sdp"]
@@ -108,8 +118,13 @@ def test_solve_both_modes(ball_instance, capsys, tmp_path):
     assert eig.n_rows != trace.n_rows
     lines = open(csv_path).read().strip().splitlines()
     assert len(lines) == 3
-    modes = {line.split(",")[-2] for line in lines[1:]}
-    assert modes == {"eig", "trace"}
+    rows = [dict(zip(CSV_COLUMNS, line.split(","))) for line in lines[1:]]
+    assert {r["mode"] for r in rows} == {"eig", "trace"}
+    # val is the primal value; the bound column, appended last, is the certified bound
+    assert lines[0] == "n,l,k,omega,smax,zeta,amax,val,time,resid,mode,sparse,bound"
+    printed = [float(line.split("bound ")[1].split()[0]) for line in out.splitlines() if "bound " in line]
+    assert [round(float(r["bound"]), 6) for r in rows] == printed
+    assert all(float(r["bound"]) != float(r["val"]) for r in rows)
 
 
 def test_solve_missing_file(capsys):
@@ -246,6 +261,19 @@ def test_bench_count_only(capsys, tmp_path):
     assert "zeta=815" in out and "zeta=5587" in out and "zeta=18415" in out
     lines = open(csv_path).read().strip().splitlines()
     assert len(lines) == 7  # header + three instances at two orders
+
+
+def test_bench_solve_rows_carry_the_bound(capsys, tmp_path, monkeypatch):
+    monkeypatch.setitem(cli.BENCH_TABLES, "1", [("ball", 3, 1, None)])
+    csv_path = tmp_path / "bench.csv"
+    assert main(["bench", "--table", "1", "--eps", "1e-3", "--csv", str(csv_path)]) == EXIT_OK
+    out = capsys.readouterr().out
+    solved = [line for line in out.splitlines() if "val=" in line]
+    assert len(solved) == 1 and "k=1" in solved[0]
+    bound = float(solved[0].split("bound=")[1].split()[0])
+    rows = [dict(zip(CSV_COLUMNS, line.split(","))) for line in open(csv_path).read().strip().splitlines()[1:]]
+    assert [r["k"] for r in rows] == ["1", "2"]
+    assert round(float(rows[0]["bound"]), 6) == bound and rows[1]["bound"] == ""
 
 
 def test_problem_json_round_trip():

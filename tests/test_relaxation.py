@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncsdp import relaxation
 from ncsdp.free_algebra import EMPTY_WORD, NcPolynomial, SymmetryMode, canonicalize, evaluate, word_value
 from ncsdp.generator import gen_dense, gen_sparse
 from ncsdp.relaxation import (
@@ -16,7 +17,7 @@ from ncsdp.relaxation import (
     moment_vector_from_evaluation,
 )
 from ncsdp.sparsity import CliqueDecomposition
-from oracles import block_matrix, riesz, scan_keys
+from oracles import block_matrix, cancelling_problem, riesz, scan_keys
 
 
 def walked_form(rel, block, r, c) -> dict[int, float]:
@@ -165,29 +166,23 @@ def test_localized_form_stray_word_raises():
     assert str(arrays.value) == str(walked.value)
 
 
-def _cancelling_problem(n_extra: int = 0) -> Problem:
-    """Ball in 2 letters plus an equality whose cyclic classes cancel at entry (0, 0)."""
-    n = 2
-    x1, x2 = NcPolynomial.letter(n, 1), NcPolynomial.letter(n, 2)
-    prob = ball_problem(n, objective=x1 * x2 + x2 * x1)
-    h = x1 * x1 * x2 + x2 * x1 * x1 - 2.0 * (x1 * x2 * x1)
-    return Problem(n=n, objective=prob.objective, inequalities=prob.inequalities, equalities=[h])
+def _forms_case(case: str) -> tuple[Problem, int]:
+    if case == "ball":
+        return gen_dense(3, kind="ball", seed=4), 2
+    if case == "cancel":
+        return cancelling_problem(), 3
+    if case == "chain":
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return gen_sparse(8, 3, l=3, seed=2), 2
+    return gen_dense(2, kind="polydisc", seed=1), 2
 
 
 @pytest.mark.parametrize("mode", [SymmetryMode.STAR_ONLY, SymmetryMode.STAR_CYCLIC])
 @pytest.mark.parametrize("case", ["ball", "cancel", "chain", "polydisc"])
 def test_array_forms_match_walk(case, mode):
     # every psd and equality entry, bit for bit
-    if case == "ball":
-        prob, order = gen_dense(3, kind="ball", seed=4), 2
-    elif case == "cancel":
-        prob, order = _cancelling_problem(), 3
-    elif case == "chain":
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            prob, order = gen_sparse(8, 3, l=3, seed=2), 2
-    else:
-        prob, order = gen_dense(2, kind="polydisc", seed=1), 2
+    prob, order = _forms_case(case)
     rel = build(prob, order=order, mode=mode)
     assert array_forms(rel.forms[0]) == walked_forms(rel, rel.blocks)
     assert array_forms(rel.forms[1]) == walked_forms(rel, rel.eq_blocks)
@@ -203,6 +198,21 @@ def test_array_forms_match_walk(case, mode):
     for block, keys in zip((b for b in rel.blocks if b.is_moment), rel.moment_keys):
         iu, ju = np.triu_indices(block.size)
         assert keys.tolist() == [walked_form(rel, block, r, c).popitem()[0] for r, c in zip(iu, ju)]
+
+
+@pytest.mark.parametrize("piece", [1, 7])
+@pytest.mark.parametrize("mode", [SymmetryMode.STAR_ONLY, SymmetryMode.STAR_CYCLIC])
+@pytest.mark.parametrize("case", ["ball", "cancel", "chain", "polydisc"])
+def test_forms_in_pieces_match_walk(monkeypatch, case, mode, piece):
+    # whole entries a piece: at 7 rows an entry of the ball's 13-term equality is a
+    # piece of its own, and pieces straddle the psd and equality entries
+    monkeypatch.setattr(relaxation, "_PIECE", piece)
+    prob, order = _forms_case(case)
+    rel = build(prob, order=order, mode=mode)
+    psd, eq = rel.forms
+    assert psd.entry.dtype == eq.entry.dtype == psd.key.dtype == eq.key.dtype == np.int64
+    assert array_forms(psd) == walked_forms(rel, rel.blocks)
+    assert array_forms(eq) == walked_forms(rel, rel.eq_blocks)
 
 
 def test_riesz_modes_and_missing_key():

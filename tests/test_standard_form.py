@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,10 +9,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ncsdp.ctp import certify
+from ncsdp.ctp import PROV_LP, certify
 from ncsdp.free_algebra import NcPolynomial, SymmetryMode
 from ncsdp.generator import gen_dense, gen_sparse
 from ncsdp.relaxation import Problem, build, minimal_order, moment_vector_from_evaluation
+from ncsdp.sparsity import dense_decomposition
 from ncsdp.standard_form import (
     BlockLayout,
     StandardSdp,
@@ -22,7 +24,7 @@ from ncsdp.standard_form import (
     write_sdp,
     x_from_moments,
 )
-from oracles import layout_matrix, write_sdp_per_entry
+from oracles import assemble_by_lexsort, cancelling_problem, layout_matrix, write_sdp_per_entry
 
 
 def ball_problem(n: int) -> Problem:
@@ -195,6 +197,60 @@ def test_count_stats_matches_assemble_property(case, mode):
     assert stats.omega == len(sdp.block_sizes)
     assert stats.smax == max(sdp.block_sizes)
     assert sdp.n_rows == stats.zeta + rel.n_groups - 1
+
+
+# (problem, order, dense layout)
+ASSEMBLE_CASES = {
+    "ball-eq": (lambda: gen_dense(3, "ball", l=2, seed=0), 2, False),
+    "polydisc-eq": (lambda: gen_dense(3, "polydisc", l=2, seed=1), 2, False),
+    "cancel": (cancelling_problem, 3, False),
+    "lp": (lambda: gen_sparse(6, 3, seed=2), 1, True),
+    "chain": (lambda: gen_sparse(9, 3, l=3, seed=1), 2, False),
+}
+
+
+@pytest.mark.filterwarnings("ignore:clique chain")
+@pytest.mark.parametrize("mode", [SymmetryMode.STAR_ONLY, SymmetryMode.STAR_CYCLIC])
+@pytest.mark.parametrize("name", sorted(ASSEMBLE_CASES))
+def test_assemble_matches_lexsort_oracle(name, mode):
+    make, order, dense = ASSEMBLE_CASES[name]
+    prob = make()
+    rel = build(prob, order, mode, decomp=dense_decomposition(prob) if dense else None)
+    cert = certify(rel)
+    if name == "lp":
+        assert PROV_LP in cert.provenances
+    if name == "chain":
+        # a localizing block of one clique comes before the next clique's moment
+        # block, so the owned rows do not follow svec order
+        moment = [b.is_moment for b in rel.blocks]
+        assert rel.n_groups > 1 and moment.index(False) < len(moment) - moment[::-1].index(True)
+    got, ref = assemble(rel, cert), assemble_by_lexsort(rel, cert)
+    assert got.a_mat.shape == ref.a_mat.shape and got.zeta == ref.zeta
+    for part in ("data", "indices", "indptr"):
+        a, b = getattr(got.a_mat, part), getattr(ref.a_mat, part)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
+    for part in ("b", "c", "rep_entry"):
+        a, b = getattr(got, part), getattr(ref, part)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
+
+
+def test_assemble_peak_memory_is_a_small_multiple_of_its_output():
+    # 36,048 nonzeros, 34,155 of them in five dense equality blocks; a sort over all
+    # terms (the oracle) peaks at 6.8 times the output
+    rel = build(gen_dense(10, "ball", l=5, seed=0), 2)
+    cert = certify(rel)
+    rel.forms  # built once per relaxation, before assemble
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        sdp = assemble(rel, cert)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    a = sdp.a_mat
+    out = sum(x.nbytes for x in (a.data, a.indices, a.indptr, sdp.b, sdp.c, sdp.rep_entry))
+    assert len(rel.forms[1].key) > 0.9 * a.nnz
+    assert peak <= 3.5 * out
 
 
 def test_count_stats_matches_assembled_rows():
