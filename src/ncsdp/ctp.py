@@ -11,11 +11,15 @@ in the free algebra. Applying the moment functional to both sides pins
 tr(P D_k(y) P) = a on every moment vector with vanishing equality entries
 and y_1 = 1, where P = blockdiag(G_i^{1/2}).
 
-Certificates come from closed forms for the constraint patterns produced by
-the instance generator (ball, polydisc, square equalities), and from a small
-LP for anything else. Both routes are checked by `verify`, which expands the
-identity symbolically and pushes it through the relaxation's entry forms,
-key by key.
+`certify` and the symbolic half of `verify` walk one group at a time over
+the blocks `_group` names: the group's psd blocks, moment block first, and
+its equality blocks, each read through `Block.terms`. Certificates come
+from closed forms for the constraint patterns produced by the instance
+generator (ball, polydisc, square equalities), whose multipliers depend
+only on the length of a basis word, and from a small LP over the
+identity's coefficients for anything else. Both routes are checked by
+`verify`, which expands the identity symbolically and pushes it through
+the relaxation's entry forms, key by key.
 """
 
 from __future__ import annotations
@@ -30,8 +34,9 @@ from .free_algebra import (
     Word,
     WordBasis,
     basis_size,
+    canonicalize,
 )
-from .lp import LpInstance, LpResult, solve_lp
+from .lp import LpInstance, solve_lp
 from .relaxation import Relaxation
 
 PROV_BALL = "ball-closed-form"
@@ -197,56 +202,51 @@ def _match_square_equalities(
 
 
 # ---------------------------------------------------------------------------
-# LP certification
+# per-group certification
 
 
-def _star_class(w: Word) -> Word:
-    rw = w[::-1]
-    return rw if rw < w else w
+def _group(rel: Relaxation, g: int) -> tuple[list[int], list[int]]:
+    """Indices of group g's psd blocks, moment block first, and of its equality blocks."""
+    block_ids = [i for i, b in enumerate(rel.blocks) if b.group == g]
+    if not rel.blocks[block_ids[0]].is_moment:
+        raise CtpError("first block of a group must be the moment block")
+    return block_ids, [j for j, e in enumerate(rel.eq_blocks) if e.group == g]
 
 
-def _group_lp(
-    mbasis_words: list[Word],
-    ineqs: list[NcPolynomial],
-    ineq_bases: list[list[Word]],
-    eqs: list[NcPolynomial],
-    eq_bases: list[list[Word]],
-) -> tuple[LpInstance, list[int]]:
+def _group_lp(rel: Relaxation, block_ids: list[int], eq_ids: list[int]) -> LpInstance:
     """LP over one clique group certifying a constant trace.
 
-    Variables: xi (>= 0), one diagonal entry per psd-block basis word
-    (>= 1), and the upper-triangle entries of each H_j (free). Rows match
-    the identity coefficient-by-coefficient over star-canonical classes;
-    rows no variable touches are identically zero and dropped. Returns the
-    instance and the variable-segment offsets [xi, G_0, G_1, ..., H_0, ...].
+    Variables: xi (>= 0), one diagonal entry per basis word of each psd
+    block in block_ids (>= 1), and the upper-triangle entries, row-major, of
+    each H_j for eq_ids (free). Rows match the identity coefficient by
+    coefficient over star classes; rows no variable touches are identically
+    zero and dropped.
     """
     columns: list[dict[Word, float]] = [{EMPTY_WORD: -1.0}]
     lower = [0.0]
-    offsets = [0]
-    for words, poly in [(mbasis_words, None)] + list(zip(ineq_bases, ineqs)):
-        offsets.append(len(columns))
-        for u in words:
+    for i in block_ids:
+        block = rel.blocks[i]
+        for u in block.basis.words:
             col: dict[Word, float] = {}
-            terms = poly.terms if poly is not None else {EMPTY_WORD: 1.0}
-            _add_conjugation(col, u, terms, u, 1.0)
+            _add_conjugation(col, u, block.terms, u, 1.0)
             columns.append(col)
             lower.append(1.0)
-    for words, h in zip(eq_bases, eqs):
-        offsets.append(len(columns))
+    for j in eq_ids:
+        eqb = rel.eq_blocks[j]
+        words = eqb.basis.words
         for r, u in enumerate(words):
             for v in words[r:]:
                 col = {}
-                _add_conjugation(col, u, h.terms, v, 1.0)
+                _add_conjugation(col, u, eqb.terms, v, 1.0)
                 if u != v:
-                    _add_conjugation(col, v, h.terms, u, 1.0)
+                    _add_conjugation(col, v, eqb.terms, u, 1.0)
                 columns.append(col)
                 lower.append(-np.inf)
-    offsets.append(len(columns))
 
     rows: dict[Word, dict[int, float]] = {}
     for idx, col in enumerate(columns):
         for w, c in col.items():
-            row = rows.setdefault(_star_class(w), {})
+            row = rows.setdefault(canonicalize(w), {})
             row[idx] = row.get(idx, 0.0) + c
     reps = sorted(rows)
     a_mat = np.zeros((len(reps), len(columns)))
@@ -255,63 +255,33 @@ def _group_lp(
             a_mat[r, idx] = c
     c_vec = np.zeros(len(columns))
     c_vec[0] = 1.0
-    inst = LpInstance(
-        c=c_vec,
-        a_mat=a_mat,
-        b=np.zeros(len(reps)),
-        lower=np.array(lower),
-    )
-    return inst, offsets
-
-
-def _group_lp_from_rel(rel: Relaxation, group: int) -> tuple[LpInstance, list[int], list[int], list[int]]:
-    """Build the group LP from the blocks of a built relaxation.
-
-    Also returns the indices of rel.blocks and rel.eq_blocks the variable
-    segments correspond to, in segment order.
-    """
-    block_ids = [i for i, b in enumerate(rel.blocks) if b.group == group]
-    eq_ids = [j for j, e in enumerate(rel.eq_blocks) if e.group == group]
-    moment = rel.blocks[block_ids[0]]
-    if not moment.is_moment:
-        raise CtpError("first block of a group must be the moment block")
-    ineqs = [rel.blocks[i].poly for i in block_ids[1:]]
-    ineq_bases = [list(rel.blocks[i].basis.words) for i in block_ids[1:]]
-    eqs = [rel.eq_blocks[j].poly for j in eq_ids]
-    eq_bases = [list(rel.eq_blocks[j].basis.words) for j in eq_ids]
-    inst, offsets = _group_lp(list(moment.basis.words), ineqs, ineq_bases, eqs, eq_bases)
-    return inst, offsets, block_ids, eq_ids
+    return LpInstance(c=c_vec, a_mat=a_mat, b=np.zeros(len(reps)), lower=np.array(lower))
 
 
 def _certify_group_lp(
-    rel: Relaxation, group: int
+    rel: Relaxation, group: int, block_ids: list[int], eq_ids: list[int]
 ) -> tuple[float, dict[int, np.ndarray], dict[int, np.ndarray]]:
-    inst, offsets, block_ids, eq_ids = _group_lp_from_rel(rel, group)
-    res: LpResult = solve_lp(inst)
+    res = solve_lp(_group_lp(rel, block_ids, eq_ids))
     if res.status != "optimal":
         raise CtpError(
             f"constant trace property not certified for group {group}: LP {res.status}"
         )
-    x = res.x
+    x, pos = res.x, 1
     scales: dict[int, np.ndarray] = {}
-    for seg, bi in enumerate(block_ids):
-        lo, hi = offsets[seg + 1], offsets[seg + 2]
-        diag = x[lo:hi]
+    for bi in block_ids:
+        diag = x[pos : pos + rel.blocks[bi].size]
         if np.any(diag <= 0.0):
             raise CtpError(f"group {group}: nonpositive diagonal in LP certificate")
         scales[bi] = np.sqrt(diag)
+        pos += diag.size
     mults: dict[int, np.ndarray] = {}
-    base = 1 + len(block_ids)
-    for seg, ej in enumerate(eq_ids):
-        lo = offsets[base + seg]
+    for ej in eq_ids:
         size = rel.eq_blocks[ej].size
+        iu, ju = np.triu_indices(size)
         h = np.zeros((size, size))
-        pos = lo
-        for r in range(size):
-            for c in range(r, size):
-                h[r, c] = h[c, r] = x[pos]
-                pos += 1
+        h[iu, ju] = h[ju, iu] = x[pos : pos + iu.size]
         mults[ej] = h
+        pos += iu.size
     return float(x[0]), scales, mults
 
 
@@ -331,30 +301,27 @@ def certify(rel: Relaxation) -> CtpCertificate:
     provs: list[str] = []
 
     for g, letters in enumerate(rel.decomp.cliques):
-        block_ids = [i for i, b in enumerate(rel.blocks) if b.group == g]
-        eq_ids = [j for j, e in enumerate(rel.eq_blocks) if e.group == g]
+        block_ids, eq_ids = _group(rel, g)
         ineqs = [rel.blocks[i].poly for i in block_ids[1:]]
         eqs = [rel.eq_blocks[j].poly for j in eq_ids]
         nv = len(letters)
-        relabel = {j: i + 1 for i, j in enumerate(letters)}
 
+        # the closed-form multipliers depend only on the length of a basis word
         ball = _match_ball(letters, ineqs)
         sq = _match_square_equalities(letters, ineqs, eqs)
         if ball or _match_polydisc(letters, ineqs):
-            coeffs = ball_coeffs(nv, k)
+            coeff = {len(u): c for u, c in ball_coeffs(nv, k).items()}
             for bi in block_ids[1:]:
-                words = rel.blocks[bi].basis.words
-                scales[bi] = np.sqrt([coeffs[tuple(relabel[a] for a in u)] for u in words])
+                scales[bi] = np.sqrt([coeff[len(u)] for u in rel.blocks[bi].basis.words])
             trace, prov = float(1 + k), PROV_BALL if ball else PROV_POLYDISC
         elif sq is not None:
-            m_u = square_equality_multipliers(nv, k)
+            m_u = {len(u): m for u, m in square_equality_multipliers(nv, k).items()}
             for pos, s in sq.items():
                 ej = eq_ids[pos]
-                words = rel.eq_blocks[ej].basis.words
-                mults[ej] = np.diag([-m_u[tuple(relabel[a] for a in u)] / s for u in words])
+                mults[ej] = np.diag([-m_u[len(u)] / s for u in rel.eq_blocks[ej].basis.words])
             trace, prov = float(basis_size(k, nv)), PROV_SQUARE_EQ
         else:
-            trace, g_scales, g_mults = _certify_group_lp(rel, g)
+            trace, g_scales, g_mults = _certify_group_lp(rel, g, block_ids, eq_ids)
             scales.update(g_scales)
             mults.update(g_mults)
             prov = PROV_LP
@@ -377,23 +344,19 @@ def certify(rel: Relaxation) -> CtpCertificate:
 
 
 def _group_residual_poly(rel: Relaxation, cert: CtpCertificate, group: int) -> dict[Word, float]:
+    block_ids, eq_ids = _group(rel, group)
     acc: dict[Word, float] = {}
-    for i, block in enumerate(rel.blocks):
-        if block.group != group:
-            continue
-        terms = block.poly.terms if block.poly is not None else {EMPTY_WORD: 1.0}
-        diag = cert.block_scales[i] ** 2
-        for u, d in zip(block.basis.words, diag):
-            _add_conjugation(acc, u, terms, u, float(d))
-    for j, eqb in enumerate(rel.eq_blocks):
-        if eqb.group != group:
-            continue
-        h = cert.eq_multipliers[j]
+    for i in block_ids:
+        block = rel.blocks[i]
+        for u, d in zip(block.basis.words, cert.block_scales[i] ** 2):
+            _add_conjugation(acc, u, block.terms, u, float(d))
+    for j in eq_ids:
+        eqb, h = rel.eq_blocks[j], cert.eq_multipliers[j]
         words = eqb.basis.words
         for r, u in enumerate(words):
             for c, v in enumerate(words):
                 if h[r, c] != 0.0:
-                    _add_conjugation(acc, u, eqb.poly.terms, v, float(h[r, c]))
+                    _add_conjugation(acc, u, eqb.terms, v, float(h[r, c]))
     _add_term(acc, EMPTY_WORD, -cert.group_traces[group])
     return acc
 
@@ -422,15 +385,16 @@ def trace_identity_residual(rel: Relaxation, cert: CtpCertificate) -> np.ndarray
     layout, (psd, eq) = rel.layout, rel.forms
     diag = np.flatnonzero(layout.row[psd.entry] == layout.col[psd.entry])
     d = np.concatenate(cert.block_scales)[np.searchsorted(layout.diag, psd.entry[diag])]
-    h = np.concatenate([np.zeros(0)] + [
-        np.where(iu == ju, m[iu, ju], m[iu, ju] + m[ju, iu])
-        for m in cert.eq_multipliers
-        for iu, ju in [np.triu_indices(len(m))]
-    ])
     out = np.bincount(psd.key[diag], weights=d * d * psd.coeff[diag], minlength=rel.n_keys)
-    weights = h[eq.entry]
-    weights *= eq.coeff
-    out += np.bincount(eq.key, weights=weights, minlength=rel.n_keys)
+    if any(m.any() for m in cert.eq_multipliers):  # no equality term adds more than +0.0 otherwise
+        h = np.concatenate([
+            np.where(iu == ju, m[iu, ju], m[iu, ju] + m[ju, iu])
+            for m in cert.eq_multipliers
+            for iu, ju in [np.triu_indices(len(m))]
+        ])
+        weights = h[eq.entry]
+        weights *= eq.coeff
+        out += np.bincount(eq.key, weights=weights, minlength=rel.n_keys)
     out[0] -= cert.trace_constant
     return out
 

@@ -10,6 +10,7 @@ additionally identified up to cyclic rotation.
 from __future__ import annotations
 
 import itertools
+import math
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -249,13 +250,15 @@ def evaluate(p: NcPolynomial, mats: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def evaluate_scalar(p: NcPolynomial, x: Sequence[float]) -> float:
-    """Commutative evaluation of p at a scalar point."""
+    """Commutative evaluation of p at a scalar point: evaluate at 1 x 1 matrices, bit for bit.
+
+    Each word's product is taken left to right and the terms are summed in
+    order, as there; its symmetrization (a + a) / 2 is kept, so that a sum
+    past half the float range still becomes inf.
+    """
     if len(x) != p.n:
         raise ValueError(f"expected {p.n} coordinates, got {len(x)}")
-    total = 0.0
+    acc = 0.0
     for w, c in p.terms.items():
-        v = c
-        for j in w:
-            v *= x[j - 1]
-        total += v
-    return total
+        acc += c * math.prod(x[j - 1] for j in w)
+    return (acc + acc) / 2.0

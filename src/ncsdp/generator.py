@@ -36,13 +36,6 @@ def polydisc_inequalities(n: int) -> list[NcPolynomial]:
     return [NcPolynomial(n, {EMPTY_WORD: 1.0 / n, (j, j): -1.0}) for j in range(1, n + 1)]
 
 
-def _word_value(w: Word, anchor: np.ndarray) -> float:
-    out = 1.0
-    for j in w:
-        out *= anchor[j - 1]
-    return out
-
-
 def random_symmetric_quadratic(
     n: int, letters: tuple[int, ...], rng: Generator
 ) -> NcPolynomial:
@@ -69,7 +62,7 @@ def random_vanishing_equality(
         if w == EMPTY_WORD:
             continue
         cw = float(rng.uniform(-1.0, 1.0))
-        value += cw * _word_value(w, anchor)
+        value += cw * math.prod(anchor[j - 1] for j in w)
         for word in (w, w[::-1]):
             terms[word] = terms.get(word, 0.0) + 0.5 * cw
     terms[EMPTY_WORD] = -value

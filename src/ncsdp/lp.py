@@ -4,7 +4,9 @@ minimize c.x subject to A x = b and per-variable lower bounds, where a
 lower bound of -inf marks a free variable. Finite bounds are shifted out
 and free variables are split into differences of nonnegatives, giving the
 standard form that the tableau works on. Bland's rule is used throughout,
-so cycling cannot occur; the solver is deterministic for fixed input.
+so cycling cannot occur; the solver is deterministic for fixed input. It
+returns the status and, when optimal, the minimizer and its objective: the
+certificate LP reads nothing else.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ class LpResult:
     status: str  # optimal | infeasible | unbounded | numerical
     x: np.ndarray | None = None
     objective: float | None = None
-    dual: np.ndarray | None = None
 
 
 def _pivot(tab: np.ndarray, row: int, col: int) -> None:
@@ -85,8 +86,12 @@ def _simplex(tab: np.ndarray, basis: list[int], cost: np.ndarray, ncols: int, ma
     return "numerical"
 
 
-def solve_lp(inst: LpInstance, max_iters: int | None = None) -> LpResult:
-    """Two-phase simplex. Duals for the equality rows ride along when optimal."""
+def solve_lp(inst: LpInstance) -> LpResult:
+    """Two-phase simplex: the status, and when optimal the minimizer and its objective.
+
+    Each phase takes at most 2000 + 40 (m + n) pivots on the standard form of
+    m rows and n columns; past that the status is "numerical".
+    """
     m, n = inst.a_mat.shape
 
     # shift finite lower bounds, split free variables
@@ -94,12 +99,10 @@ def solve_lp(inst: LpInstance, max_iters: int | None = None) -> LpResult:
     shift = np.where(finite, inst.lower, 0.0)
     b_shift = inst.b - inst.a_mat @ shift
     free_idx = np.flatnonzero(~finite)
-    a_std = np.hstack([inst.a_mat, -inst.a_mat[:, free_idx]]) if free_idx.size else inst.a_mat.copy()
-    c_std = np.concatenate([inst.c, -inst.c[free_idx]]) if free_idx.size else inst.c.copy()
+    a_std = np.hstack([inst.a_mat, -inst.a_mat[:, free_idx]]) if free_idx.size else inst.a_mat
+    c_std = np.concatenate([inst.c, -inst.c[free_idx]]) if free_idx.size else inst.c
     nn = a_std.shape[1]
-
-    if max_iters is None:
-        max_iters = 2000 + 40 * (m + nn)
+    max_iters = 2000 + 40 * (m + nn)
 
     # phase 1: artificial basis on sign-corrected rows
     flip = b_shift < 0.0
@@ -139,8 +142,7 @@ def solve_lp(inst: LpInstance, max_iters: int | None = None) -> LpResult:
 
     # phase 2 on structural columns only
     tab2 = np.hstack([tab[:, :nn], tab[:, -1:]])
-    cost2 = c_std
-    status = _simplex(tab2, basis, cost2, nn, max_iters)
+    status = _simplex(tab2, basis, c_std, nn, max_iters)
     if status != "optimal":
         return LpResult(status=status)
 
@@ -152,21 +154,8 @@ def solve_lp(inst: LpInstance, max_iters: int | None = None) -> LpResult:
         x[free_idx] -= x_std[n:]
     x = x + shift
 
-    # dual certificate from the final basis against the original standard rows
-    dual = None
-    kept_rows = np.flatnonzero(keep) if not keep.all() else np.arange(m)
-    try:
-        basis_cols = a_std[kept_rows][:, basis]
-        y_kept = np.linalg.solve(basis_cols.T, c_std[basis])
-        dual = np.zeros(m)
-        dual[kept_rows] = y_kept
-    except np.linalg.LinAlgError:
-        y_kept, *_ = np.linalg.lstsq(a_std[kept_rows][:, basis].T, c_std[basis], rcond=None)
-        dual = np.zeros(m)
-        dual[kept_rows] = y_kept
-
     obj = float(inst.c @ x)
     resid = float(np.abs(inst.a_mat @ x - inst.b).max()) if m else 0.0
     if resid > 1e-8 * (1.0 + float(np.abs(inst.b).max() if m else 0.0)):
         return LpResult(status="numerical")
-    return LpResult(status="optimal", x=x, objective=obj, dual=dual)
+    return LpResult(status="optimal", x=x, objective=obj)

@@ -22,6 +22,7 @@ import numpy as np
 
 from .free_algebra import (
     DEFAULT_INDEX_LIMIT,
+    EMPTY_WORD,
     NcPolynomial,
     SymmetryMode,
     Word,
@@ -29,6 +30,7 @@ from .free_algebra import (
     basis_size,
     canonicalize,
     evaluate,
+    evaluate_scalar,
     word_value,
 )
 
@@ -114,6 +116,11 @@ class Block:
     @property
     def is_moment(self) -> bool:
         return self.poly is None
+
+    @property
+    def terms(self) -> dict[Word, float]:
+        """The localized polynomial's terms; a moment block localizes 1."""
+        return {EMPTY_WORD: 1.0} if self.poly is None else self.poly.terms
 
 
 class EntryForms(NamedTuple):
@@ -255,7 +262,7 @@ def _entry_forms(rel: Relaxation) -> tuple[EntryForms, EntryForms]:
     cliques = rel.decomp.cliques
     first, power, msize, tab_off, key_off, length, num = _word_tables(tuple(map(len, cliques)), rel.order)
     blocks = [*rel.blocks, *rel.eq_blocks]
-    terms = [{(): 1.0} if b.poly is None else b.poly.terms for b in blocks]
+    terms = [b.terms for b in blocks]
     # per term: len(w1), numeral of reverse(w1), len(w2), numeral of w2
     positions = [{letter: p for p, letter in enumerate(c)} for c in cliques]
     halves: list[int] = []
@@ -461,22 +468,6 @@ def build(
     )
 
 
-def _scalar_value(p: NcPolynomial, point: list[float]) -> float:
-    """evaluate(p, 1 x 1 matrices of point), bit for bit, without the matrices.
-
-    Each word's product is taken left to right and the terms are summed in
-    order, as there; its symmetrization (a + a) / 2 is kept, so that a sum
-    past half the float range still becomes inf.
-    """
-    acc = 0.0
-    for w, c in p.terms.items():
-        v = 1.0  # exact: 1.0 * x == x for every float
-        for j in w:
-            v *= point[j - 1]
-        acc += c * v
-    return (acc + acc) / 2.0
-
-
 def moment_vector_from_evaluation(
     rel: Relaxation,
     mats: Sequence[np.ndarray],
@@ -514,11 +505,11 @@ def moment_vector_from_evaluation(
 
     point = [float(m[0, 0]) for m in ms] if dim == 1 else None
     for i, g in enumerate(rel.problem.inequalities):
-        lam = _scalar_value(g, point) if point else float(np.linalg.eigvalsh(evaluate(g, ms)).min())
+        lam = evaluate_scalar(g, point) if point else float(np.linalg.eigvalsh(evaluate(g, ms)).min())
         if lam < -feas_tol:
             warnings.warn(f"inequality {i} violated by {-lam:.3g} at the given tuple")
     for i, h in enumerate(rel.problem.equalities):
-        dev = abs(_scalar_value(h, point)) if point else float(np.abs(evaluate(h, ms)).max())
+        dev = abs(evaluate_scalar(h, point)) if point else float(np.abs(evaluate(h, ms)).max())
         if dev > feas_tol:
             warnings.warn(f"equality {i} off by {dev:.3g} at the given tuple")
 

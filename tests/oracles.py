@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.optimize import linprog
 
 from ncsdp.ctp import _add_conjugation, _add_term
 from ncsdp.free_algebra import EMPTY_WORD, NcPolynomial, SymmetryMode, Word, WordBasis, canonicalize
@@ -220,3 +221,29 @@ def assemble_by_lexsort(rel, cert):
         scales=cert.block_scales,
         rep_entry=rep_pos,
     )
+
+
+def check_lp_optimum(inst, res) -> None:
+    """Certify res.x optimal for inst with the equality duals of SciPy's HiGHS.
+
+    Feasibility and bounds of x; reduced costs c - A^T y nonnegative (zero on
+    free columns); complementary slackness between them and x; and res's
+    objective equal to c.x and to the dual objective of the shifted problem.
+    """
+    assert res.status == "optimal"
+    x, finite = res.x, np.isfinite(inst.lower)
+    assert np.abs(inst.a_mat @ x - inst.b).max() <= 1e-8 * (1 + np.abs(inst.b).max())
+    assert (x[finite] >= inst.lower[finite] - 1e-9).all()
+    bounds = [(lo, None) if ok else (None, None) for lo, ok in zip(inst.lower, finite)]
+    ref = linprog(inst.c, A_eq=inst.a_mat, b_eq=inst.b, bounds=bounds, method="highs")
+    assert ref.status == 0
+    y = ref.eqlin.marginals
+    red = inst.c - inst.a_mat.T @ y
+    assert (red[finite] >= -1e-7).all()
+    assert np.abs(red[~finite]).max(initial=0.0) <= 1e-7
+    slack = x[finite] - inst.lower[finite]
+    assert np.abs(red[finite] * slack).max(initial=0.0) <= 1e-7 * (1 + np.abs(slack).max(initial=0.0))
+    assert res.objective == float(inst.c @ x)
+    shift = np.where(finite, inst.lower, 0.0)
+    lhs = float(inst.c @ x - inst.c @ shift)
+    assert abs(lhs - float(y @ (inst.b - inst.a_mat @ shift))) <= 1e-7 * (1 + abs(lhs))

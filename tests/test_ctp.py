@@ -1,5 +1,6 @@
 """Constant trace certification: oracles, closed forms, LP route, verify."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from ncsdp.generator import ball_inequality, gen_dense, gen_sparse, polydisc_ine
 from ncsdp.lp import solve_lp
 from ncsdp.relaxation import EntryForms, Problem, build
 from ncsdp.sparsity import dense_decomposition
+from ncsdp.standard_form import assemble, write_sdp
 from oracles import ball_decomposition_residual, derive_ball_coeffs, trace_identity_by_words
 
 
@@ -192,8 +194,8 @@ def test_certify_unconstrained_fails():
 
 
 def _group_lp(problem, k, decomp, group=0):
-    inst, _, _, _ = ctp._group_lp_from_rel(build(problem, k, decomp=decomp), group)
-    return inst
+    rel = build(problem, k, decomp=decomp)
+    return ctp._group_lp(rel, *ctp._group(rel, group))
 
 
 def test_build_ctp_lp_ball_optimum():
@@ -229,6 +231,33 @@ def test_build_ctp_lp_cs_per_group():
         res = solve_lp(_group_lp(prob, 1, decomp, g))
         assert res.status == "optimal"
         assert res.objective == pytest.approx(2.0, abs=1e-8)
+
+
+@pytest.mark.filterwarnings("ignore:clique chain")
+@pytest.mark.parametrize(
+    "k, mode, digest",
+    [
+        (1, SymmetryMode.STAR_ONLY, "5d70c80295cf9b305cb8bea88b5e31b42115bb14b76eb16b2a0583711119153f"),
+        (1, SymmetryMode.STAR_CYCLIC, "5d70c80295cf9b305cb8bea88b5e31b42115bb14b76eb16b2a0583711119153f"),
+        (2, SymmetryMode.STAR_ONLY, "d23f23bff19fdd823d246c66664169106289a4bc0a1be74a26a38d8704868a89"),
+        (2, SymmetryMode.STAR_CYCLIC, "497a12c413291ed905213c44d34062c0492b2853c1c2dbc79853aa843a3a1c73"),
+    ],
+)
+def test_lp_certificate_golden_digest(k, mode, digest, tmp_path):
+    # LP-route certificates of a dense chain (at k = 2 with an 8 x 8 equality block), pinned
+    # by the digest of their scales, multipliers and standard-form file bytes
+    prob = gen_sparse(7, 3, seed=0)
+    rel = build(prob, k, mode, decomp=dense_decomposition(prob))
+    cert = certify(rel)
+    assert cert.provenances == (PROV_LP,)
+    assert [e.size for e in rel.eq_blocks] == [basis_size(k - 1, 7)]
+    path = tmp_path / "x.sdp"
+    write_sdp(assemble(rel, cert), str(path))
+    got = hashlib.sha256()
+    for a in (*cert.block_scales, *cert.eq_multipliers):
+        got.update(a.tobytes())
+    got.update(path.read_bytes())
+    assert got.hexdigest() == digest
 
 
 @pytest.mark.filterwarnings("ignore:clique chain")

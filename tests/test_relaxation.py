@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncsdp import relaxation
-from ncsdp.free_algebra import EMPTY_WORD, NcPolynomial, SymmetryMode, canonicalize, evaluate, word_value
+from ncsdp.free_algebra import EMPTY_WORD, NcPolynomial, SymmetryMode, canonicalize, evaluate, evaluate_scalar, word_value
 from ncsdp.generator import gen_dense, gen_sparse
 from ncsdp.relaxation import (
-    _scalar_value,
     Problem,
     build,
     half_degree,
@@ -410,4 +409,4 @@ def test_scalar_value_matches_1x1_evaluate(terms, point):
     with np.errstate(all="ignore"):
         ref = evaluate(p, [np.array([[a]]) for a in point])[0, 0]
     # equal as numbers: only the sign of an underflowed zero may differ
-    assert np.array_equal([_scalar_value(p, point)], [ref], equal_nan=True)
+    assert np.array_equal([evaluate_scalar(p, point)], [ref], equal_nan=True)
