@@ -10,6 +10,16 @@ builds a primal witness on the bottom eigenspaces of C - A^T u. It returns
 only when the witness passes the gap test. Otherwise, and for larger blocks,
 the conditional gradient augmented Lagrangian (CGAL) loop runs.
 
+The dual path evaluates f in the coordinates of BlockLayout.squares: every
+block a dense square, the blocks of one size one (k, s, s) stack, the
+stacks back to back in one buffer. c, A^T and A are re-indexed onto the
+upper triangles of that buffer once per solve, so an evaluation is one
+sparse product into the buffer, one eigh per stack on views of it, one
+softmin over all eigenvalues, the mixture written back over the views, and
+one sparse product back to the gradient. L-BFGS takes its direction from
+the compact form of the last 20 steps (Byrd, Nocedal and Schnabel), one
+triangular solve each way.
+
 Each CGAL iteration linearizes the augmented Lagrangian, finds the smallest
 eigenpair of the block-diagonal gradient, and moves toward the rank-one
 atom a vv* placed in the block that owns the smallest eigenvalue; the trace
@@ -20,10 +30,11 @@ Both paths run on one normalized copy of the data (_Scaled), stop on one
 gap test, residual <= eps and |c.x - f(u)| <= eps (1 + |f(u)|) in original
 units, and report through _report with the multiplier u of their bound.
 
-The eigenpair search groups the blocks by size. A 1 x 1 block is read
-straight from the gradient, with eigenvector [1]. All blocks of one larger
-size are gathered into a (k, s, s) stack and take one min_eigpair call: one
-stacked eigh up to _DENSE_CUTOFF, a LAPACK subset eigh per block above it.
+The CGAL loop's eigenpair search groups the blocks by size. A 1 x 1
+block is read straight from the gradient, with eigenvector [1]. All blocks
+of one larger size are gathered into a (k, s, s) stack and take one
+min_eigpair call: one stacked eigh up to _DENSE_CUTOFF, a LAPACK subset
+eigh per block above it.
 The first block with the least eigenvalue wins, and a non-finite eigenvalue
 stops the solve with CgalError.
 """
@@ -146,20 +157,19 @@ def _operator_norm(a_mat, at) -> float:
 
 
 _LBFGS_MEMORY = 20
+_trtrs = scipy.linalg.lapack.dtrtrs  # triangular solve, (x, info)
 _STAGE_EVALS = 2000  # dual evaluations per smoothing level, at most
 _WITNESS_ITERS = 5000  # FISTA steps of the witness, at most
 _KEEP = 1e-3  # the witness keeps eigenvalues up to lambda_min + _KEEP max(1, spread)
 
 
 class _Spectrum:
-    """Eigenpairs of a block-diagonal matrix in svec form, one size class at a time.
+    """Least eigenvalues of a block-diagonal matrix in svec form, one size class at a time.
 
     Every size class is gathered through BlockLayout.stack; a 1 x 1 block
-    is its own eigenvalue, with eigenvector [1]. eig gives all eigenpairs
-    (the spectral dual path), least the smallest one (the CGAL loop) and
-    lows the least eigenvalue of every block (the psd audit, and
-    dual_bound). mix is the way back: the svec of V diag(w) V^T in every
-    block, for weights w on its eigenvectors.
+    is its own eigenvalue, with eigenvector [1]. least gives the smallest
+    eigenpair (the CGAL loop), lows the least eigenvalue of every block
+    (the psd audit, and dual_bound) and floor the audit's verdict.
     """
 
     def __init__(self, layout: BlockLayout):
@@ -176,25 +186,6 @@ class _Spectrum:
             self.classes.append((s, blocks, first[blocks, None] + np.arange(s * (s + 1) // 2)))
             self.cls[blocks] = c
             self.rank[blocks] = np.arange(blocks.size)
-
-    def eig(self, g: np.ndarray, t: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per size class, (k, s) eigenvalues in ascending order and (k, s, s) eigenvectors.
-
-        A non-finite eigenvalue raises CgalError naming the first such block
-        and t, the evaluation.
-        """
-        eigs = []
-        for s, blocks, pos in self.classes:
-            if s == 1:
-                eigs.append((g[pos], np.ones((blocks.size, 1, 1))))
-            else:
-                eigs.append(np.linalg.eigh(self.layout.stack(g, s)))
-        if not all(np.isfinite(w).all() for w, _ in eigs):
-            lam = np.empty(self.cls.size)
-            for (_, blocks, _), (w, _) in zip(self.classes, eigs):
-                lam[blocks] = w.min(axis=1)
-            _require_finite(lam, t)
-        return eigs
 
     def least(self, g: np.ndarray, t: int) -> tuple[float, int, np.ndarray]:
         """(eigenvalue, block, eigenvector) of the first block with the least eigenvalue.
@@ -229,15 +220,6 @@ class _Spectrum:
         if low.size:
             raise CgalError(f"iterate lost psd in block {int(low[0])} at iteration {t}")
         return float(lam.min(initial=0.0, where=lam < 0.0))
-
-    def mix(self, eigs, weights, out: np.ndarray) -> np.ndarray:
-        """out = svec of V diag(w) V^T in every block; weights holds (k, s) w per size class."""
-        for (s, _, pos), (_, v), w in zip(self.classes, eigs, weights):
-            if s == 1:
-                out[pos] = w
-            else:
-                out[pos] = self.layout.svec((v * w[:, None, :]) @ v.transpose(0, 2, 1))
-        return out
 
 
 def _certified(residual: float, objective: float, bound: float, eps: float) -> bool:
@@ -311,30 +293,84 @@ class _SmoothedDual:
     gradient is b - A svec(W), where W is the softmin mixture of the
     eigenvectors (trace 1, psd), so the gradient of -f_mu is also the
     residual A svec(W) - b of that mixture.
+
+    It works in the coordinates of BlockLayout.squares (see the module
+    docstring): c_buf - at_buf u fills buf, eigh reads the upper triangles
+    of its views, the mixture is written over them, and a_buf buf is A svec(W).
     """
 
     def __init__(self, d: _Scaled, history: list | None, res_scale: float):
-        self.spectrum = _Spectrum(d.sdp.layout)
-        self.c_s, self.b_s = d.c_s, d.sdp.b / (d.sigma * d.a)
-        self.a_s, self.at_s = (d.sdp.a_mat / d.sigma).tocsr(), d.at / d.sigma
-        self.mixture = np.empty(d.c_s.size)
+        layout = d.sdp.layout
+        self.stacks, self.place = layout.squares()
+        self.scale, self.offsets = layout.scale, layout.offsets
+        self.buf = np.zeros(sum(blocks.size * s * s for s, blocks in self.stacks))
+        # per stack: its (k, s, s) view of buf, and for 1 x 1 blocks their eigenvectors [1]
+        self.views, self.units, at = [], [], 0
+        for s, blocks in self.stacks:
+            self.views.append(self.buf[at : at + blocks.size * s * s].reshape(-1, s, s))
+            self.units.append(np.ones((blocks.size, 1, 1)) if s == 1 else None)
+            at += blocks.size * s * s
+        self.c_buf = np.zeros(self.buf.size)
+        self.c_buf[self.place] = d.c_s / self.scale
+        # A's CSR arrays with each column moved to its place; a row's columns
+        # need not ascend for a product
+        a = d.sdp.a_mat.tocsr()
+        cols, scale, shape = self.place[a.indices], self.scale[a.indices], (a.shape[0], self.buf.size)
+        self.a_buf = sp.csr_matrix((a.data * scale / d.sigma, cols, a.indptr), shape=shape)
+        self.at_buf = sp.csr_matrix((a.data / (d.sigma * scale), cols, a.indptr), shape=shape).T.tocsr()
+        self.b_s = d.sdp.b / (d.sigma * d.a)
         self.history, self.res_scale = history, res_scale
         self.mu = 1.0
         self.evals = 0
         self.plain = 0.0  # f(u) at the last evaluation
 
-    def softmin(self, eigs) -> tuple[float, float, list[np.ndarray]]:
-        """(lambda_min, mu log sum_j exp((lambda_min - lambda_j) / mu), weights per size class)."""
-        lam_min = min(float(w[:, 0].min()) for w, _ in eigs)
-        expo = [np.exp((lam_min - w) / self.mu) for w, _ in eigs]
-        total = sum(float(e.sum()) for e in expo)
-        return lam_min, self.mu * math.log(total), [e / total for e in expo]
+    def eig(self, u: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Eigenvalues of every block of C - A^T u, ascending per block, and per stack the (k, s, s) eigenvectors.
+
+        The eigenvalues come stack by stack, block by block, in one array. A
+        non-finite least eigenvalue raises CgalError naming the first such
+        block and the evaluation.
+        """
+        np.subtract(self.c_buf, self.at_buf @ u, out=self.buf)
+        lams, vecs = [], []
+        for view, unit in zip(self.views, self.units):
+            if unit is not None:
+                lams.append(view)
+                vecs.append(unit)
+            else:
+                w, v = np.linalg.eigh(view, UPLO="U")
+                lams.append(w)
+                vecs.append(v)
+        lam = np.concatenate(lams, axis=None)
+        # a sum is finite only when every term is; past it, the first block whose least eigenvalue is not finite
+        if not math.isfinite(lam.sum()):
+            owner = np.concatenate([np.repeat(blocks, s) for s, blocks in self.stacks])
+            low = np.full(len(self.offsets) - 1, np.inf)
+            np.minimum.at(low, owner, lam)
+            _require_finite(low, self.evals)
+        return lam, vecs
+
+    def softmin(self, lam: np.ndarray) -> tuple[float, float, np.ndarray]:
+        """(lambda_min, mu log sum_j exp((lambda_min - lambda_j) / mu), the weights exp(...) / sum)."""
+        lam_min = float(lam.min())
+        expo = np.exp((lam_min - lam) / self.mu)
+        total = float(expo.sum())
+        expo /= total
+        return lam_min, self.mu * math.log(total), expo
 
     def __call__(self, u: np.ndarray) -> tuple[float, np.ndarray]:
         self.evals += 1
-        eigs = self.spectrum.eig(self.c_s - self.at_s @ u, self.evals)
-        lam_min, smooth, weights = self.softmin(eigs)
-        grad = self.a_s @ self.spectrum.mix(eigs, weights, self.mixture)
+        lam, vecs = self.eig(u)
+        lam_min, smooth, weights = self.softmin(lam)
+        at = 0
+        for view, unit, v in zip(self.views, self.units, vecs):
+            k, s = view.shape[:2]
+            if unit is not None:
+                view[:, 0, 0] = weights[at : at + k]
+            else:
+                np.matmul(v * weights[at : at + k * s].reshape(k, 1, s), v.transpose(0, 2, 1), out=view)
+            at += k * s
+        grad = self.a_buf @ self.buf
         grad -= self.b_s
         if self.history is not None:
             self.history.append(math.sqrt(grad.dot(grad)) * self.res_scale)
@@ -342,35 +378,67 @@ class _SmoothedDual:
         return smooth - self.plain, grad
 
 
+class _Pairs:
+    """The last _LBFGS_MEMORY steps s and gradient changes y of L-BFGS, rows of two arrays, oldest first."""
+
+    def __init__(self, n: int):
+        self.s, self.y = np.empty((_LBFGS_MEMORY, n)), np.empty((_LBFGS_MEMORY, n))
+        self.m = 0  # pairs held
+
+    def add(self, s: np.ndarray, y: np.ndarray) -> None:
+        """Keep (s, y) as the newest pair, dropping the oldest when full, unless s.y is not positive beyond rounding."""
+        if s.dot(y) <= 1e-16 * math.sqrt(s.dot(s) * y.dot(y)):
+            return
+        if self.m == _LBFGS_MEMORY:
+            self.s[:-1], self.y[:-1] = self.s[1:], self.y[1:]
+        else:
+            self.m += 1
+        self.s[self.m - 1], self.y[self.m - 1] = s, y
+
+    def direction(self, g: np.ndarray, step0: float) -> np.ndarray:
+        """H g for the L-BFGS inverse Hessian H of the pairs held; step0 g when there are none.
+
+        The compact form of Byrd, Nocedal and Schnabel (1994). With the
+        pairs as the rows of S and Y, R the upper triangle of S Y^T, D its
+        diagonal and gamma = s.y / y.y of the newest pair,
+        H g = gamma (g - Y^T q) + S^T p, where R q = S g and
+        R^T p = D q + gamma (Y Y^T q - Y g): one triangular solve each way.
+        """
+        if not self.m:
+            return step0 * g
+        s_mat, y_mat = self.s[: self.m], self.y[: self.m]
+        sy = s_mat @ y_mat.T
+        d = sy.diagonal()
+        gamma = d[-1] / y_mat[-1].dot(y_mat[-1])
+        # sy.T is in Fortran order, which LAPACK reads without a copy; its lower triangle is R^T
+        q = _trtrs(sy.T, s_mat @ g, lower=1, trans=1)[0]
+        out = q @ y_mat
+        out -= g
+        p = _trtrs(sy.T, d * q + gamma * (y_mat @ out), lower=1)[0]
+        out *= -gamma
+        out += p @ s_mat
+        return out
+
+
 def _lbfgs(fg, u, f, g, gtol: float, max_evals: int, step0: float, floor: float):
     """Minimize a smooth convex function by L-BFGS, from u with f, g = fg(u).
 
-    Two-loop recursion over the last _LBFGS_MEMORY steps. The first
-    direction, and any that is not a descent direction, is -step0 g. The
-    line search brackets a step that meets the weak Wolfe conditions,
-    doubling while the slope stays steep and halving past a rise, so a
-    stretch where the function is nearly linear costs a few evaluations.
-    Stops when |g| <= gtol, when no step decreases f, when f falls below
-    floor, or after max_evals calls of fg. Returns (u, f, g).
+    The direction comes from the compact form over the last _LBFGS_MEMORY
+    steps (_Pairs.direction). The first direction, and any that is not a
+    descent direction, is -step0 g. The line search brackets a step that
+    meets the weak Wolfe conditions, doubling while the slope stays steep
+    and halving past a rise, so a stretch where the function is nearly
+    linear costs a few evaluations. Stops when |g| <= gtol, when no step
+    decreases f, when f falls below floor, or after max_evals calls of fg.
+    Returns (u, f, g).
     """
-    pairs: deque = deque(maxlen=_LBFGS_MEMORY)
+    pairs = _Pairs(u.size)
     evals = 0
     while evals < max_evals and math.sqrt(g.dot(g)) > gtol:
-        q = g.copy()
-        alphas = []
-        for s, y, rho in reversed(pairs):
-            alphas.append(rho * s.dot(q))
-            q -= alphas[-1] * y
-        if pairs:
-            s, y, _ = pairs[-1]
-            q *= s.dot(y) / y.dot(y)
-        else:
-            q *= step0
-        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-            q += (alpha - rho * y.dot(q)) * s
+        q = pairs.direction(g, step0)
         slope = -g.dot(q)
         if slope >= 0.0:
-            pairs.clear()
+            pairs.m = 0
             q = step0 * g
             slope = -g.dot(q)
         lo, hi, step = 0.0, math.inf, 1.0
@@ -397,10 +465,7 @@ def _lbfgs(fg, u, f, g, gtol: float, max_evals: int, step0: float, floor: float)
         if best is None:
             break
         u_new, f_new, g_new = best
-        s, y = u_new - u, g_new - g
-        sy = s.dot(y)
-        if sy > 1e-16 * math.sqrt(s.dot(s) * y.dot(y)):
-            pairs.append((s, y, 1.0 / sy))
+        pairs.add(u_new - u, g_new - g)
         u, f, g = u_new, f_new, g_new
     return u, f, g
 
@@ -421,36 +486,38 @@ def _witness(dual: _SmoothedDual, u: np.ndarray, target: float) -> np.ndarray:
     |A svec(X) - b| over block S psd with sum tr S = 1, from the softmin
     weights, until the residual is at most target.
     """
-    spectrum = dual.spectrum
-    eigs = spectrum.eig(dual.c_s - dual.at_s @ u, dual.evals)
-    lam_min, _, weights = dual.softmin(eigs)
-    spread = max(float(w[:, -1].max()) for w, _ in eigs) - lam_min
-    cut = lam_min + _KEEP * max(1.0, spread)
+    lam, vecs = dual.eig(u)
+    lam_min, _, weights = dual.softmin(lam)
+    cut = lam_min + _KEEP * max(1.0, float(lam.max()) - lam_min)
     # kept[r]: the blocks with r kept eigenvectors; S holds one full r x r
     # matrix per such block, the blocks of one r side by side
     kept: dict[int, list] = {}
-    for (_, blocks, pos), (w, v), p in zip(spectrum.classes, eigs, weights):
-        for k in range(blocks.size):
-            keep = w[k] <= cut
+    at = 0
+    for (s, blocks), v in zip(dual.stacks, vecs):
+        for k, i in enumerate(blocks.tolist()):
+            keep = lam[at : at + s] <= cut
             if keep.any():
-                kept.setdefault(int(keep.sum()), []).append((pos[k], v[k][:, keep], p[k][keep]))
+                place = dual.place[dual.offsets[i] : dual.offsets[i + 1]]
+                kept.setdefault(int(keep.sum()), []).append((s, place, v[k][:, keep], weights[at : at + s][keep]))
+            at += s
     rows, cols, vals, start, groups = [], [], [], [], []
     col = 0
     for r, members in sorted(kept.items()):
-        for pos, vk, pk in members:
-            # column (p, q) of the block: svec of (v_p v_q^T + v_q v_p^T) / 2
-            outer = vk.T[:, None, :, None] * vk.T[None, :, None, :]
-            outer = (outer + outer.transpose(0, 1, 3, 2)) / 2.0
-            rows.append(np.repeat(pos, r * r))
-            cols.append(np.tile(col + np.arange(r * r), pos.size))
-            vals.append(spectrum.layout.svec(outer).reshape(r * r, -1).T.ravel())
+        for s, place, vk, pk in members:
+            # column (p, q) of the block: the upper triangle of (v_p v_q^T + v_q v_p^T) / 2
+            iu, ju = np.triu_indices(s)
+            outer = vk[iu, :, None] * vk[ju, None, :]
+            outer = (outer + outer.transpose(0, 2, 1)) / 2.0
+            rows.append(np.repeat(place, r * r))
+            cols.append(np.tile(col + np.arange(r * r), place.size))
+            vals.append(outer.ravel())
             start.append(np.diag(pk).ravel())
             col += r * r
         groups.append((r, len(members)))
     embed = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(dual.c_s.size, col)
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(dual.buf.size, col)
     )
-    ops = (dual.a_s @ embed).toarray()
+    ops = (dual.a_buf @ embed).toarray()
     gram, lin = ops.T @ ops, ops.T @ dual.b_s
     lip = float(np.linalg.eigvalsh(gram)[-1])
     step = 1.0 / lip if lip > 0.0 else 1.0
@@ -486,7 +553,7 @@ def _witness(dual: _SmoothedDual, u: np.ndarray, target: float) -> np.ndarray:
         t_new = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
         y = s_new + ((t - 1.0) / t_new) * (s_new - s)
         s, t = s_new, t_new
-    return embed @ s
+    return dual.scale * (embed @ s)[dual.place]
 
 
 def _spectral_dual(d: _Scaled, cfg: CgalConfig) -> SolveReport | None:
@@ -529,7 +596,7 @@ def _spectral_dual(d: _Scaled, cfg: CgalConfig) -> SolveReport | None:
     x = a * _witness(dual, u, gtol)
     t = dual.evals
     _check_trace(sdp.layout.trace(x), a, t)
-    min_seen = dual.spectrum.floor(x, a, t) if cfg.check_psd else 0.0
+    min_seen = _Spectrum(sdp.layout).floor(x, a, t) if cfg.check_psd else 0.0
     u = d.c_norm * u / d.sigma
     res_norm = float(np.linalg.norm(sdp.a_mat @ x - sdp.b))
     rep = _report(d, cfg, "dual", x, u, dual_bound(sdp, u), t, res_norm, min_seen=min_seen, history=history)

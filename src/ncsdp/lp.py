@@ -3,10 +3,12 @@
 minimize c.x subject to A x = b and per-variable lower bounds, where a
 lower bound of -inf marks a free variable. Finite bounds are shifted out
 and free variables are split into differences of nonnegatives, giving the
-standard form that the tableau works on. Bland's rule is used throughout,
-so cycling cannot occur; the solver is deterministic for fixed input. It
-returns the status and, when optimal, the minimizer and its objective: the
-certificate LP reads nothing else.
+standard form that the tableau works on. Columns enter by the most
+negative reduced cost; after a run of degenerate pivots the rules turn to
+Bland's until the objective moves again, so cycling cannot occur. The
+solver is deterministic for fixed input. It returns the status and, when
+optimal, the minimizer and its objective: the certificate LP reads nothing
+else.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 
 PIVOT_TOL = 1e-11
 COST_TOL = 1e-9
+_BLAND_AFTER = 50  # degenerate pivots in a row before pricing and ratio ties turn to Bland's rule
 
 
 @dataclass
@@ -46,41 +49,51 @@ class LpResult:
 
 
 def _pivot(tab: np.ndarray, row: int, col: int) -> None:
+    """Pivot on tab[row, col]: one rank-one update of the other rows with a nonzero in col."""
     tab[row] /= tab[row, col]
-    piv = tab[row]
-    for i in range(tab.shape[0]):
-        if i != row and tab[i, col] != 0.0:
-            tab[i] -= tab[i, col] * piv
+    hit = tab[:, col].nonzero()[0]
+    hit = hit[hit != row]
+    tab[hit] -= np.outer(tab[hit, col], tab[row])
 
 
-def _simplex(tab: np.ndarray, basis: list[int], cost: np.ndarray, ncols: int, max_iters: int) -> str:
-    """Run phase iterations on tab = [A | b]; returns a status string."""
-    m = tab.shape[0]
+def _simplex(tab: np.ndarray, basis: np.ndarray, cost: np.ndarray, ncols: int, max_iters: int) -> str:
+    """Run phase iterations on tab = [A | b]; returns a status string.
+
+    Pricing is by the most negative reduced cost, and the leaving row has
+    the least ratio, ties within 1e-12 going to the largest pivot entry.
+    After _BLAND_AFTER degenerate pivots in a row (a least ratio of at most
+    1e-12, so the objective stays where it was) both rules turn to Bland's:
+    the first column with a negative reduced cost enters and ties go to the
+    least basis index, until a pivot moves the objective again. A cycle of
+    bases is a run of degenerate pivots, and Bland's rule cannot cycle, so
+    neither can the solver.
+    """
+    degenerate = 0
     for _ in range(max_iters):
-        cb = cost[basis]
-        red = cost[:ncols] - cb @ tab[:, :ncols]
-        enter = -1
-        for j in range(ncols):
-            if red[j] < -COST_TOL:
-                enter = j
-                break
-        if enter < 0:
-            return "optimal"
+        red = cost[:ncols] - cost[basis] @ tab[:, :ncols]
+        if degenerate < _BLAND_AFTER:
+            enter = int(red.argmin())
+            if red[enter] >= -COST_TOL:
+                return "optimal"
+        else:
+            neg = (red < -COST_TOL).nonzero()[0]
+            if not neg.size:
+                return "optimal"
+            enter = int(neg[0])
         col = tab[:, enter]
-        leave = -1
-        best = np.inf
-        for i in range(m):
-            if col[i] > PIVOT_TOL:
-                ratio = tab[i, -1] / col[i]
-                if ratio < best - 1e-12 or (
-                    abs(ratio - best) <= 1e-12 and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best = ratio
-                    leave = i
-        if leave < 0:
+        rows = (col > PIVOT_TOL).nonzero()[0]
+        if not rows.size:
             if (col > 0.0).any():
                 return "numerical"
             return "unbounded"
+        ratio = tab[rows, -1] / col[rows]
+        best = ratio.min()
+        ties = rows[ratio <= best + 1e-12]
+        if degenerate < _BLAND_AFTER:
+            leave = int(ties[np.argmax(col[ties])])
+        else:
+            leave = int(ties[np.argmin(basis[ties])])
+        degenerate = degenerate + 1 if best <= 1e-12 else 0
         _pivot(tab, leave, enter)
         basis[leave] = enter
     return "numerical"
@@ -112,7 +125,7 @@ def solve_lp(inst: LpInstance) -> LpResult:
     tab[:, :nn] = a1
     tab[:, nn : nn + m] = np.eye(m)
     tab[:, -1] = b1
-    basis = list(range(nn, nn + m))
+    basis = np.arange(nn, nn + m)
     cost1 = np.concatenate([np.zeros(nn), np.ones(m)])
     status = _simplex(tab, basis, cost1, nn + m, max_iters)
     if status == "numerical":
@@ -123,22 +136,15 @@ def solve_lp(inst: LpInstance) -> LpResult:
 
     # drive remaining artificials out of the basis, drop redundant rows
     keep = np.ones(m, dtype=bool)
-    for i in range(m):
-        if basis[i] >= nn:
-            piv = -1
-            for j in range(nn):
-                if abs(tab[i, j]) > PIVOT_TOL:
-                    piv = j
-                    break
-            if piv >= 0:
-                _pivot(tab, i, piv)
-                basis[i] = piv
-            else:
-                keep[i] = False
+    for i in np.flatnonzero(basis >= nn).tolist():
+        nz = np.flatnonzero(np.abs(tab[i, :nn]) > PIVOT_TOL)
+        if nz.size:
+            _pivot(tab, i, int(nz[0]))
+            basis[i] = nz[0]
+        else:
+            keep[i] = False
     if not keep.all():
-        rows = np.flatnonzero(keep)
-        tab = tab[rows]
-        basis = [basis[i] for i in rows]
+        tab, basis = tab[keep], basis[keep]
 
     # phase 2 on structural columns only
     tab2 = np.hstack([tab[:, :nn], tab[:, -1:]])
@@ -147,8 +153,7 @@ def solve_lp(inst: LpInstance) -> LpResult:
         return LpResult(status=status)
 
     x_std = np.zeros(nn)
-    for i, bi in enumerate(basis):
-        x_std[bi] = tab2[i, -1]
+    x_std[basis] = tab2[:, -1]
     x = x_std[:n].copy()
     if free_idx.size:
         x[free_idx] -= x_std[n:]

@@ -52,8 +52,8 @@ class BlockLayout:
         counts = [s * (s + 1) // 2 for s in self.sizes]
         self.offsets = [0, *itertools.accumulate(counts)]
         self.dim = self.offsets[-1]
-        self._tris = {s: self._triangle(s) for s in set(self.sizes)}
-        self._tri = [self._tris[s] for s in self.sizes]
+        tris = {s: self._triangle(s) for s in set(self.sizes)}
+        self._tri = [tris[s] for s in self.sizes]
         self.block = np.repeat(np.arange(len(counts)), counts)
         self.row, self.col, self.scale = (np.concatenate(p) for p in zip(*self._tri))
         self.diag = np.flatnonzero(self.row == self.col)
@@ -102,13 +102,24 @@ class BlockLayout:
             pos = self._stacks[s] = first[:, None, None] + local
         return x[pos] / scale
 
-    def svec(self, mats: np.ndarray) -> np.ndarray:
-        """svec of every matrix in a (..., s, s) stack of symmetric matrices, s a block size.
+    def squares(self) -> tuple[list[tuple[int, np.ndarray]], np.ndarray]:
+        """Every block as a dense square, one (k, s, s) stack per size, the stacks back to back in one buffer.
 
-        Row-major upper triangles, (..., s(s+1)/2); the inverse of stack.
+        Returns (s, blocks) per stack, sizes ascending and the k blocks of
+        size s in block order, and place: for every svec position, the
+        buffer index of its entry (row, col), row <= col, in the upper
+        triangle of its block's square. The buffer holds sum k s^2 entries;
+        an svec vector x enters as buffer[place] = x / scale, and the upper
+        triangles leave as x = scale * buffer[place].
         """
-        iu, ju, scale = self._tris[mats.shape[-1]]
-        return mats[..., iu, ju] * scale
+        sizes = np.asarray(self.sizes)
+        stacks, first, at = [], np.empty(sizes.size, dtype=np.intp), 0
+        for s in np.unique(sizes).tolist():
+            blocks = np.flatnonzero(sizes == s)
+            first[blocks] = at + s * s * np.arange(blocks.size)
+            stacks.append((s, blocks))
+            at += blocks.size * s * s
+        return stacks, first[self.block] + self.row * sizes[self.block] + self.col
 
     def add_outer(self, x: np.ndarray, i: int, v: np.ndarray, weight: float) -> None:
         """x += weight * svec(v v^T) placed in block i."""

@@ -7,6 +7,9 @@ is a problem that more than one test file builds.
 
 from __future__ import annotations
 
+import math
+from collections import deque
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
@@ -247,3 +250,55 @@ def check_lp_optimum(inst, res) -> None:
     shift = np.where(finite, inst.lower, 0.0)
     lhs = float(inst.c @ x - inst.c @ shift)
     assert abs(lhs - float(y @ (inst.b - inst.a_mat @ shift))) <= 1e-7 * (1 + abs(lhs))
+
+
+def remember_pair(pairs: deque, s: np.ndarray, y: np.ndarray) -> None:
+    """Append the L-BFGS pair (s, y, 1 / s.y) to pairs (a deque of maxlen 20) when s.y > 1e-16 |s| |y|."""
+    sy = s.dot(y)
+    if sy > 1e-16 * math.sqrt(s.dot(s) * y.dot(y)):
+        pairs.append((s, y, 1.0 / sy))
+
+
+def two_loop_direction(g: np.ndarray, pairs: deque, step0: float) -> np.ndarray:
+    """H g by the L-BFGS two-loop recursion over pairs (s, y, 1 / s.y), oldest first; step0 g without pairs."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * s.dot(q))
+        q -= alphas[-1] * y
+    if pairs:
+        s, y, _ = pairs[-1]
+        q *= s.dot(y) / y.dot(y)
+    else:
+        q *= step0
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * y.dot(q)) * s
+    return q
+
+
+def smoothed_dual_by_blocks(scaled, u: np.ndarray, mu: float) -> tuple[float, np.ndarray, float]:
+    """(-f_mu(u), its gradient, f(u)) of a solver's normalized data, one block at a time in svec form.
+
+    Every block of C - A^T u is read with layout_matrix and takes its own
+    eigh; the softmin weights run over all eigenvalues, and the mixture
+    V diag(w) V^T of each block goes back to svec through its upper
+    triangle and the layout's scale.
+    """
+    sdp, layout = scaled.sdp, scaled.sdp.layout
+    a_s = sdp.a_mat / scaled.sigma
+    b_s = sdp.b / (scaled.sigma * scaled.a)
+    g = scaled.c_s - a_s.T @ u
+    eigs = [np.linalg.eigh(layout_matrix(layout, g, i)) for i in range(len(layout.sizes))]
+    lam = np.concatenate([w for w, _ in eigs])
+    lam_min = float(lam.min())
+    expo = np.exp((lam_min - lam) / mu)
+    total = float(expo.sum())
+    mix, at = np.zeros(layout.dim), 0
+    for i, (w, v) in enumerate(eigs):
+        block = (v * (expo[at : at + w.size] / total)) @ v.T
+        iu, ju = np.triu_indices(w.size)
+        span = slice(layout.offsets[i], layout.offsets[i + 1])
+        mix[span] = block[iu, ju] * layout.scale[span]
+        at += w.size
+    plain = float(b_s @ u) + lam_min
+    return mu * math.log(total) - plain, a_s @ mix - b_s, plain

@@ -345,10 +345,12 @@ def test_criterion_10_sparse_below_dense():
             prob = gen_sparse(n, u, seed=seed)
             ncliques = len(prob.cliques)
             assert 2 <= ncliques <= 3
-            tau_cs = _solve_value(prob, 1, seed=seed).objective
-            tau_dense = _solve_value(
-                prob, 1, decomp=dense_decomposition(prob), seed=seed
-            ).objective
+            rep_cs = _solve_value(prob, 1, seed=seed)
+            rep_dense = _solve_value(prob, 1, decomp=dense_decomposition(prob), seed=seed)
+            # every solve certifies on the spectral dual path; a CGAL loop
+            # fallback would cost 10-20k iterations here
+            assert (rep_cs.path, rep_dense.path) == ("dual", "dual"), seed
+            tau_cs, tau_dense = rep_cs.objective, rep_dense.objective
             assert tau_cs <= tau_dense + 2 * EPS * (1 + abs(tau_dense)), (
                 seed,
                 tau_cs,

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import deque
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from ncsdp.cgal import (
     SolveReport,
     _cgal_loop,
     _operator_norm,
+    _Pairs,
     _Scaled,
+    _SmoothedDual,
     _Spectrum,
     _spectral_dual,
     dual_bound,
@@ -32,7 +35,7 @@ from ncsdp.generator import gen_dense, gen_sparse
 from ncsdp.relaxation import Problem, build
 from ncsdp.sparsity import dense_decomposition
 from ncsdp.standard_form import BlockLayout, StandardSdp, assemble, read_sdp, recover_moments, write_sdp
-from oracles import layout_matrix
+from oracles import layout_matrix, remember_pair, smoothed_dual_by_blocks, two_loop_direction
 
 
 def _sym(rng, size):
@@ -127,6 +130,49 @@ def test_block_eigs_matches_per_block_loop(monkeypatch, dense_cutoff):
     assert winners[-2] == 0  # equal blocks give equal eigenvalues on every path
     assert winners[-1] == 3
     assert len(set(winners)) > 2
+
+
+@pytest.mark.parametrize("sizes", [[1, 1, 1], [3, 1, 5, 2, 1, 3, 5], [64, 1, 7]], ids=["scalars", "mixed", "block-64"])
+def test_smoothed_dual_matches_per_block_svec(sizes):
+    # the dual path's stacked squares against one eigh per block in svec form
+    layout = BlockLayout(sizes)
+    rng = np.random.default_rng(len(sizes))
+    c = rng.standard_normal(layout.dim)
+    rows = rng.standard_normal((9, layout.dim)) * (rng.random((9, layout.dim)) < 0.3)
+    sdp = _direct_sdp(sizes, c, rows, rng.standard_normal(9), trace=2.5)
+    d = _Scaled(sdp)
+    dual = _SmoothedDual(d, None, 1.0)
+    assert dual.at_buf.nnz == dual.a_buf.nnz == sdp.a_mat.nnz
+    for mu in (1e-1, 1e-3):
+        dual.mu = mu
+        for _ in range(3):
+            u = rng.standard_normal(9)
+            value, grad = dual(u)
+            ref_value, ref_grad, ref_plain = smoothed_dual_by_blocks(d, u, mu)
+            assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-12)
+            assert np.abs(grad - ref_grad).max() <= 1e-12 * (1 + np.abs(ref_grad).max())
+            assert dual.plain == pytest.approx(ref_plain, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [30, 5], ids=["fewer-pairs-than-unknowns", "more-pairs-than-unknowns"])
+def test_lbfgs_direction_matches_two_loop(n):
+    rng = np.random.default_rng(n)
+    h = rng.standard_normal((n, n))
+    h = h @ h.T + np.eye(n)
+    pairs, ref = _Pairs(n), deque(maxlen=cgal._LBFGS_MEMORY)
+    g = rng.standard_normal(n)
+    assert np.array_equal(pairs.direction(g, 0.5), two_loop_direction(g, ref, 0.5))
+    for t in range(26):
+        s = rng.standard_normal(n)
+        y = -s if t in (3, 11) else h @ s  # two pairs of negative curvature are left out
+        pairs.add(s, y)
+        remember_pair(ref, s, y)
+        assert pairs.m == len(ref)
+        assert np.array_equal(pairs.s[: pairs.m], [p[0] for p in ref])
+        g = rng.standard_normal(n)
+        got, want = pairs.direction(g, 0.5), two_loop_direction(g, ref, 0.5)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert pairs.m == cgal._LBFGS_MEMORY  # the memory has wrapped
 
 
 def _reference_solve(sdp, cfg):
@@ -493,7 +539,8 @@ def test_spectral_dual_certifies_at_any_scale(trace, scale):
     x0 = np.zeros(layout.dim)
     for i, s in enumerate(sizes):
         g = rng.standard_normal((s, s))
-        x0[layout.offsets[i] : layout.offsets[i + 1]] = layout.svec(g @ g.T)
+        span = slice(layout.offsets[i], layout.offsets[i + 1])
+        x0[span] = (g @ g.T)[layout.row[span], layout.col[span]] * layout.scale[span]
     x0 *= trace / layout.trace(x0)
     c = rng.standard_normal(layout.dim)
     rows = scale * rng.standard_normal((8, layout.dim))
@@ -636,7 +683,8 @@ def test_dual_bound_never_exceeds_a_feasible_value(data):
     x0 = np.zeros(layout.dim)
     for i, s in enumerate(sizes):
         g = rng.standard_normal((s, s + data.draw(st.integers(-s + 1, 1), label="rank gap")))
-        x0[layout.offsets[i] : layout.offsets[i + 1]] = layout.svec(g @ g.T)
+        span = slice(layout.offsets[i], layout.offsets[i + 1])
+        x0[span] = (g @ g.T)[layout.row[span], layout.col[span]] * layout.scale[span]
     x0 *= a / layout.trace(x0)
     c = rng.standard_normal(layout.dim)
     rows = rng.standard_normal((m, layout.dim))

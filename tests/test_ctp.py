@@ -1,7 +1,11 @@
 """Constant trace certification: oracles, closed forms, LP route, verify."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,6 +262,29 @@ def test_lp_certificate_golden_digest(k, mode, digest, tmp_path):
         got.update(a.tobytes())
     got.update(path.read_bytes())
     assert got.hexdigest() == digest
+
+
+def test_lp_certificate_of_a_degenerate_dense_chain_returns():
+    # a certificate LP of 1325 rows x 191 columns with b = 0; under Bland's
+    # rule alone the simplex crept through degenerate pivots for minutes and
+    # then gave up, so certify runs in a child process with a wall budget
+    code = (
+        "import warnings; warnings.simplefilter('ignore')\n"
+        "from ncsdp.ctp import certify, verify\n"
+        "from ncsdp.generator import gen_sparse\n"
+        "from ncsdp.relaxation import build\n"
+        "from ncsdp.sparsity import dense_decomposition\n"
+        "prob = gen_sparse(8, 3, seed=3)\n"
+        "rel = build(prob, 2, decomp=dense_decomposition(prob))\n"
+        "cert = certify(rel)\n"
+        "print(cert.provenances[0], cert.trace_constant, verify(rel, cert))\n"
+    )
+    src = str(Path(ctp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30)
+    assert out.returncode == 0, out.stderr
+    prov, trace, residual = out.stdout.split()
+    assert prov == PROV_LP and float(trace) == pytest.approx(13.0, abs=1e-7) and float(residual) <= 1e-8
 
 
 @pytest.mark.filterwarnings("ignore:clique chain")

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from ncsdp import ctp, lp
+from ncsdp.generator import gen_sparse
 from ncsdp.lp import LpInstance, solve_lp
+from ncsdp.relaxation import build
+from ncsdp.sparsity import dense_decomposition
 from oracles import check_lp_optimum
 
 NEG_INF = -np.inf
@@ -178,3 +182,23 @@ def test_randomized_statuses_agree():
             assert abs(res.objective - ref.fun) <= 1e-6 * (1 + abs(ref.fun))
             check_lp_optimum(inst, res)
     assert {"optimal", "infeasible"} <= seen
+
+
+@pytest.mark.filterwarnings("ignore:clique chain")
+@pytest.mark.parametrize("bland_after", [0, 1, 3])
+def test_bland_fallback_solves_the_same(monkeypatch, bland_after):
+    # Bland's rule after 0 (throughout), 1 or 3 degenerate pivots gives optima too,
+    # also on a certificate LP (b = 0, 575 x 110), where most pivots are degenerate
+    monkeypatch.setattr(lp, "_BLAND_AFTER", bland_after)
+    rng = np.random.default_rng(20260819)
+    for _ in range(30):
+        inst = _random_bounded_instance(rng)
+        check_lp_optimum(inst, solve_lp(inst))
+    inst = LpInstance(c=[1.0, 1.0], a_mat=[[1.0, -1.0]], b=[0.0], lower=[0.0, 0.0])
+    assert solve_lp(inst).objective == pytest.approx(0.0)
+    prob = gen_sparse(7, 3, seed=0)
+    rel = build(prob, 2, decomp=dense_decomposition(prob))
+    inst = ctp._group_lp(rel, *ctp._group(rel, 0))
+    res = solve_lp(inst)
+    check_lp_optimum(inst, res)
+    assert res.objective == pytest.approx(7.0, abs=1e-9)

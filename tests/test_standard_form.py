@@ -73,9 +73,18 @@ def test_svec_index_layout():
     layout.add_outer(x, 1, v, 2.5)
     assert np.allclose(layout_matrix(layout, x, 1), 2.5 * np.outer(v, v), rtol=0, atol=1e-14)
     assert layout.trace(x) == pytest.approx(np.trace(a) + 2.5 * (v @ v), abs=1e-13)
-    # svec of a dense matrix or stack, the inverse of stack
-    assert np.array_equal(layout.svec(a), a[layout.row[:6], layout.col[:6]] * layout.scale[:6])
-    assert np.allclose(layout.svec(layout.stack(x, 2)), x[None, 6:9], rtol=0, atol=1e-15)
+    # the squares buffer holds the 1 x 1, 2 x 2 and 3 x 3 stacks in turn;
+    # place is onto their upper triangles, and scale * buffer[place] gives x back
+    x[9] = 4.0
+    stacks, place = layout.squares()
+    assert [(s, blocks.tolist()) for s, blocks in stacks] == [(1, [2]), (2, [1]), (3, [0])]
+    buf = np.zeros(1 + 4 + 9)
+    buf[place] = x / layout.scale
+    assert buf[0] == 4.0
+    assert np.array_equal(np.triu(buf[1:5].reshape(1, 2, 2)), np.triu(layout.stack(x, 2)))
+    assert np.allclose(buf[5:].reshape(3, 3)[np.triu_indices(3)], a[np.triu_indices(3)], rtol=0, atol=1e-15)
+    assert np.count_nonzero(buf) == np.count_nonzero(x)
+    assert np.allclose(layout.scale * buf[place], x, rtol=1e-15, atol=0)
 
 
 def test_moment_representatives():
