@@ -127,33 +127,51 @@ def _require_finite(lam: np.ndarray, t: int) -> None:
         raise CgalError(f"smallest eigenvalue of block {bad} is {float(lam[bad])!r} at iteration {t}")
 
 
-def _operator_norm(a_mat, at) -> float:
-    """Largest singular value of a sparse matrix by deterministic power iteration.
+_stebz = scipy.linalg.lapack.dstebz  # selected eigenvalues of a symmetric tridiagonal, (m, w, ...)
 
-    Used only to precondition the solver, so a few correct digits are enough;
-    the start vector is fixed to keep solves reproducible. at is a_mat.T as
-    CSR.
+
+def _operator_norm(a_mat, at) -> float:
+    """Largest singular value of a sparse matrix by Golub-Kahan-Lanczos bidiagonalization.
+
+    Step k takes alpha_k u_k = A v_k - beta_{k-1} u_{k-1} and beta_k v_{k+1}
+    = A^T u_k - alpha_k v_k from v_1, fixed to keep solves reproducible,
+    with no reorthogonalization: only u, v and the coefficients are held.
+    The estimate is the largest singular value of the upper bidiagonal B_k
+    (diagonal alpha, superdiagonal beta), from the tridiagonal B_k^T B_k by
+    LAPACK dstebz; it stays below the exact value up to rounding. Stops
+    when it moves by at most 1e-6 relative, on an exhausted Krylov space
+    (the estimate is then a singular value of A), or after 200 steps. An
+    empty matrix, or A v_1 = 0, gives 1. Used only to precondition the
+    solver; at is a_mat.T as CSR.
     """
     m, n = a_mat.shape
     if m == 0 or n == 0:
         return 1.0
     v = np.ones(n) + 1e-3 * np.arange(n) / max(n - 1, 1)
     v /= np.linalg.norm(v)
-    sig = 0.0
-    for _ in range(200):
-        u = a_mat @ v
-        nu = float(np.linalg.norm(u))
-        if nu == 0.0:
-            return 1.0
-        w = at @ (u / nu)
-        new = float(np.linalg.norm(w))
+    u = np.zeros(m)
+    diag, off = [], []  # of B_k^T B_k: alpha_k^2 + beta_{k-1}^2, and alpha_k beta_k
+    beta = sig = 0.0
+    for k in range(1, 201):
+        u *= -beta
+        u += a_mat @ v
+        alpha = float(np.linalg.norm(u))
+        diag.append(alpha * alpha + beta * beta)
+        new = math.sqrt(_stebz(np.array(diag), np.array(off), 2, 0.0, 0.0, k, k, 0.0, "E")[1][0]) if off else alpha
         if new == 0.0:
-            return max(nu, 1e-12)
-        v = w / new
-        if abs(new - sig) <= 1e-6 * max(1.0, new):
+            return 1.0
+        if alpha == 0.0 or abs(new - sig) <= 1e-6 * max(1.0, new):
             return new
+        u /= alpha
+        v *= -alpha
+        v += at @ u
+        beta = float(np.linalg.norm(v))
+        if beta == 0.0:
+            return new
+        off.append(alpha * beta)
+        v /= beta
         sig = new
-    return max(sig, 1e-12)
+    return sig
 
 
 _LBFGS_MEMORY = 20
@@ -247,7 +265,9 @@ class _Scaled:
     """What both paths read off sdp, computed once per solve.
 
     The trace a, c_norm = |c| (1 when c = 0), c_s = c / c_norm, b_norm =
-    |b|, at = A^T as CSR, and sigma, the largest singular value of A.
+    |b|, at = A^T as CSR, and sigma, the largest singular value of A,
+    estimated from below by Golub-Kahan-Lanczos bidiagonalization
+    (_operator_norm).
     """
 
     def __init__(self, sdp: StandardSdp):
@@ -484,7 +504,8 @@ def _witness(dual: _SmoothedDual, u: np.ndarray, target: float) -> np.ndarray:
     Keeps, in every block, the eigenvectors V with eigenvalue at most
     lambda_min + _KEEP max(1, spread) and takes X = V S V^T. FISTA minimizes
     |A svec(X) - b| over block S psd with sum tr S = 1, from the softmin
-    weights, until the residual is at most target.
+    weights, until the residual is at most target; the Gram matrix of its
+    step is formed only when the projected start misses target.
     """
     lam, vecs = dual.eig(u)
     lam_min, _, weights = dual.softmin(lam)
@@ -518,9 +539,6 @@ def _witness(dual: _SmoothedDual, u: np.ndarray, target: float) -> np.ndarray:
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(dual.buf.size, col)
     )
     ops = (dual.a_buf @ embed).toarray()
-    gram, lin = ops.T @ ops, ops.T @ dual.b_s
-    lip = float(np.linalg.eigvalsh(gram)[-1])
-    step = 1.0 / lip if lip > 0.0 else 1.0
 
     def project(s: np.ndarray) -> np.ndarray:
         parts, thetas, at = [], [], 0
@@ -549,6 +567,10 @@ def _witness(dual: _SmoothedDual, u: np.ndarray, target: float) -> np.ndarray:
             # done, or less than a tenth off the residual in the last 100 steps
             if checks[-1] <= target or (len(checks) == checks.maxlen and checks[-1] > 0.9 * checks[0]):
                 break
+        if it == 0:  # past the first check, where most witnesses stop
+            gram, lin = ops.T @ ops, ops.T @ dual.b_s
+            lip = float(np.linalg.eigvalsh(gram)[-1])
+            step = 1.0 / lip if lip > 0.0 else 1.0
         s_new = project(y - step * (gram @ y - lin))
         t_new = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
         y = s_new + ((t - 1.0) / t_new) * (s_new - s)

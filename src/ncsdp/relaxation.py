@@ -217,9 +217,6 @@ class Relaxation:
         through the equality blocks' upper triangles, row-major, in order."""
         return _entry_forms(self)
 
-    def objective_value(self, y: np.ndarray) -> float:
-        return float(sum(c * y[k] for k, c in self.objective.items()))
-
 
 _PIECE = 1 << 16  # (entry, term) rows that _entry_forms holds at a time
 

@@ -71,6 +71,11 @@ def block_matrix(rel, block_index: int, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def objective_value(rel, y: np.ndarray) -> float:
+    """The relaxation's objective at a moment vector, one key at a time."""
+    return float(sum(c * y[k] for k, c in rel.objective.items()))
+
+
 def write_sdp_per_entry(sdp, path: str) -> None:
     """The standard-form text file, each entry line %-formatted on its own."""
     layout = sdp.layout

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -30,7 +31,7 @@ from ncsdp.cgal import (
     solve,
 )
 from ncsdp.ctp import certify
-from ncsdp.free_algebra import NcPolynomial
+from ncsdp.free_algebra import NcPolynomial, SymmetryMode
 from ncsdp.generator import gen_dense, gen_sparse
 from ncsdp.relaxation import Problem, build
 from ncsdp.sparsity import dense_decomposition
@@ -84,6 +85,101 @@ def test_norm_is_sqrt_of_dot():
         for _ in range(20):
             v = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8)
             assert math.sqrt(v.dot(v)) == float(np.linalg.norm(v))
+
+
+def _exact_norm(a_mat):
+    return float(np.linalg.norm(a_mat.toarray(), 2))
+
+
+def _norm_of(a_mat):
+    a_mat = sp.csr_matrix(a_mat)
+    return _operator_norm(a_mat, a_mat.T.tocsr())
+
+
+@pytest.mark.filterwarnings("ignore:clique chain")
+@pytest.mark.parametrize(
+    "make, mode",
+    [
+        (lambda: gen_dense(3, "ball", seed=0), SymmetryMode.STAR_ONLY),
+        (lambda: gen_sparse(8, 3, seed=0), SymmetryMode.STAR_ONLY),
+        (lambda: gen_sparse(8, 3, seed=0), SymmetryMode.STAR_CYCLIC),
+    ],
+    ids=["ball-n3", "chain-eig", "chain-trace"],
+)
+def test_operator_norm_matches_dense_norm(make, mode):
+    rel = build(make(), 2, mode)
+    a_mat = assemble(rel, certify(rel)).a_mat
+    exact, got = _exact_norm(a_mat), _norm_of(a_mat)
+    assert exact * (1.0 - 1e-6) <= got <= exact * (1.0 + 1e-12)
+
+
+def _clustered(m, n, seed):
+    # singular values 1 and 1 - 1e-3 on top, the rest spread over [0.1, 0.5],
+    # between random orthonormal factors
+    rng = np.random.default_rng(seed)
+    q1 = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    r = min(m, n)
+    s = np.concatenate([[1.0, 1.0 - 1e-3], np.linspace(0.5, 0.1, r - 2)])
+    return (q1[:, :r] * s) @ q2[:, :r].T
+
+
+def test_operator_norm_separates_a_clustered_top():
+    # power iteration closes the gap to the second singular value by a factor
+    # 0.998 per step; its 1e-6 change rule stopped it 5.8e-4 low here
+    a_mat = _clustered(40, 30, 0)
+    assert abs(_norm_of(a_mat) - 1.0) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "a_mat, exact",
+    [
+        (np.zeros((0, 5)), 1.0),
+        (np.zeros((5, 0)), 1.0),
+        (np.zeros((4, 6)), 1.0),
+        (np.array([[3.0, -1.0, 0.0, 2.0, 0.5]]), math.sqrt(14.25)),
+        (np.outer([1.0, -2.0, 0.5], [0.3, 0.0, -1.0, 4.0]), math.sqrt(5.25 * 17.09)),
+        (np.array([[2.0]]), 2.0),
+    ],
+    ids=["no-rows", "no-columns", "all-zero", "one-row", "rank-one", "one-by-one"],
+)
+def test_operator_norm_edge_cases(a_mat, exact):
+    # one row and rank one exhaust the Krylov space at the second step: the
+    # estimate is then exact
+    assert _norm_of(a_mat) == pytest.approx(exact, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.floats(0.05, 1.0), st.integers(0, 2**32 - 1))
+def test_operator_norm_never_exceeds_the_exact_value(m, n, density, seed):
+    rng = np.random.default_rng(seed)
+    a_mat = sp.random(m, n, density=density, random_state=rng, format="csr")
+    a_mat.data = rng.standard_normal(a_mat.nnz)
+    got, exact = _norm_of(a_mat), _exact_norm(a_mat)
+    assert got <= exact * (1.0 + 1e-12) or exact == 0.0
+
+
+def test_operator_norm_is_reproducible():
+    a_mat = sp.csr_matrix(_clustered(30, 50, 1))
+    at = a_mat.T.tocsr()
+    first = _operator_norm(a_mat, at)
+    assert all(_operator_norm(a_mat, at) == first for _ in range(3))
+
+
+def test_operator_norm_holds_a_few_vectors():
+    # no Krylov basis: u, v and the products' temporaries, at most three
+    # vectors of length m + n at a time
+    m, n = 4000, 6000
+    a_mat = sp.random(m, n, density=1e-3, random_state=np.random.default_rng(0), format="csr")
+    at = a_mat.T.tocsr()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _operator_norm(a_mat, at)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * (m + n)
 
 
 def _dense_block(layout, g, i):
@@ -616,7 +712,7 @@ def test_solve_picks_the_path_by_block_size(monkeypatch, sizes, eps, dual):
     assert rep.iterations == 3
 
 
-def test_solve_runs_one_power_iteration_across_a_fallback(monkeypatch):
+def test_solve_runs_one_operator_norm_across_a_fallback(monkeypatch):
     # the spectral path gives up after five evaluations at order 2; the loop
     # then reuses its operator norm, and the transpose built with it
     norms, duals = [], []

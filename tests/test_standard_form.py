@@ -24,7 +24,7 @@ from ncsdp.standard_form import (
     write_sdp,
     x_from_moments,
 )
-from oracles import assemble_by_lexsort, cancelling_problem, layout_matrix, write_sdp_per_entry
+from oracles import assemble_by_lexsort, cancelling_problem, layout_matrix, objective_value, write_sdp_per_entry
 
 
 def ball_problem(n: int) -> Problem:
@@ -288,7 +288,7 @@ def test_feasible_point_satisfies_standard_form():
     assert np.abs(sdp.a_mat @ x - sdp.b).max() <= 1e-10
     assert sdp.b[0] == 1.0
     # objective transfers through the rescaling
-    assert float(sdp.c @ x) == pytest.approx(rel.objective_value(y), abs=1e-12)
+    assert float(sdp.c @ x) == pytest.approx(objective_value(rel, y), abs=1e-12)
     # constant trace on the feasible set
     blocks = svec_to_blocks(sdp, x)
     assert sum(np.trace(m) for m in blocks) == pytest.approx(sdp.trace, abs=1e-10)
