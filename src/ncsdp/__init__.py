@@ -22,7 +22,6 @@ from .free_algebra import (
     evaluate_scalar,
 )
 from .generator import gen_dense, gen_sparse
-from .lp import LpInstance, LpResult, solve_lp
 from .relaxation import (
     Problem,
     Relaxation,
@@ -44,8 +43,6 @@ __all__ = [
     "CountStats",
     "CtpCertificate",
     "CtpError",
-    "LpInstance",
-    "LpResult",
     "NcPolynomial",
     "Problem",
     "Relaxation",
@@ -72,7 +69,6 @@ __all__ = [
     "read_sdp",
     "recover_moments",
     "solve",
-    "solve_lp",
     "verify",
     "write_sdp",
 ]

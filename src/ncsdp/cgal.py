@@ -10,15 +10,17 @@ builds a primal witness on the bottom eigenspaces of C - A^T u. It returns
 only when the witness passes the gap test. Otherwise, and for larger blocks,
 the conditional gradient augmented Lagrangian (CGAL) loop runs.
 
-The dual path evaluates f in the coordinates of BlockLayout.squares: every
-block a dense square, the blocks of one size one (k, s, s) stack, the
-stacks back to back in one buffer. c, A^T and A are re-indexed onto the
-upper triangles of that buffer once per solve, so an evaluation is one
-sparse product into the buffer, one eigh per stack on views of it, one
-softmin over all eigenvalues, the mixture written back over the views, and
-one sparse product back to the gradient. L-BFGS takes its direction from
-the compact form of the last 20 steps (Byrd, Nocedal and Schnabel), one
-triangular solve each way.
+Both paths, the psd audit and dual_bound see the blocks through one
+buffer per solve (_Blocks, over BlockLayout.squares): every block a dense
+square, the blocks of one size one (k, s, s) view of it, the views back to
+back. The dual path re-indexes c, A^T and A onto the upper triangles of the
+buffer once per solve, so an evaluation is one sparse product into the
+buffer, one eigh per view, one softmin over all eigenvalues, the mixture
+written back over the views, and one sparse product back to the gradient.
+L-BFGS takes its direction from the compact form of the last 20 steps
+(Byrd, Nocedal and Schnabel), one triangular solve each way. The CGAL loop,
+the audit and dual_bound fill both triangles of the whole buffer from an
+svec vector in one gather.
 
 Each CGAL iteration linearizes the augmented Lagrangian, finds the smallest
 eigenpair of the block-diagonal gradient, and moves toward the rank-one
@@ -30,13 +32,11 @@ Both paths run on one normalized copy of the data (_Scaled), stop on one
 gap test, residual <= eps and |c.x - f(u)| <= eps (1 + |f(u)|) in original
 units, and report through _report with the multiplier u of their bound.
 
-The CGAL loop's eigenpair search groups the blocks by size. A 1 x 1
-block is read straight from the gradient, with eigenvector [1]. All blocks
-of one larger size are gathered into a (k, s, s) stack and take one
-min_eigpair call: one stacked eigh up to _DENSE_CUTOFF, a LAPACK subset
-eigh per block above it.
-The first block with the least eigenvalue wins, and a non-finite eigenvalue
-stops the solve with CgalError.
+The CGAL loop's eigenpair search makes one min_eigpair call per view: 1 x 1
+blocks in closed form, with eigenvector [1], one stacked eigh up to
+_DENSE_CUTOFF, a LAPACK subset eigh per block above it. The first block
+with the least eigenvalue wins, and a non-finite eigenvalue stops the solve
+with CgalError.
 """
 
 from __future__ import annotations
@@ -95,11 +95,11 @@ class SolveReport:
         return self.objective - self.lower_bound
 
 
-def min_eigpair(a: np.ndarray, dense_cutoff: int = _DENSE_CUTOFF) -> tuple[float, np.ndarray]:
+def min_eigpair(a: np.ndarray) -> tuple[float, np.ndarray]:
     """Smallest eigenpair of a symmetric matrix, or of each matrix in a (k, s, s) stack.
 
     The size s picks the method: 1 x 1 matrices in closed form, s up to
-    dense_cutoff by one stacked eigh, larger s by a LAPACK subset eigh of
+    _DENSE_CUTOFF by one stacked eigh, larger s by a LAPACK subset eigh of
     one matrix at a time. A stack returns the (k,) smallest eigenvalues and
     their (k, s) eigenvectors, bit for bit what the matrices give one at a
     time. Above the cutoff a matrix with a non-finite entry gives eigenvalue
@@ -109,7 +109,7 @@ def min_eigpair(a: np.ndarray, dense_cutoff: int = _DENSE_CUTOFF) -> tuple[float
     k, s = stack.shape[:2]
     if s == 1:
         lam, vecs = stack[:, 0, 0], np.ones((k, 1))
-    elif s <= dense_cutoff:
+    elif s <= _DENSE_CUTOFF:
         w, v = np.linalg.eigh(stack)
         lam, vecs = w[:, 0], v[:, :, 0]
     else:
@@ -181,54 +181,51 @@ _WITNESS_ITERS = 5000  # FISTA steps of the witness, at most
 _KEEP = 1e-3  # the witness keeps eigenvalues up to lambda_min + _KEEP max(1, spread)
 
 
-class _Spectrum:
-    """Least eigenvalues of a block-diagonal matrix in svec form, one size class at a time.
+class _Blocks:
+    """Every block of a block-diagonal matrix as a dense square, on the buffer of BlockLayout.squares.
 
-    Every size class is gathered through BlockLayout.stack; a 1 x 1 block
-    is its own eigenvalue, with eigenvector [1]. least gives the smallest
-    eigenpair (the CGAL loop), lows the least eigenvalue of every block
-    (the psd audit, and dual_bound) and floor the audit's verdict.
+    views holds one (k, s, s) view of buf per block size, in the order of
+    stacks. The spectral dual path writes the upper triangles itself; load
+    fills both triangles from an svec vector. least gives the smallest
+    eigenpair (the CGAL loop), lows the least eigenvalue of every block (the
+    psd audit, and dual_bound) and floor the audit's verdict.
     """
 
     def __init__(self, layout: BlockLayout):
-        sizes = np.asarray(layout.sizes)
-        first = np.asarray(layout.offsets[:-1])
         self.layout = layout
-        # per size: the blocks and their svec positions, (k, s(s+1)/2)
-        self.classes = []
-        # block i is row rank[i] of size class cls[i]
-        self.cls = np.empty(sizes.size, dtype=int)
-        self.rank = np.empty(sizes.size, dtype=int)
-        for c, s in enumerate(np.unique(sizes).tolist()):
-            blocks = np.flatnonzero(sizes == s)
-            self.classes.append((s, blocks, first[blocks, None] + np.arange(s * (s + 1) // 2)))
-            self.cls[blocks] = c
-            self.rank[blocks] = np.arange(blocks.size)
+        self.stacks, self.place, self.cells = layout.squares
+        self.buf = np.empty(self.cells.size)
+        self.views, at = [], 0
+        for s, blocks in self.stacks:
+            self.views.append(self.buf[at : at + blocks.size * s * s].reshape(-1, s, s))
+            at += blocks.size * s * s
+
+    def load(self, x: np.ndarray) -> list[np.ndarray]:
+        """The views, with buf holding the dense blocks of x: each entry its svec value over the position's scale."""
+        np.take(x / self.layout.scale, self.cells, out=self.buf)
+        return self.views
 
     def least(self, g: np.ndarray, t: int) -> tuple[float, int, np.ndarray]:
-        """(eigenvalue, block, eigenvector) of the first block with the least eigenvalue.
+        """(eigenvalue, block, eigenvector) of the first block of g with the least eigenvalue.
 
-        One min_eigpair call per size class above 1 x 1; a non-finite
-        eigenvalue raises CgalError naming the first such block and t.
+        One min_eigpair call per view; a non-finite eigenvalue raises
+        CgalError naming the first such block and t.
         """
-        lam = np.empty(self.cls.size)
-        vecs = []
-        for s, blocks, pos in self.classes:
-            if s == 1:
-                lam[blocks] = g[pos[:, 0]]
-                vecs.append(np.ones((blocks.size, 1)))
-            else:
-                lam[blocks], v = min_eigpair(self.layout.stack(g, s), _DENSE_CUTOFF)
-                vecs.append(v)
+        lam = np.empty(len(self.layout.sizes))
+        found = {}
+        for (s, blocks), view in zip(self.stacks, self.load(g)):
+            lam[blocks], vecs = min_eigpair(view)
+            found[s] = blocks, vecs
         _require_finite(lam, t)
         blk = int(lam.argmin())
-        return float(lam[blk]), blk, vecs[self.cls[blk]][self.rank[blk]]
+        blocks, vecs = found[self.layout.sizes[blk]]
+        return float(lam[blk]), blk, vecs[np.searchsorted(blocks, blk)]
 
     def lows(self, x: np.ndarray) -> np.ndarray:
-        """Least eigenvalue of every block of x, one eigvalsh per size class."""
-        lam = np.empty(self.cls.size)
-        for s, blocks, _ in self.classes:
-            lam[blocks] = np.linalg.eigvalsh(self.layout.stack(x, s))[:, 0]
+        """Least eigenvalue of every block of x, one eigvalsh per view."""
+        lam = np.empty(len(self.layout.sizes))
+        for (_, blocks), view in zip(self.stacks, self.load(x)):
+            lam[blocks] = np.linalg.eigvalsh(view)[:, 0]
         return lam
 
     def floor(self, x: np.ndarray, a: float, t: int) -> float:
@@ -251,7 +248,7 @@ def dual_bound(sdp: StandardSdp, u: np.ndarray) -> float:
     Every feasible X is psd with trace a, so <C, X> = b.u + <C - A^T u, X>
     >= f(u): f(u) is a lower bound on the optimal value for every u.
     """
-    lam = float(_Spectrum(sdp.layout).lows(sdp.c - sdp.a_mat.T @ u).min())
+    lam = float(_Blocks(sdp.layout).lows(sdp.c - sdp.a_mat.T @ u).min())
     return float(sdp.b @ u) + float(sdp.trace) * lam
 
 
@@ -265,9 +262,9 @@ class _Scaled:
     """What both paths read off sdp, computed once per solve.
 
     The trace a, c_norm = |c| (1 when c = 0), c_s = c / c_norm, b_norm =
-    |b|, at = A^T as CSR, and sigma, the largest singular value of A,
+    |b|, at = A^T as CSR, sigma, the largest singular value of A,
     estimated from below by Golub-Kahan-Lanczos bidiagonalization
-    (_operator_norm).
+    (_operator_norm), and blocks, the dense-block buffer both paths use.
     """
 
     def __init__(self, sdp: StandardSdp):
@@ -277,6 +274,7 @@ class _Scaled:
         self.b_norm = float(np.linalg.norm(sdp.b))
         self.at = sdp.a_mat.T.tocsr()
         self.sigma = _operator_norm(sdp.a_mat, self.at)
+        self.blocks = _Blocks(sdp.layout)
 
 
 def _report(
@@ -314,28 +312,22 @@ class _SmoothedDual:
     eigenvectors (trace 1, psd), so the gradient of -f_mu is also the
     residual A svec(W) - b of that mixture.
 
-    It works in the coordinates of BlockLayout.squares (see the module
-    docstring): c_buf - at_buf u fills buf, eigh reads the upper triangles
-    of its views, the mixture is written over them, and a_buf buf is A svec(W).
+    It works on the buffer of d.blocks (see the module docstring): c_buf -
+    at_buf u fills the upper triangles, eigh reads them on the views, the
+    mixture is written over the views, and a_buf buf is A svec(W).
     """
 
     def __init__(self, d: _Scaled, history: list | None, res_scale: float):
-        layout = d.sdp.layout
-        self.stacks, self.place = layout.squares()
-        self.scale, self.offsets = layout.scale, layout.offsets
-        self.buf = np.zeros(sum(blocks.size * s * s for s, blocks in self.stacks))
-        # per stack: its (k, s, s) view of buf, and for 1 x 1 blocks their eigenvectors [1]
-        self.views, self.units, at = [], [], 0
-        for s, blocks in self.stacks:
-            self.views.append(self.buf[at : at + blocks.size * s * s].reshape(-1, s, s))
-            self.units.append(np.ones((blocks.size, 1, 1)) if s == 1 else None)
-            at += blocks.size * s * s
-        self.c_buf = np.zeros(self.buf.size)
-        self.c_buf[self.place] = d.c_s / self.scale
+        self.blocks = d.blocks
+        place, buf, scale = d.blocks.place, d.blocks.buf, d.blocks.layout.scale
+        # per view: for 1 x 1 blocks their eigenvectors [1]
+        self.units = [np.ones((blocks.size, 1, 1)) if s == 1 else None for s, blocks in d.blocks.stacks]
+        self.c_buf = np.zeros(buf.size)
+        self.c_buf[place] = d.c_s / scale
         # A's CSR arrays with each column moved to its place; a row's columns
         # need not ascend for a product
         a = d.sdp.a_mat.tocsr()
-        cols, scale, shape = self.place[a.indices], self.scale[a.indices], (a.shape[0], self.buf.size)
+        cols, scale, shape = place[a.indices], scale[a.indices], (a.shape[0], buf.size)
         self.a_buf = sp.csr_matrix((a.data * scale / d.sigma, cols, a.indptr), shape=shape)
         self.at_buf = sp.csr_matrix((a.data / (d.sigma * scale), cols, a.indptr), shape=shape).T.tocsr()
         self.b_s = d.sdp.b / (d.sigma * d.a)
@@ -351,9 +343,9 @@ class _SmoothedDual:
         non-finite least eigenvalue raises CgalError naming the first such
         block and the evaluation.
         """
-        np.subtract(self.c_buf, self.at_buf @ u, out=self.buf)
+        np.subtract(self.c_buf, self.at_buf @ u, out=self.blocks.buf)
         lams, vecs = [], []
-        for view, unit in zip(self.views, self.units):
+        for view, unit in zip(self.blocks.views, self.units):
             if unit is not None:
                 lams.append(view)
                 vecs.append(unit)
@@ -364,8 +356,8 @@ class _SmoothedDual:
         lam = np.concatenate(lams, axis=None)
         # a sum is finite only when every term is; past it, the first block whose least eigenvalue is not finite
         if not math.isfinite(lam.sum()):
-            owner = np.concatenate([np.repeat(blocks, s) for s, blocks in self.stacks])
-            low = np.full(len(self.offsets) - 1, np.inf)
+            owner = np.concatenate([np.repeat(blocks, s) for s, blocks in self.blocks.stacks])
+            low = np.full(len(self.blocks.layout.sizes), np.inf)
             np.minimum.at(low, owner, lam)
             _require_finite(low, self.evals)
         return lam, vecs
@@ -383,14 +375,14 @@ class _SmoothedDual:
         lam, vecs = self.eig(u)
         lam_min, smooth, weights = self.softmin(lam)
         at = 0
-        for view, unit, v in zip(self.views, self.units, vecs):
+        for view, unit, v in zip(self.blocks.views, self.units, vecs):
             k, s = view.shape[:2]
             if unit is not None:
                 view[:, 0, 0] = weights[at : at + k]
             else:
                 np.matmul(v * weights[at : at + k * s].reshape(k, 1, s), v.transpose(0, 2, 1), out=view)
             at += k * s
-        grad = self.a_buf @ self.buf
+        grad = self.a_buf @ self.blocks.buf
         grad -= self.b_s
         if self.history is not None:
             self.history.append(math.sqrt(grad.dot(grad)) * self.res_scale)
@@ -512,31 +504,31 @@ def _witness(dual: _SmoothedDual, u: np.ndarray, target: float) -> np.ndarray:
     cut = lam_min + _KEEP * max(1.0, float(lam.max()) - lam_min)
     # kept[r]: the blocks with r kept eigenvectors; S holds one full r x r
     # matrix per such block, the blocks of one r side by side
+    layout, place = dual.blocks.layout, dual.blocks.place
     kept: dict[int, list] = {}
     at = 0
-    for (s, blocks), v in zip(dual.stacks, vecs):
+    for (s, blocks), v in zip(dual.blocks.stacks, vecs):
         for k, i in enumerate(blocks.tolist()):
             keep = lam[at : at + s] <= cut
             if keep.any():
-                place = dual.place[dual.offsets[i] : dual.offsets[i + 1]]
-                kept.setdefault(int(keep.sum()), []).append((s, place, v[k][:, keep], weights[at : at + s][keep]))
+                span = slice(layout.offsets[i], layout.offsets[i + 1])
+                kept.setdefault(int(keep.sum()), []).append((span, v[k][:, keep], weights[at : at + s][keep]))
             at += s
     rows, cols, vals, start, groups = [], [], [], [], []
     col = 0
     for r, members in sorted(kept.items()):
-        for s, place, vk, pk in members:
+        for span, vk, pk in members:
             # column (p, q) of the block: the upper triangle of (v_p v_q^T + v_q v_p^T) / 2
-            iu, ju = np.triu_indices(s)
-            outer = vk[iu, :, None] * vk[ju, None, :]
+            outer = vk[layout.row[span], :, None] * vk[layout.col[span], None, :]
             outer = (outer + outer.transpose(0, 2, 1)) / 2.0
-            rows.append(np.repeat(place, r * r))
-            cols.append(np.tile(col + np.arange(r * r), place.size))
+            rows.append(np.repeat(place[span], r * r))
+            cols.append(np.tile(col + np.arange(r * r), span.stop - span.start))
             vals.append(outer.ravel())
             start.append(np.diag(pk).ravel())
             col += r * r
         groups.append((r, len(members)))
     embed = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(dual.buf.size, col)
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(dual.blocks.buf.size, col)
     )
     ops = (dual.a_buf @ embed).toarray()
 
@@ -575,7 +567,7 @@ def _witness(dual: _SmoothedDual, u: np.ndarray, target: float) -> np.ndarray:
         t_new = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
         y = s_new + ((t - 1.0) / t_new) * (s_new - s)
         s, t = s_new, t_new
-    return dual.scale * (embed @ s)[dual.place]
+    return layout.scale * (embed @ s)[place]
 
 
 def _spectral_dual(d: _Scaled, cfg: CgalConfig) -> SolveReport | None:
@@ -618,7 +610,7 @@ def _spectral_dual(d: _Scaled, cfg: CgalConfig) -> SolveReport | None:
     x = a * _witness(dual, u, gtol)
     t = dual.evals
     _check_trace(sdp.layout.trace(x), a, t)
-    min_seen = _Spectrum(sdp.layout).floor(x, a, t) if cfg.check_psd else 0.0
+    min_seen = d.blocks.floor(x, a, t) if cfg.check_psd else 0.0
     u = d.c_norm * u / d.sigma
     res_norm = float(np.linalg.norm(sdp.a_mat @ x - sdp.b))
     rep = _report(d, cfg, "dual", x, u, dual_bound(sdp, u), t, res_norm, min_seen=min_seen, history=history)
@@ -657,7 +649,7 @@ def _cgal_loop(d: _Scaled, cfg: CgalConfig) -> SolveReport:
     min_seen = 0.0
     resid_hist: list[float] | None = [] if cfg.track_residuals else None
     cap_hits = 0
-    spectrum = _Spectrum(layout)
+    least, floor = d.blocks.least, d.blocks.floor
     add_outer, trace = layout.add_outer, layout.trace
     r = (ax - b) / res_scale
     mult = np.empty_like(r)  # the dual multiplier (z + beta r) / sigma
@@ -670,7 +662,7 @@ def _cgal_loop(d: _Scaled, cfg: CgalConfig) -> SolveReport:
         mult /= sigma
         g = at_mat @ mult
         g += c_scaled
-        lam, blk, v = spectrum.least(g, t)
+        lam, blk, v = least(g, t)
         f = c_norm * (a * lam - b.dot(mult))
         if f > bound:
             bound = f
@@ -697,7 +689,7 @@ def _cgal_loop(d: _Scaled, cfg: CgalConfig) -> SolveReport:
 
         _check_trace(trace(x), a, t)
         if cfg.check_psd:
-            min_seen = min(min_seen, spectrum.floor(x, a, t))
+            min_seen = min(min_seen, floor(x, a, t))
 
         res_norm = rn_scaled * res_scale
         resid_rel = res_norm / (1.0 + d.b_norm)

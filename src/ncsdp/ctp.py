@@ -37,7 +37,7 @@ from .free_algebra import (
     canonicalize,
 )
 from .lp import LpInstance, solve_lp
-from .relaxation import Relaxation
+from .relaxation import Relaxation, _upper
 
 PROV_BALL = "ball-closed-form"
 PROV_POLYDISC = "polydisc-closed-form"
@@ -277,7 +277,7 @@ def _certify_group_lp(
     mults: dict[int, np.ndarray] = {}
     for ej in eq_ids:
         size = rel.eq_blocks[ej].size
-        iu, ju = np.triu_indices(size)
+        iu, ju = _upper(size)
         h = np.zeros((size, size))
         h[iu, ju] = h[ju, iu] = x[pos : pos + iu.size]
         mults[ej] = h
@@ -390,7 +390,7 @@ def trace_identity_residual(rel: Relaxation, cert: CtpCertificate) -> np.ndarray
         h = np.concatenate([
             np.where(iu == ju, m[iu, ju], m[iu, ju] + m[ju, iu])
             for m in cert.eq_multipliers
-            for iu, ju in [np.triu_indices(len(m))]
+            for iu, ju in [_upper(len(m))]
         ])
         weights = h[eq.entry]
         weights *= eq.coeff

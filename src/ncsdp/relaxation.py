@@ -223,8 +223,14 @@ _PIECE = 1 << 16  # (entry, term) rows that _entry_forms holds at a time
 
 @functools.lru_cache(maxsize=64)
 def _upper(s: int) -> np.ndarray:
-    """Rows and columns, (2, s(s+1)/2), of the upper triangle of an s x s matrix, row-major."""
-    return np.array(np.triu_indices(s))
+    """Rows and columns, (2, s(s+1)/2), of the upper triangle of an s x s matrix, row-major; read-only.
+
+    The svec order of every block: the layout, the entry forms and the
+    certificates all take their triangles from here.
+    """
+    out = np.array(np.triu_indices(s))
+    out.flags.writeable = False
+    return out
 
 
 @functools.lru_cache(maxsize=32)

@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .ctp import CtpCertificate
-from .relaxation import Relaxation
+from .relaxation import Relaxation, _upper
 
 
 class BlockLayout:
@@ -59,15 +59,10 @@ class BlockLayout:
         self.diag = np.flatnonzero(self.row == self.col)
         for arr in (self.block, self.row, self.col, self.scale, self.diag):
             arr.flags.writeable = False
-        # dense gathers, built on first use: per size, the position within a
-        # block and the scale of every square entry, and the positions of the
-        # (k, s, s) stack of all blocks of that size
-        self._squares: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._stacks: dict[int, np.ndarray] = {}
 
     @staticmethod
     def _triangle(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        iu, ju = np.triu_indices(s)
+        iu, ju = _upper(s)
         return iu, ju, np.where(iu == ju, 1.0, math.sqrt(2.0))
 
     def index(self, block, r, c):
@@ -81,36 +76,19 @@ class BlockLayout:
         first = np.repeat(np.cumsum([0] + self.sizes[:-1]), np.diff(self.offsets))
         return d[first + self.row] * d[first + self.col]
 
-    def _square(self, s: int) -> tuple[np.ndarray, np.ndarray]:
-        sq = self._squares.get(s)
-        if sq is None:
-            iu, ju, scale = self._triangle(s)
-            local = np.empty((s, s), dtype=np.intp)
-            local[iu, ju] = local[ju, iu] = np.arange(iu.size)
-            sq = self._squares[s] = (local, scale[local])
-        return sq
-
-    def stack(self, x: np.ndarray, s: int) -> np.ndarray:
-        """Dense blocks of size s of an svec vector, in block order, as a (k, s, s) array.
-
-        Each entry is its svec value divided by the position's scale.
-        """
-        local, scale = self._square(s)
-        pos = self._stacks.get(s)
-        if pos is None:
-            first = np.asarray(self.offsets[:-1])[np.asarray(self.sizes) == s]
-            pos = self._stacks[s] = first[:, None, None] + local
-        return x[pos] / scale
-
-    def squares(self) -> tuple[list[tuple[int, np.ndarray]], np.ndarray]:
+    @functools.cached_property
+    def squares(self) -> tuple[list[tuple[int, np.ndarray]], np.ndarray, np.ndarray]:
         """Every block as a dense square, one (k, s, s) stack per size, the stacks back to back in one buffer.
 
-        Returns (s, blocks) per stack, sizes ascending and the k blocks of
-        size s in block order, and place: for every svec position, the
-        buffer index of its entry (row, col), row <= col, in the upper
-        triangle of its block's square. The buffer holds sum k s^2 entries;
-        an svec vector x enters as buffer[place] = x / scale, and the upper
-        triangles leave as x = scale * buffer[place].
+        Returns (stacks, place, cells). stacks lists (s, blocks) per size,
+        sizes ascending and the k blocks of size s in block order. place
+        gives, for every svec position, the buffer index of its entry (row,
+        col), row <= col, in the upper triangle of its block's square, and
+        cells, for every buffer index of either triangle, its svec position.
+        The buffer holds sum k s^2 entries. An svec vector x fills the whole
+        buffer as (x / scale)[cells], or only the upper triangles as
+        buffer[place] = x / scale; they leave as x = scale * buffer[place].
+        Built once per layout; the arrays are read-only.
         """
         sizes = np.asarray(self.sizes)
         stacks, first, at = [], np.empty(sizes.size, dtype=np.intp), 0
@@ -119,7 +97,13 @@ class BlockLayout:
             first[blocks] = at + s * s * np.arange(blocks.size)
             stacks.append((s, blocks))
             at += blocks.size * s * s
-        return stacks, first[self.block] + self.row * sizes[self.block] + self.col
+        start, size = first[self.block], sizes[self.block]
+        place = start + self.row * size + self.col
+        cells = np.empty(at, dtype=np.intp)
+        cells[place] = cells[start + self.col * size + self.row] = np.arange(self.dim)
+        for arr in (*(blocks for _, blocks in stacks), place, cells):
+            arr.flags.writeable = False
+        return stacks, place, cells
 
     def add_outer(self, x: np.ndarray, i: int, v: np.ndarray, weight: float) -> None:
         """x += weight * svec(v v^T) placed in block i."""

@@ -19,12 +19,12 @@ from ncsdp.cgal import (
     CgalConfig,
     CgalError,
     SolveReport,
+    _Blocks,
     _cgal_loop,
     _operator_norm,
     _Pairs,
     _Scaled,
     _SmoothedDual,
-    _Spectrum,
     _spectral_dual,
     dual_bound,
     min_eigpair,
@@ -66,13 +66,14 @@ def test_min_eigpair_size_one_and_degenerate():
 @pytest.mark.parametrize(
     "size, dense_cutoff", [(1, 64), (2, 64), (6, 64), (9, 4)], ids=["1", "2", "6", "9-above-cutoff-4"]
 )
-def test_min_eigpair_stack_matches_one_at_a_time(size, dense_cutoff):
+def test_min_eigpair_stack_matches_one_at_a_time(monkeypatch, size, dense_cutoff):
+    monkeypatch.setattr(cgal, "_DENSE_CUTOFF", dense_cutoff)
     rng = np.random.default_rng(10 + size)
     stack = np.array([_sym(rng, size) for _ in range(7)])
-    lam, vecs = min_eigpair(stack, dense_cutoff)
+    lam, vecs = min_eigpair(stack)
     assert lam.shape == (7,) and vecs.shape == (7, size)
     for k in range(7):
-        lam_k, v_k = min_eigpair(stack[k], dense_cutoff)
+        lam_k, v_k = min_eigpair(stack[k])
         assert lam[k] == lam_k
         assert np.array_equal(vecs[k], v_k)
 
@@ -193,11 +194,12 @@ def _dense_block(layout, g, i):
     return m
 
 
-def _reference_block_eigs(layout, g, dense_cutoff):
-    # one eigensolve per block in block order; the first least eigenvalue wins
+def _reference_block_eigs(layout, g):
+    # one eigensolve per block in block order, at the module's cutoff, where a
+    # test may have patched it; the first least eigenvalue wins
     lam_best, blk_best, v_best = np.inf, 0, None
     for i in range(len(layout.sizes)):
-        lam, v = min_eigpair(_dense_block(layout, g, i), dense_cutoff)
+        lam, v = min_eigpair(_dense_block(layout, g, i))
         if lam < lam_best:
             lam_best, blk_best, v_best = lam, i, v
     return lam_best, blk_best, v_best
@@ -215,11 +217,16 @@ def test_block_eigs_matches_per_block_loop(monkeypatch, dense_cutoff):
     # a least 1 x 1 block (block 3) and the same value in a later 1 x 1 block (block 6)
     one = rng.standard_normal(layout.dim)
     one[layout.offsets[3]] = one[layout.offsets[6]] = -50.0
-    spectrum = _Spectrum(layout)
+    blocks = _Blocks(layout)
     winners = []
     for t, g in enumerate(gs + [tie, one], start=1):
-        lam_ref, blk_ref, v_ref = _reference_block_eigs(layout, g, dense_cutoff)
-        lam, blk, v = spectrum.least(g, t)
+        # the gathered views are the per-block scatters, bit for bit
+        views = blocks.load(g)
+        for (s, members), view in zip(blocks.stacks, views):
+            for k, i in enumerate(members.tolist()):
+                assert np.array_equal(view[k], _dense_block(layout, g, i))
+        lam_ref, blk_ref, v_ref = _reference_block_eigs(layout, g)
+        lam, blk, v = blocks.least(g, t)
         assert (lam, blk) == (lam_ref, blk_ref)
         assert np.array_equal(v, v_ref)
         winners.append(blk)
@@ -277,7 +284,7 @@ def _reference_solve(sdp, cfg):
     # from A x every iteration; the bound f(u) at u = -|c| m comes from the
     # least block eigenvalue of the gradient c / |c| + A^T m; the constants
     # are read from the module, where a test may have patched them
-    beta0, dual_cap, dense_cutoff = cgal._BETA0, cgal._DUAL_CAP, cgal._DENSE_CUTOFF
+    beta0, dual_cap = cgal._BETA0, cgal._DUAL_CAP
     a = float(sdp.trace)
     layout, a_mat, b, c = sdp.layout, sdp.a_mat, sdp.b, sdp.c
     at_mat = a_mat.T.tocsr()
@@ -298,7 +305,7 @@ def _reference_solve(sdp, cfg):
         r = (ax - b) / res_scale
         m = (z + beta * r) / sigma
         g = c_scaled + at_mat @ m
-        lam, blk, v = _reference_block_eigs(layout, g, dense_cutoff)
+        lam, blk, v = _reference_block_eigs(layout, g)
         f = c_norm * (a * lam - float(b @ m))
         if f > bound:
             bound, u_best = f, -c_norm * m
@@ -548,18 +555,18 @@ def test_solve_psd_guard_raises(monkeypatch):
 def test_psd_floor_names_the_first_block_in_block_order():
     # size classes run 1, 2, 3; block order is 3, 2, 1
     layout = BlockLayout([3, 2, 1])
-    spectrum = _Spectrum(layout)
+    blocks = _Blocks(layout)
     x = np.zeros(layout.dim)
     x[layout.diag] = 1.0
-    assert spectrum.floor(x, 1.0, 4) == 0.0
+    assert blocks.floor(x, 1.0, 4) == 0.0
     x[layout.index(2, 0, 0)] = -1e-12  # inside the tolerance: reported, not raised
-    assert spectrum.floor(x, 1.0, 4) == -1e-12
+    assert blocks.floor(x, 1.0, 4) == -1e-12
     x[layout.index(1, 1, 1)] = -0.5
     with pytest.raises(CgalError, match="lost psd in block 1 at iteration 4"):
-        spectrum.floor(x, 1.0, 4)
+        blocks.floor(x, 1.0, 4)
     x[layout.index(0, 2, 2)] = -0.5
     with pytest.raises(CgalError, match="lost psd in block 0 at iteration 4"):
-        spectrum.floor(x, 1.0, 4)
+        blocks.floor(x, 1.0, 4)
 
 
 def test_dual_cap_hits(monkeypatch):

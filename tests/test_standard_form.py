@@ -76,15 +76,29 @@ def test_svec_index_layout():
     # the squares buffer holds the 1 x 1, 2 x 2 and 3 x 3 stacks in turn;
     # place is onto their upper triangles, and scale * buffer[place] gives x back
     x[9] = 4.0
-    stacks, place = layout.squares()
+    stacks, place, cells = layout.squares
+    assert layout.squares is layout.squares
     assert [(s, blocks.tolist()) for s, blocks in stacks] == [(1, [2]), (2, [1]), (3, [0])]
     buf = np.zeros(1 + 4 + 9)
     buf[place] = x / layout.scale
     assert buf[0] == 4.0
-    assert np.array_equal(np.triu(buf[1:5].reshape(1, 2, 2)), np.triu(layout.stack(x, 2)))
+    assert np.array_equal(np.triu(buf[1:5].reshape(2, 2)), np.triu(layout_matrix(layout, x, 1)))
     assert np.allclose(buf[5:].reshape(3, 3)[np.triu_indices(3)], a[np.triu_indices(3)], rtol=0, atol=1e-15)
     assert np.count_nonzero(buf) == np.count_nonzero(x)
     assert np.allclose(layout.scale * buf[place], x, rtol=1e-15, atol=0)
+    # cells takes every buffer entry, either triangle, back to its svec position
+    assert cells.size == buf.size
+    assert np.array_equal(cells[place], np.arange(layout.dim))
+    mixed = BlockLayout([3, 1, 4, 1, 2, 4, 1])
+    stacks, place, cells = mixed.squares
+    x = rng.standard_normal(mixed.dim)
+    full, at = (x / mixed.scale)[cells], 0
+    for s, blocks in stacks:
+        for i in blocks.tolist():
+            assert np.array_equal(full[at : at + s * s].reshape(s, s), layout_matrix(mixed, x, i))
+            at += s * s
+    assert at == full.size
+    assert np.array_equal(cells[place], np.arange(mixed.dim))
 
 
 def test_moment_representatives():
