@@ -5,10 +5,13 @@ solve dispatches on block size. When every block is at most _DENSE_CUTOFF,
 the spectral dual path runs first. With the trace fixed, the dual is the
 unconstrained concave problem max_u f(u) = b.u + a lambda_min(C - A^T u),
 and f(u) is a lower bound for every u. The path maximizes an
-entropy-smoothed f by L-BFGS, over all eigenpairs of every block, then
-builds a primal witness on the bottom eigenspaces of C - A^T u. It returns
-only when the witness passes the gap test. Otherwise, and for larger blocks,
-the conditional gradient augmented Lagrangian (CGAL) loop runs.
+entropy-smoothed f by L-BFGS, over all eigenpairs of every block. The
+smoothed gradient is b - A svec(W), W the softmin mixture of the
+eigenvectors of C - A^T u, psd with trace 1 (Nesterov 2007): a times W at
+the last u is the primal point, and its residual is the gradient L-BFGS drove
+down. The path returns only when that point passes the gap test. Otherwise,
+and for larger blocks, the conditional gradient augmented Lagrangian (CGAL)
+loop runs.
 
 Both paths, the psd audit and dual_bound see the blocks through one
 buffer per solve (_Blocks, over BlockLayout.squares): every block a dense
@@ -43,7 +46,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,8 +179,6 @@ def _operator_norm(a_mat, at) -> float:
 _LBFGS_MEMORY = 20
 _trtrs = scipy.linalg.lapack.dtrtrs  # triangular solve, (x, info)
 _STAGE_EVALS = 2000  # dual evaluations per smoothing level, at most
-_WITNESS_ITERS = 5000  # FISTA steps of the witness, at most
-_KEEP = 1e-3  # the witness keeps eigenvalues up to lambda_min + _KEEP max(1, spread)
 
 
 class _Blocks:
@@ -298,7 +298,7 @@ def _report(
         dual_cap_hits=cap_hits,
         stop_reason="gap" if _certified(residual, objective, bound, cfg.eps) else "max_iters",
         path=path,
-        lower_bound=bound,
+        lower_bound=float(bound),
         residual_history=None if history is None else np.array(history),
     )
 
@@ -312,16 +312,16 @@ class _SmoothedDual:
     eigenvectors (trace 1, psd), so the gradient of -f_mu is also the
     residual A svec(W) - b of that mixture.
 
-    It works on the buffer of d.blocks (see the module docstring): c_buf -
-    at_buf u fills the upper triangles, eigh reads them on the views, the
-    mixture is written over the views, and a_buf buf is A svec(W).
+    It works on the buffer of d.blocks (see the module docstring): mix
+    fills the upper triangles with c_buf - at_buf u, reads them by eigh on
+    the views and writes W over the views, so scale buf[place] is svec(W),
+    the primal point, and a_buf buf is A svec(W). __call__ counts the
+    evaluation and reads the gradient off the buffer.
     """
 
     def __init__(self, d: _Scaled, history: list | None, res_scale: float):
         self.blocks = d.blocks
         place, buf, scale = d.blocks.place, d.blocks.buf, d.blocks.layout.scale
-        # per view: for 1 x 1 blocks their eigenvectors [1]
-        self.units = [np.ones((blocks.size, 1, 1)) if s == 1 else None for s, blocks in d.blocks.stacks]
         self.c_buf = np.zeros(buf.size)
         self.c_buf[place] = d.c_s / scale
         # A's CSR arrays with each column moved to its place; a row's columns
@@ -336,52 +336,41 @@ class _SmoothedDual:
         self.evals = 0
         self.plain = 0.0  # f(u) at the last evaluation
 
-    def eig(self, u: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Eigenvalues of every block of C - A^T u, ascending per block, and per stack the (k, s, s) eigenvectors.
+    def mix(self, u: np.ndarray) -> tuple[float, float]:
+        """Write the softmin mixture W of C - A^T u over the views; return (lambda_min, mu log sum_j w_j).
 
-        The eigenvalues come stack by stack, block by block, in one array. A
-        non-finite least eigenvalue raises CgalError naming the first such
+        w_j = exp((lambda_min - lambda_j) / mu) runs over the eigenvalues of
+        all blocks, one eigh per view, and W = sum_j (w_j / sum) v_j v_j^T.
+        A non-finite least eigenvalue raises CgalError naming the first such
         block and the evaluation.
         """
         np.subtract(self.c_buf, self.at_buf @ u, out=self.blocks.buf)
-        lams, vecs = [], []
-        for view, unit in zip(self.blocks.views, self.units):
-            if unit is not None:
-                lams.append(view)
-                vecs.append(unit)
-            else:
-                w, v = np.linalg.eigh(view, UPLO="U")
-                lams.append(w)
-                vecs.append(v)
-        lam = np.concatenate(lams, axis=None)
+        # a 1 x 1 block is its own eigenvalue, with eigenvector [1]
+        eigs = [(view, None) if view.shape[1] == 1 else np.linalg.eigh(view, UPLO="U") for view in self.blocks.views]
+        lam = np.concatenate([w for w, _ in eigs], axis=None)
         # a sum is finite only when every term is; past it, the first block whose least eigenvalue is not finite
         if not math.isfinite(lam.sum()):
             owner = np.concatenate([np.repeat(blocks, s) for s, blocks in self.blocks.stacks])
             low = np.full(len(self.blocks.layout.sizes), np.inf)
             np.minimum.at(low, owner, lam)
             _require_finite(low, self.evals)
-        return lam, vecs
-
-    def softmin(self, lam: np.ndarray) -> tuple[float, float, np.ndarray]:
-        """(lambda_min, mu log sum_j exp((lambda_min - lambda_j) / mu), the weights exp(...) / sum)."""
         lam_min = float(lam.min())
-        expo = np.exp((lam_min - lam) / self.mu)
-        total = float(expo.sum())
-        expo /= total
-        return lam_min, self.mu * math.log(total), expo
-
-    def __call__(self, u: np.ndarray) -> tuple[float, np.ndarray]:
-        self.evals += 1
-        lam, vecs = self.eig(u)
-        lam_min, smooth, weights = self.softmin(lam)
+        weights = np.exp((lam_min - lam) / self.mu)
+        total = float(weights.sum())
+        weights /= total
         at = 0
-        for view, unit, v in zip(self.blocks.views, self.units, vecs):
+        for view, (_, v) in zip(self.blocks.views, eigs):
             k, s = view.shape[:2]
-            if unit is not None:
+            if v is None:
                 view[:, 0, 0] = weights[at : at + k]
             else:
                 np.matmul(v * weights[at : at + k * s].reshape(k, 1, s), v.transpose(0, 2, 1), out=view)
             at += k * s
+        return lam_min, self.mu * math.log(total)
+
+    def __call__(self, u: np.ndarray) -> tuple[float, np.ndarray]:
+        self.evals += 1
+        lam_min, smooth = self.mix(u)
         grad = self.a_buf @ self.blocks.buf
         grad -= self.b_s
         if self.history is not None:
@@ -482,96 +471,8 @@ def _lbfgs(fg, u, f, g, gtol: float, max_evals: int, step0: float, floor: float)
     return u, f, g
 
 
-def _project_spectraplex(theta: np.ndarray) -> np.ndarray:
-    """Euclidean projection of theta onto {t >= 0, sum t = 1}."""
-    desc = np.sort(theta)[::-1]
-    excess = np.cumsum(desc) - 1.0
-    k = np.flatnonzero(desc * np.arange(1, theta.size + 1) > excess)[-1]
-    return np.maximum(theta - excess[k] / (k + 1), 0.0)
-
-
-def _witness(dual: _SmoothedDual, u: np.ndarray, target: float) -> np.ndarray:
-    """A trace-1 psd svec X on the bottom eigenspaces of C - A^T u, nearly feasible.
-
-    Keeps, in every block, the eigenvectors V with eigenvalue at most
-    lambda_min + _KEEP max(1, spread) and takes X = V S V^T. FISTA minimizes
-    |A svec(X) - b| over block S psd with sum tr S = 1, from the softmin
-    weights, until the residual is at most target; the Gram matrix of its
-    step is formed only when the projected start misses target.
-    """
-    lam, vecs = dual.eig(u)
-    lam_min, _, weights = dual.softmin(lam)
-    cut = lam_min + _KEEP * max(1.0, float(lam.max()) - lam_min)
-    # kept[r]: the blocks with r kept eigenvectors; S holds one full r x r
-    # matrix per such block, the blocks of one r side by side
-    layout, place = dual.blocks.layout, dual.blocks.place
-    kept: dict[int, list] = {}
-    at = 0
-    for (s, blocks), v in zip(dual.blocks.stacks, vecs):
-        for k, i in enumerate(blocks.tolist()):
-            keep = lam[at : at + s] <= cut
-            if keep.any():
-                span = slice(layout.offsets[i], layout.offsets[i + 1])
-                kept.setdefault(int(keep.sum()), []).append((span, v[k][:, keep], weights[at : at + s][keep]))
-            at += s
-    rows, cols, vals, start, groups = [], [], [], [], []
-    col = 0
-    for r, members in sorted(kept.items()):
-        for span, vk, pk in members:
-            # column (p, q) of the block: the upper triangle of (v_p v_q^T + v_q v_p^T) / 2
-            outer = vk[layout.row[span], :, None] * vk[layout.col[span], None, :]
-            outer = (outer + outer.transpose(0, 2, 1)) / 2.0
-            rows.append(np.repeat(place[span], r * r))
-            cols.append(np.tile(col + np.arange(r * r), span.stop - span.start))
-            vals.append(outer.ravel())
-            start.append(np.diag(pk).ravel())
-            col += r * r
-        groups.append((r, len(members)))
-    embed = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(dual.blocks.buf.size, col)
-    )
-    ops = (dual.a_buf @ embed).toarray()
-
-    def project(s: np.ndarray) -> np.ndarray:
-        parts, thetas, at = [], [], 0
-        for r, k in groups:
-            mats = s[at : at + k * r * r].reshape(k, r, r)
-            theta, vecs = np.linalg.eigh((mats + mats.transpose(0, 2, 1)) / 2.0)
-            parts.append(vecs)
-            thetas.append(theta.ravel())
-            at += k * r * r
-        theta = _project_spectraplex(np.concatenate(thetas))
-        out, at, t_at = np.empty_like(s), 0, 0
-        for (r, k), vecs in zip(groups, parts):
-            th = theta[t_at : t_at + k * r].reshape(k, r)
-            out[at : at + k * r * r] = ((vecs * th[:, None, :]) @ vecs.transpose(0, 2, 1)).ravel()
-            at += k * r * r
-            t_at += k * r
-        return out
-
-    s = project(np.concatenate(start))
-    y, t = s, 1.0
-    checks: deque = deque(maxlen=11)
-    for it in range(_WITNESS_ITERS):
-        if it % 10 == 0:
-            res = ops @ s - dual.b_s
-            checks.append(math.sqrt(res.dot(res)))
-            # done, or less than a tenth off the residual in the last 100 steps
-            if checks[-1] <= target or (len(checks) == checks.maxlen and checks[-1] > 0.9 * checks[0]):
-                break
-        if it == 0:  # past the first check, where most witnesses stop
-            gram, lin = ops.T @ ops, ops.T @ dual.b_s
-            lip = float(np.linalg.eigvalsh(gram)[-1])
-            step = 1.0 / lip if lip > 0.0 else 1.0
-        s_new = project(y - step * (gram @ y - lin))
-        t_new = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        y = s_new + ((t - 1.0) / t_new) * (s_new - s)
-        s, t = s_new, t_new
-    return layout.scale * (embed @ s)[place]
-
-
 def _spectral_dual(d: _Scaled, cfg: CgalConfig) -> SolveReport | None:
-    """Maximize the smoothed dual, then certify the bound with a primal witness.
+    """Maximize the smoothed dual, then certify the bound with its softmin mixture.
 
     Runs on the normalized data of _Scaled (objective over its norm, A over
     its largest singular value, trace 1). The smoothing mu falls by tens
@@ -580,8 +481,9 @@ def _spectral_dual(d: _Scaled, cfg: CgalConfig) -> SolveReport | None:
     residual is 0.1 eps, both relative in original units and in normalized
     units, ten times that for each level still to come; a level that
     spends its _STAGE_EVALS budget ends the path, and
-    max_iters caps the evaluations in all. Returns the report when the
-    witness passes the gap test, None when it does not.
+    max_iters caps the evaluations in all. The primal point is a times the
+    mixture at the last u, psd with trace a by construction. Returns the
+    report when it passes the gap test, None when it does not.
     """
     sdp, a = d.sdp, d.a
     res_scale = d.sigma * a / (1.0 + d.b_norm)  # normalized residual norm to relative residual
@@ -607,7 +509,9 @@ def _spectral_dual(d: _Scaled, cfg: CgalConfig) -> SolveReport | None:
         if dual.evals >= spent and math.sqrt(g.dot(g)) > tol:  # a smaller mu is only harder
             return None
 
-    x = a * _witness(dual, u, gtol)
+    # a rejected line-search trial may have left its own mixture in the buffer
+    dual.mix(u)
+    x = a * (d.blocks.layout.scale * d.blocks.buf[d.blocks.place])
     t = dual.evals
     _check_trace(sdp.layout.trace(x), a, t)
     min_seen = d.blocks.floor(x, a, t) if cfg.check_psd else 0.0

@@ -21,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .free_algebra import (
-    DEFAULT_INDEX_LIMIT,
     EMPTY_WORD,
     NcPolynomial,
     SymmetryMode,
@@ -399,7 +398,6 @@ def build(
     order: int,
     mode: SymmetryMode = SymmetryMode.STAR_ONLY,
     decomp=None,
-    index_limit: int = DEFAULT_INDEX_LIMIT,
 ) -> Relaxation:
     """Construct the order-k relaxation of a problem.
 
@@ -426,15 +424,15 @@ def build(
     blocks: list[Block] = []
     eq_blocks: list[Block] = []
     for j, letters in enumerate(decomp.cliques):
-        blocks.append(Block(group=j, basis=WordBasis(letters, order, index_limit)))
+        blocks.append(Block(group=j, basis=WordBasis(letters, order)))
         for gi in decomp.ineq_groups[j]:
             g = problem.inequalities[gi]
             kg = order - half_degree(g)
-            blocks.append(Block(group=j, basis=WordBasis(letters, kg, index_limit), poly=g))
+            blocks.append(Block(group=j, basis=WordBasis(letters, kg), poly=g))
         for hi in decomp.eq_groups[j]:
             h = problem.equalities[hi]
             kh = order - half_degree(h)
-            eq_blocks.append(Block(group=j, basis=WordBasis(letters, kh, index_limit), poly=h))
+            eq_blocks.append(Block(group=j, basis=WordBasis(letters, kh), poly=h))
 
     # each clique's distinct entry words, then the objective's canonical words, one row each
     width, dtype = max(2 * order, 1), np.min_scalar_type(problem.n)

@@ -130,9 +130,6 @@ class CountStats:
     zeta: int  # constraint rows excluding per-group trace rows
     amax: float  # largest group trace constant
 
-    def as_dict(self) -> dict:
-        return {"omega": self.omega, "smax": self.smax, "zeta": self.zeta, "amax": self.amax}
-
 
 @dataclass
 class StandardSdp:

@@ -281,8 +281,8 @@ def two_loop_direction(g: np.ndarray, pairs: deque, step0: float) -> np.ndarray:
     return q
 
 
-def smoothed_dual_by_blocks(scaled, u: np.ndarray, mu: float) -> tuple[float, np.ndarray, float]:
-    """(-f_mu(u), its gradient, f(u)) of a solver's normalized data, one block at a time in svec form.
+def smoothed_dual_by_blocks(scaled, u: np.ndarray, mu: float) -> tuple[float, np.ndarray, float, np.ndarray]:
+    """(-f_mu(u), its gradient, f(u), svec(W)) of a solver's normalized data, one block at a time in svec form.
 
     Every block of C - A^T u is read with layout_matrix and takes its own
     eigh; the softmin weights run over all eigenvalues, and the mixture
@@ -306,4 +306,4 @@ def smoothed_dual_by_blocks(scaled, u: np.ndarray, mu: float) -> tuple[float, np
         mix[span] = block[iu, ju] * layout.scale[span]
         at += w.size
     plain = float(b_s @ u) + lam_min
-    return mu * math.log(total) - plain, a_s @ mix - b_s, plain
+    return mu * math.log(total) - plain, a_s @ mix - b_s, plain, mix

@@ -244,17 +244,26 @@ def test_smoothed_dual_matches_per_block_svec(sizes):
     rows = rng.standard_normal((9, layout.dim)) * (rng.random((9, layout.dim)) < 0.3)
     sdp = _direct_sdp(sizes, c, rows, rng.standard_normal(9), trace=2.5)
     d = _Scaled(sdp)
-    dual = _SmoothedDual(d, None, 1.0)
+    history: list[float] = []
+    dual = _SmoothedDual(d, history, 1.0)
     assert dual.at_buf.nnz == dual.a_buf.nnz == sdp.a_mat.nnz
     for mu in (1e-1, 1e-3):
         dual.mu = mu
         for _ in range(3):
             u = rng.standard_normal(9)
             value, grad = dual(u)
-            ref_value, ref_grad, ref_plain = smoothed_dual_by_blocks(d, u, mu)
+            ref_value, ref_grad, ref_plain, _ = smoothed_dual_by_blocks(d, u, mu)
             assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-12)
             assert np.abs(grad - ref_grad).max() <= 1e-12 * (1 + np.abs(ref_grad).max())
             assert dual.plain == pytest.approx(ref_plain, rel=1e-12, abs=1e-12)
+            # mix at a fresh point leaves svec(W) on the buffer, and is not an evaluation
+            u = rng.standard_normal(9)
+            evals, logged = dual.evals, len(history)
+            dual.mix(u)
+            mixture = layout.scale * dual.blocks.buf[dual.blocks.place]
+            ref_mix = smoothed_dual_by_blocks(d, u, mu)[3]
+            assert np.abs(mixture - ref_mix).max() <= 1e-12
+            assert (dual.evals, len(history)) == (evals, logged)
 
 
 @pytest.mark.parametrize("n", [30, 5], ids=["fewer-pairs-than-unknowns", "more-pairs-than-unknowns"])
@@ -657,12 +666,14 @@ def test_cgal_loop_reports_a_bound(monkeypatch):
     _, sdp = _ball_sdp()
     rep = _cgal_loop(_Scaled(sdp), CgalConfig(eps=1e-3, max_iters=30_000))
     assert rep.converged and rep.stop_reason == "gap"
-    assert isinstance(rep.lower_bound, float) and rep.gap == rep.objective - rep.lower_bound
+    # a Python float, not np.float64, the same type as the dual path's bound
+    assert type(rep.lower_bound) is float and rep.gap == rep.objective - rep.lower_bound
     # the relaxation value of sum X_j over the unit ball is -sqrt(2)
     assert rep.lower_bound <= -np.sqrt(2.0) + 1e-12
     assert abs(rep.gap) <= 1e-3 * (1 + abs(rep.lower_bound))
     capped = _cgal_loop(_Scaled(sdp), CgalConfig(eps=1e-9, max_iters=50))
     assert capped.stop_reason == "max_iters" and not capped.converged
+    assert type(capped.lower_bound) is float
     assert capped.lower_bound <= -np.sqrt(2.0) + 1e-12
     # a block above the cutoff, or eps = 0, sends solve straight to the loop;
     # five evaluations are too few for the spectral path at order 2, and an
@@ -694,7 +705,7 @@ def test_multiplier_reproduces_the_bound(path):
         rel = build(gen_dense(2, "ball", seed=0), int(path[-1]))
         sdp = assemble(rel, certify(rel))
         rep = _cgal_loop(_Scaled(sdp), CgalConfig(eps=1e-3, max_iters=3000))
-    assert rep.u.shape == (sdp.n_rows,)
+    assert rep.u.shape == (sdp.n_rows,) and type(rep.lower_bound) is float
     assert abs(dual_bound(sdp, rep.u) - rep.lower_bound) <= 1e-12 * (1 + abs(rep.lower_bound))
 
 

@@ -139,7 +139,6 @@ def test_count_stats_ball_by_hand():
     assert stats.smax == 3
     assert stats.zeta == 2
     assert stats.amax == 2.0
-    assert stats.as_dict()["zeta"] == 2
 
 
 def _sdp_digest(prob, mode, path) -> str:
