@@ -11,7 +11,8 @@ eigenvectors of C - A^T u, psd with trace 1 (Nesterov 2007): a times W at
 the last u is the primal point, and its residual is the gradient L-BFGS drove
 down. The path returns only when that point passes the gap test. Otherwise,
 and for larger blocks, the conditional gradient augmented Lagrangian (CGAL)
-loop runs.
+loop runs; after the dual path it starts from the multiplier of the largest
+f(u) the path evaluated, so the report's bound is the better of the two.
 
 Both paths, the psd audit and dual_bound see the blocks through one
 buffer per solve (_Blocks, over BlockLayout.squares): every block a dense
@@ -21,7 +22,8 @@ buffer once per solve, so an evaluation is one sparse product into the
 buffer, one eigh per view, one softmin over all eigenvalues, the mixture
 written back over the views, and one sparse product back to the gradient.
 L-BFGS takes its direction from the compact form of the last 20 steps
-(Byrd, Nocedal and Schnabel), one triangular solve each way. The CGAL loop,
+(Byrd, Nocedal and Schnabel), one triangular solve each way, and keeps
+those steps from one smoothing level to the next. The CGAL loop,
 the audit and dual_bound fill both triangles of the whole buffer from an
 svec vector in one gather.
 
@@ -67,7 +69,7 @@ class CgalError(Exception):
 @dataclass
 class CgalConfig:
     eps: float = 1e-4  # 0 skips the spectral path and runs CGAL for max_iters steps
-    max_iters: int = 200_000  # CGAL steps, or dual evaluations on the spectral path
+    max_iters: int = 200_000  # dual evaluations on the spectral path; a CGAL loop after it gets its own max_iters steps
     seed: int = 0  # no effect: every solve is deterministic; kept for callers that set it
     check_psd: bool = False  # per-iteration psd audit; costs one eigvalsh per block size
     track_residuals: bool = False  # record the relative residual at every iteration
@@ -84,7 +86,7 @@ class SolveReport:
     dual_cap_hits: int  # iterations whose dual update was rejected by _DUAL_CAP
     stop_reason: str  # "gap" or "max_iters"
     path: str  # "dual" (the spectral dual path) or "loop" (the CGAL loop)
-    lower_bound: float  # certified bound f(u), the best over the solve
+    lower_bound: float  # certified bound f(u), the best over both paths of the solve
     residual_history: np.ndarray | None = None  # per-iteration relative residuals
     runtime: float = 0.0  # seconds in solve, both paths
 
@@ -316,7 +318,8 @@ class _SmoothedDual:
     fills the upper triangles with c_buf - at_buf u, reads them by eigh on
     the views and writes W over the views, so scale buf[place] is svec(W),
     the primal point, and a_buf buf is A svec(W). __call__ counts the
-    evaluation and reads the gradient off the buffer.
+    evaluation, reads the gradient off the buffer and keeps the largest
+    f(u) seen, with its u.
     """
 
     def __init__(self, d: _Scaled, history: list | None, res_scale: float):
@@ -335,6 +338,7 @@ class _SmoothedDual:
         self.mu = 1.0
         self.evals = 0
         self.plain = 0.0  # f(u) at the last evaluation
+        self.best, self.best_u = -math.inf, None  # the largest f(u) evaluated, and a copy of its u
 
     def mix(self, u: np.ndarray) -> tuple[float, float]:
         """Write the softmin mixture W of C - A^T u over the views; return (lambda_min, mu log sum_j w_j).
@@ -376,6 +380,8 @@ class _SmoothedDual:
         if self.history is not None:
             self.history.append(math.sqrt(grad.dot(grad)) * self.res_scale)
         self.plain = float(self.b_s @ u) + lam_min
+        if self.plain > self.best:
+            self.best, self.best_u = self.plain, u.copy()
         return smooth - self.plain, grad
 
 
@@ -421,19 +427,19 @@ class _Pairs:
         return out
 
 
-def _lbfgs(fg, u, f, g, gtol: float, max_evals: int, step0: float, floor: float):
+def _lbfgs(fg, u, f, g, pairs: _Pairs, gtol: float, max_evals: int, step0: float, floor: float):
     """Minimize a smooth convex function by L-BFGS, from u with f, g = fg(u).
 
-    The direction comes from the compact form over the last _LBFGS_MEMORY
-    steps (_Pairs.direction). The first direction, and any that is not a
-    descent direction, is -step0 g. The line search brackets a step that
-    meets the weak Wolfe conditions, doubling while the slope stays steep
-    and halving past a rise, so a stretch where the function is nearly
-    linear costs a few evaluations. Stops when |g| <= gtol, when no step
+    The direction comes from the compact form over the pairs held
+    (_Pairs.direction), which may come from an earlier call; each step adds
+    its pair to them. With none held the direction is -step0 g, and a
+    direction that is not a descent direction empties pairs and is -step0 g.
+    The line search brackets a step that meets the weak Wolfe conditions,
+    doubling while the slope stays steep and halving past a rise, so a
+    stretch where the function is nearly linear costs a few evaluations. Stops when |g| <= gtol, when no step
     decreases f, when f falls below floor, or after max_evals calls of fg.
     Returns (u, f, g).
     """
-    pairs = _Pairs(u.size)
     evals = 0
     while evals < max_evals and math.sqrt(g.dot(g)) > gtol:
         q = pairs.direction(g, step0)
@@ -471,7 +477,7 @@ def _lbfgs(fg, u, f, g, gtol: float, max_evals: int, step0: float, floor: float)
     return u, f, g
 
 
-def _spectral_dual(d: _Scaled, cfg: CgalConfig) -> SolveReport | None:
+def _spectral_dual(d: _Scaled, cfg: CgalConfig) -> SolveReport | np.ndarray:
     """Maximize the smoothed dual, then certify the bound with its softmin mixture.
 
     Runs on the normalized data of _Scaled (objective over its norm, A over
@@ -481,9 +487,12 @@ def _spectral_dual(d: _Scaled, cfg: CgalConfig) -> SolveReport | None:
     residual is 0.1 eps, both relative in original units and in normalized
     units, ten times that for each level still to come; a level that
     spends its _STAGE_EVALS budget ends the path, and
-    max_iters caps the evaluations in all. The primal point is a times the
-    mixture at the last u, psd with trace a by construction. Returns the
-    report when it passes the gap test, None when it does not.
+    max_iters caps the evaluations in all. One L-BFGS memory serves every
+    level, so a level starts from the curvature the last one learned. The
+    primal point is a times the mixture at the last u, psd with trace a by
+    construction. Returns the report when it passes the gap test. Otherwise
+    returns the multiplier, in original units, of the largest f(u) over all
+    evaluations, for the CGAL loop to start its bound from.
     """
     sdp, a = d.sdp, d.a
     res_scale = d.sigma * a / (1.0 + d.b_norm)  # normalized residual norm to relative residual
@@ -492,9 +501,10 @@ def _spectral_dual(d: _Scaled, cfg: CgalConfig) -> SolveReport | None:
     gtol = 0.1 * cfg.eps * min(1.0, 1.0 / res_scale)
     levels = max(1, math.ceil(-math.log10(0.1 * cfg.eps) - 1e-9) - 1)
     u = np.zeros(sdp.n_rows)
+    pairs = _Pairs(sdp.n_rows)
     for level in range(levels):
         if dual.evals >= cfg.max_iters:
-            return None
+            break
         # scaled by |f| at the last point evaluated, u or a step from it
         dual.mu = 10.0 ** -(2 + level) * max(1.0, abs(dual.plain))
         f, g = dual(u)
@@ -503,25 +513,25 @@ def _spectral_dual(d: _Scaled, cfg: CgalConfig) -> SolveReport | None:
         tol = gtol * 10.0 ** (levels - 1 - level)
         # every trace-1 psd X has <c_s, X> <= |c_s| = 1, so f_mu > 2 proves
         # the form infeasible; the dual would run off to infinity
-        u, f, g = _lbfgs(dual, u, f, g, tol, budget, dual.mu, floor=-2.0)
-        if f < -2.0:
-            return None
-        if dual.evals >= spent and math.sqrt(g.dot(g)) > tol:  # a smaller mu is only harder
-            return None
+        u, f, g = _lbfgs(dual, u, f, g, pairs, tol, budget, dual.mu, floor=-2.0)
+        if f < -2.0 or (dual.evals >= spent and math.sqrt(g.dot(g)) > tol):  # a smaller mu is only harder
+            break
+    else:  # every level reached its tolerance
+        # a rejected line-search trial may have left its own mixture in the buffer
+        dual.mix(u)
+        x = a * (d.blocks.layout.scale * d.blocks.buf[d.blocks.place])
+        t = dual.evals
+        _check_trace(sdp.layout.trace(x), a, t)
+        min_seen = d.blocks.floor(x, a, t) if cfg.check_psd else 0.0
+        u = d.c_norm * u / d.sigma
+        res_norm = float(np.linalg.norm(sdp.a_mat @ x - sdp.b))
+        rep = _report(d, cfg, "dual", x, u, dual_bound(sdp, u), t, res_norm, min_seen=min_seen, history=history)
+        if rep.converged:
+            return rep
+    return d.c_norm * dual.best_u / d.sigma
 
-    # a rejected line-search trial may have left its own mixture in the buffer
-    dual.mix(u)
-    x = a * (d.blocks.layout.scale * d.blocks.buf[d.blocks.place])
-    t = dual.evals
-    _check_trace(sdp.layout.trace(x), a, t)
-    min_seen = d.blocks.floor(x, a, t) if cfg.check_psd else 0.0
-    u = d.c_norm * u / d.sigma
-    res_norm = float(np.linalg.norm(sdp.a_mat @ x - sdp.b))
-    rep = _report(d, cfg, "dual", x, u, dual_bound(sdp, u), t, res_norm, min_seen=min_seen, history=history)
-    return rep if rep.converged else None
 
-
-def _cgal_loop(d: _Scaled, cfg: CgalConfig) -> SolveReport:
+def _cgal_loop(d: _Scaled, cfg: CgalConfig, u0: np.ndarray | None = None) -> SolveReport:
     """Run CGAL until the gap test passes or max_iters steps are spent.
 
     The dynamics are run on the normalized data of _Scaled (objective
@@ -535,7 +545,10 @@ def _cgal_loop(d: _Scaled, cfg: CgalConfig) -> SolveReport:
     |c| g, so f(u) = |c| (a lam - b.mult): a certified lower bound at the
     cost of one dot product. The report carries the best such bound and its
     u, and the loop stops when ||A svec(X) - b|| / (1 + ||b||) <= eps and
-    |c.x - bound| <= eps (1 + |bound|). max_iters is at least 1. The trace
+    |c.x - bound| <= eps (1 + |bound|). A multiplier u0 in original units
+    (the spectral dual path's best) starts the best bound at dual_bound(sdp,
+    u0); the iterates do not depend on it, only the step at which the gap
+    test passes. max_iters is at least 1. The trace
     of every iterate is checked against the constant; psd is audited per
     block when check_psd is set (iterates are psd by construction, the
     audit guards the arithmetic).
@@ -549,7 +562,7 @@ def _cgal_loop(d: _Scaled, cfg: CgalConfig) -> SolveReport:
     z = np.zeros(a_mat.shape[0])
     ax = a_mat @ x
 
-    bound = -math.inf
+    bound = -math.inf if u0 is None else dual_bound(sdp, u0)
     min_seen = 0.0
     resid_hist: list[float] | None = [] if cfg.track_residuals else None
     cap_hits = 0
@@ -557,7 +570,7 @@ def _cgal_loop(d: _Scaled, cfg: CgalConfig) -> SolveReport:
     add_outer, trace = layout.add_outer, layout.trace
     r = (ax - b) / res_scale
     mult = np.empty_like(r)  # the dual multiplier (z + beta r) / sigma
-    best = np.zeros_like(r)  # the mult that gave the best bound
+    best = np.zeros_like(r) if u0 is None else -u0 / c_norm  # the mult that gave the best bound
 
     for t in range(1, cfg.max_iters + 1):
         beta = _BETA0 * math.sqrt(t + 1.0)
@@ -612,13 +625,15 @@ def solve(sdp: StandardSdp, cfg: CgalConfig | None = None) -> SolveReport:
 
     When eps > 0 and every block is at most _DENSE_CUTOFF, the spectral dual
     path runs first and returns only a report that passes the gap test.
-    When it cannot certify, or a block is larger, the CGAL loop runs. Both
-    paths read one _Scaled copy of the data: its norms, one transpose of A and
-    one operator norm. Every report carries a certified lower_bound, the
-    multiplier u that gives it, and the gap to its objective, and stops on
-    "gap" or "max_iters", and names the path that produced it ("dual" or
-    "loop"). runtime covers both paths. ValueError when
-    max_iters < 1 or eps is negative or not finite.
+    When it cannot certify, or a block is larger, the CGAL loop runs, with a
+    budget of max_iters steps of its own; after the dual path it starts
+    from that path's best bound and multiplier. Both paths read one _Scaled
+    copy of the data: its norms, one transpose of A and one operator norm.
+    Every report carries a certified lower_bound, the best over both paths,
+    the multiplier u that gives it, and the gap to its objective, and stops
+    on "gap" or "max_iters", and names the path that produced x ("dual" or
+    "loop"). runtime covers both paths. ValueError when max_iters < 1 or eps
+    is negative or not finite.
     """
     cfg = cfg or CgalConfig()
     if cfg.max_iters < 1 or not (math.isfinite(cfg.eps) and cfg.eps >= 0.0):
@@ -628,7 +643,7 @@ def solve(sdp: StandardSdp, cfg: CgalConfig | None = None) -> SolveReport:
     rep = None
     if cfg.eps > 0 and max(sdp.block_sizes, default=0) <= _DENSE_CUTOFF:
         rep = _spectral_dual(d, cfg)
-    if rep is None:
-        rep = _cgal_loop(d, cfg)
+    if not isinstance(rep, SolveReport):
+        rep = _cgal_loop(d, cfg, rep)
     rep.runtime = time.perf_counter() - t0
     return rep

@@ -287,6 +287,45 @@ def test_lbfgs_direction_matches_two_loop(n):
     assert pairs.m == cgal._LBFGS_MEMORY  # the memory has wrapped
 
 
+def test_lbfgs_starts_from_the_pairs_it_is_given():
+    # on a quadratic with its curvature already held, the first trial point
+    # is the quasi-Newton step from those pairs, not -step0 g
+    rng = np.random.default_rng(7)
+    n = 6
+    h = rng.standard_normal((n, n))
+    h = h @ h.T + np.eye(n)
+    center = rng.standard_normal(n)
+    trials = []
+
+    def fg(u):
+        trials.append(u)
+        d = u - center
+        return 0.5 * d @ h @ d, h @ d
+
+    pairs = _Pairs(n)
+    for s in np.linalg.eigh(h)[1].T:  # conjugate steps, so the pairs pin down h exactly
+        pairs.add(s, h @ s)
+    u = np.zeros(n)
+    f, g = fg(u)
+    want = u - pairs.direction(g, 1e-3)
+    trials.clear()
+    cgal._lbfgs(fg, u, f, g, pairs, 1e-10, 1, 1e-3, floor=-math.inf)
+    assert np.array_equal(trials[0], want)
+    assert np.linalg.norm(want - center) <= 1e-8 * np.linalg.norm(center)  # n exact pairs give the Newton step
+    assert pairs.m == n + 1  # the step's pair joins the ones it was given
+
+
+def test_spectral_dual_keeps_one_memory_across_levels(monkeypatch):
+    # eps = 1e-4 runs four smoothing levels; they share one _Pairs
+    made = []
+    pairs = cgal._Pairs
+    monkeypatch.setattr(cgal, "_Pairs", lambda n: made.append(n) or pairs(n))
+    sdp = _ball_sdp(n=2, order=2)[1]
+    rep = _spectral_dual(_Scaled(sdp), CgalConfig(eps=1e-4, max_iters=20_000))
+    assert isinstance(rep, SolveReport) and rep.converged
+    assert made == [sdp.n_rows]
+
+
 def _reference_solve(sdp, cfg):
     # the solver loop as it was before 1 x 1 blocks were read from the
     # gradient: one eigensolve per block, np.linalg.norm, and r recomputed
@@ -627,12 +666,16 @@ def test_stop_rule_consistent_across_accuracy():
     ],
 )
 def test_spectral_dual_certifies_cgal_cap_instances(make, order, bound):
+    # with one L-BFGS memory across the smoothing levels they take 82 and 189
+    # evaluations, where a new memory at each level took 256 and 255
+    evals = 150 if order == 1 else 230
     rel = build(make(), order)
     sdp = assemble(rel, certify(rel))
     t0 = time.perf_counter()
     rep = solve(sdp, CgalConfig(eps=1e-4, max_iters=150_000, track_residuals=True))
     elapsed = time.perf_counter() - t0
-    assert rep.converged and rep.stop_reason == "gap"
+    assert rep.converged and rep.stop_reason == "gap" and rep.path == "dual"
+    assert rep.iterations <= evals
     assert len(rep.residual_history) == rep.iterations
     assert rep.residual <= 1e-4
     assert abs(rep.gap) <= 1e-4 * (1 + abs(rep.lower_bound))
@@ -690,8 +733,10 @@ def test_cgal_loop_reports_a_bound(monkeypatch):
         monkeypatch.setattr(cgal, "_DENSE_CUTOFF", cutoff)
         rep, ref = solve(form, cfg), _cgal_loop(_Scaled(form), cfg)
         assert rep.stop_reason == ref.stop_reason and rep.stop_reason in ("gap", "max_iters")
-        assert rep.lower_bound == ref.lower_bound and rep.gap == ref.gap
         assert rep.iterations == ref.iterations and rep.x.tobytes() == ref.x.tobytes()
+        # after a fallback the loop starts from the dual path's best bound
+        assert rep.lower_bound >= ref.lower_bound and rep.gap == rep.objective - rep.lower_bound
+        assert abs(dual_bound(form, rep.u) - rep.lower_bound) <= 1e-12 * (1 + abs(rep.lower_bound))
 
 
 @pytest.mark.parametrize("path", ["loop k=1", "loop k=2", "dual"])
@@ -739,9 +784,29 @@ def test_solve_runs_one_operator_norm_across_a_fallback(monkeypatch):
     monkeypatch.setattr(ncsdp.cgal, "_spectral_dual", lambda *a: duals.append(dual(*a)) or duals[-1])
     form, cfg = _ball_sdp(n=2, order=2)[1], CgalConfig(eps=1e-4, max_iters=5)
     rep = solve(form, cfg)
-    assert duals == [None] and len(norms) == 1
+    # the path hands the loop its best multiplier, not a report
+    assert len(duals) == 1 and duals[0].shape == (form.n_rows,) and len(norms) == 1
     ref = _cgal_loop(_Scaled(form), cfg)
-    assert rep.x.tobytes() == ref.x.tobytes() and rep.u.tobytes() == ref.u.tobytes()
+    assert rep.x.tobytes() == ref.x.tobytes() and rep.iterations == ref.iterations
+    assert rep.lower_bound >= ref.lower_bound
+    assert abs(dual_bound(form, rep.u) - rep.lower_bound) <= 1e-12 * (1 + abs(rep.lower_bound))
+
+
+def test_fallback_keeps_the_dual_paths_bound():
+    # eig mode of this order-2 polydisc form falls back to the loop, which
+    # stops at its cap with a bound 1.5e-3 below its objective; the dual
+    # path's best bound is within 1e-4 of that objective
+    rel = build(gen_dense(3, "polydisc", seed=6), 2)
+    sdp = assemble(rel, certify(rel))
+    cfg = CgalConfig(eps=1e-4, max_iters=5000)
+    rep = solve(sdp, cfg)
+    alone = _cgal_loop(_Scaled(sdp), cfg)
+    u_dual = _spectral_dual(_Scaled(sdp), cfg)
+    assert isinstance(u_dual, np.ndarray)
+    assert rep.path == "loop" and rep.x.tobytes() == alone.x.tobytes()
+    assert rep.lower_bound >= alone.lower_bound and rep.lower_bound >= dual_bound(sdp, u_dual)
+    assert abs(dual_bound(sdp, rep.u) - rep.lower_bound) <= 1e-12 * (1 + abs(rep.lower_bound))
+    assert alone.gap > 1e-3 and rep.gap < 1e-4
 
 
 @pytest.mark.filterwarnings("ignore:clique chain")
