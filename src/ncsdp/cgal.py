@@ -23,9 +23,9 @@ buffer, one eigh per view, one softmin over all eigenvalues, the mixture
 written back over the views, and one sparse product back to the gradient.
 L-BFGS takes its direction from the compact form of the last 20 steps
 (Byrd, Nocedal and Schnabel), one triangular solve each way, and keeps
-those steps from one smoothing level to the next. The CGAL loop,
-the audit and dual_bound fill both triangles of the whole buffer from an
-svec vector in one gather.
+those steps from one smoothing level to the next, unless a level stalls on
+them. The CGAL loop, the audit and dual_bound fill both triangles of the
+whole buffer from an svec vector in one gather.
 
 Each CGAL iteration linearizes the augmented Lagrangian, finds the smallest
 eigenpair of the block-diagonal gradient, and moves toward the rank-one
@@ -477,7 +477,7 @@ def _lbfgs(fg, u, f, g, pairs: _Pairs, gtol: float, max_evals: int, step0: float
     return u, f, g
 
 
-def _spectral_dual(d: _Scaled, cfg: CgalConfig) -> SolveReport | np.ndarray:
+def _spectral_dual(d: _Scaled, cfg: CgalConfig) -> tuple[SolveReport | None, np.ndarray]:
     """Maximize the smoothed dual, then certify the bound with its softmin mixture.
 
     Runs on the normalized data of _Scaled (objective over its norm, A over
@@ -485,14 +485,16 @@ def _spectral_dual(d: _Scaled, cfg: CgalConfig) -> SolveReport | np.ndarray:
     from 1e-2 to the first level at most 0.1 eps, each level times
     max(1, |f|). Each level runs L-BFGS until the softmin mixture's
     residual is 0.1 eps, both relative in original units and in normalized
-    units, ten times that for each level still to come; a level that
-    spends its _STAGE_EVALS budget ends the path, and
-    max_iters caps the evaluations in all. One L-BFGS memory serves every
-    level, so a level starts from the curvature the last one learned. The
-    primal point is a times the mixture at the last u, psd with trace a by
-    construction. Returns the report when it passes the gap test. Otherwise
-    returns the multiplier, in original units, of the largest f(u) over all
-    evaluations, for the CGAL loop to start its bound from.
+    units, ten times that for each level still to come. One L-BFGS memory
+    serves every level, so a level starts from the curvature the last one
+    learned. A level that spends its _STAGE_EVALS budget on that memory
+    empties it and gets one more budget; a level that spends its budget on
+    an empty memory ends the path, and max_iters caps the evaluations in
+    all. The primal point is a times the mixture at the last u, psd with
+    trace a by construction. Returns (report, report.u) when the report
+    passes the gap test. Otherwise returns (None, u) with u the multiplier,
+    in original units, of the largest f(u) over all evaluations, for the
+    CGAL loop to start its bound from.
     """
     sdp, a = d.sdp, d.a
     res_scale = d.sigma * a / (1.0 + d.b_norm)  # normalized residual norm to relative residual
@@ -508,13 +510,18 @@ def _spectral_dual(d: _Scaled, cfg: CgalConfig) -> SolveReport | np.ndarray:
         # scaled by |f| at the last point evaluated, u or a step from it
         dual.mu = 10.0 ** -(2 + level) * max(1.0, abs(dual.plain))
         f, g = dual(u)
-        budget = min(_STAGE_EVALS, cfg.max_iters - dual.evals)
-        spent = dual.evals + budget
         tol = gtol * 10.0 ** (levels - 1 - level)
-        # every trace-1 psd X has <c_s, X> <= |c_s| = 1, so f_mu > 2 proves
-        # the form infeasible; the dual would run off to infinity
-        u, f, g = _lbfgs(dual, u, f, g, pairs, tol, budget, dual.mu, floor=-2.0)
-        if f < -2.0 or (dual.evals >= spent and math.sqrt(g.dot(g)) > tol):  # a smaller mu is only harder
+        for _ in range(2 if pairs.m else 1):  # a stall on the pairs a coarser mu left is retried without them
+            budget = min(_STAGE_EVALS, cfg.max_iters - dual.evals)
+            spent = dual.evals + budget
+            # every trace-1 psd X has <c_s, X> <= |c_s| = 1, so f_mu > 2 proves
+            # the form infeasible; the dual would run off to infinity
+            u, f, g = _lbfgs(dual, u, f, g, pairs, tol, budget, dual.mu, floor=-2.0)
+            stalled = dual.evals >= spent and math.sqrt(g.dot(g)) > tol
+            if f < -2.0 or not stalled:
+                break
+            pairs.m = 0
+        if f < -2.0 or stalled:  # a smaller mu is only harder
             break
     else:  # every level reached its tolerance
         # a rejected line-search trial may have left its own mixture in the buffer
@@ -527,8 +534,8 @@ def _spectral_dual(d: _Scaled, cfg: CgalConfig) -> SolveReport | np.ndarray:
         res_norm = float(np.linalg.norm(sdp.a_mat @ x - sdp.b))
         rep = _report(d, cfg, "dual", x, u, dual_bound(sdp, u), t, res_norm, min_seen=min_seen, history=history)
         if rep.converged:
-            return rep
-    return d.c_norm * dual.best_u / d.sigma
+            return rep, u
+    return None, d.c_norm * dual.best_u / d.sigma
 
 
 def _cgal_loop(d: _Scaled, cfg: CgalConfig, u0: np.ndarray | None = None) -> SolveReport:
@@ -640,10 +647,10 @@ def solve(sdp: StandardSdp, cfg: CgalConfig | None = None) -> SolveReport:
         raise ValueError(f"need max_iters >= 1 and a finite eps >= 0, got {cfg.max_iters} and {cfg.eps!r}")
     t0 = time.perf_counter()
     d = _Scaled(sdp)
-    rep = None
+    rep, u0 = None, None
     if cfg.eps > 0 and max(sdp.block_sizes, default=0) <= _DENSE_CUTOFF:
-        rep = _spectral_dual(d, cfg)
-    if not isinstance(rep, SolveReport):
-        rep = _cgal_loop(d, cfg, rep)
+        rep, u0 = _spectral_dual(d, cfg)
+    if rep is None:
+        rep = _cgal_loop(d, cfg, u0)
     rep.runtime = time.perf_counter() - t0
     return rep

@@ -321,9 +321,23 @@ def test_spectral_dual_keeps_one_memory_across_levels(monkeypatch):
     pairs = cgal._Pairs
     monkeypatch.setattr(cgal, "_Pairs", lambda n: made.append(n) or pairs(n))
     sdp = _ball_sdp(n=2, order=2)[1]
-    rep = _spectral_dual(_Scaled(sdp), CgalConfig(eps=1e-4, max_iters=20_000))
-    assert isinstance(rep, SolveReport) and rep.converged
+    rep, u = _spectral_dual(_Scaled(sdp), CgalConfig(eps=1e-4, max_iters=20_000))
+    assert rep is not None and rep.converged and u is rep.u
     assert made == [sdp.n_rows]
+
+
+def test_spectral_dual_retries_a_stalled_level_without_its_pairs(monkeypatch):
+    # on this form the mu = 1e-4 and 1e-5 levels each spend a whole budget on
+    # the pairs the coarser level left; emptied, they certify in about 40
+    # evaluations each, so the path certifies where it would otherwise end
+    held = []
+    lbfgs = cgal._lbfgs
+    monkeypatch.setattr(cgal, "_lbfgs", lambda fg, u, f, g, pairs, *a, **k:
+                        held.append(pairs.m) or lbfgs(fg, u, f, g, pairs, *a, **k))
+    rel = build(gen_dense(2, "polydisc", seed=7), 2)
+    rep = solve(assemble(rel, certify(rel)), CgalConfig(eps=1e-4, max_iters=30_000))
+    assert rep.path == "dual" and rep.converged
+    assert [m > 0 for m in held] == [False, True, True, False, True, False]
 
 
 def _reference_solve(sdp, cfg):
@@ -667,7 +681,8 @@ def test_stop_rule_consistent_across_accuracy():
 )
 def test_spectral_dual_certifies_cgal_cap_instances(make, order, bound):
     # with one L-BFGS memory across the smoothing levels they take 82 and 189
-    # evaluations, where a new memory at each level took 256 and 255
+    # evaluations at one, two and four BLAS threads alike, where a new memory
+    # at each level took 256 and 255
     evals = 150 if order == 1 else 230
     rel = build(make(), order)
     sdp = assemble(rel, certify(rel))
@@ -723,20 +738,23 @@ def test_cgal_loop_reports_a_bound(monkeypatch):
     # infeasible form (x1 = 2 above the trace 1) has an unbounded dual, so in
     # both solve falls back to the loop
     cases = (
-        (sdp, CgalConfig(eps=1e-3, max_iters=2000), 2),
-        (sdp, CgalConfig(eps=0.0, max_iters=500), 64),
-        (_ball_sdp(n=2, order=2)[1], CgalConfig(eps=1e-4, max_iters=5), 64),
+        (sdp, CgalConfig(eps=1e-3, max_iters=2000), 2, False),
+        (sdp, CgalConfig(eps=0.0, max_iters=500), 64, False),
+        (_ball_sdp(n=2, order=2)[1], CgalConfig(eps=1e-4, max_iters=5), 64, True),
         (_direct_sdp([1, 1], [1.0, 2.0], [[1.0, 0.0]], [2.0], trace=1.0),
-         CgalConfig(eps=1e-4, max_iters=300), 64),
+         CgalConfig(eps=1e-4, max_iters=300), 64, True),
     )
-    for form, cfg, cutoff in cases:
+    for form, cfg, cutoff, fallback in cases:
         monkeypatch.setattr(cgal, "_DENSE_CUTOFF", cutoff)
         rep, ref = solve(form, cfg), _cgal_loop(_Scaled(form), cfg)
         assert rep.stop_reason == ref.stop_reason and rep.stop_reason in ("gap", "max_iters")
         assert rep.iterations == ref.iterations and rep.x.tobytes() == ref.x.tobytes()
-        # after a fallback the loop starts from the dual path's best bound
-        assert rep.lower_bound >= ref.lower_bound and rep.gap == rep.objective - rep.lower_bound
-        assert abs(dual_bound(form, rep.u) - rep.lower_bound) <= 1e-12 * (1 + abs(rep.lower_bound))
+        if fallback:  # the loop starts from the dual path's best bound
+            assert rep.lower_bound >= ref.lower_bound and rep.gap == rep.objective - rep.lower_bound
+            assert abs(dual_bound(form, rep.u) - rep.lower_bound) <= 1e-12 * (1 + abs(rep.lower_bound))
+        else:
+            assert rep.lower_bound == ref.lower_bound and rep.gap == ref.gap
+            assert rep.u.tobytes() == ref.u.tobytes()
 
 
 @pytest.mark.parametrize("path", ["loop k=1", "loop k=2", "dual"])
@@ -744,7 +762,7 @@ def test_multiplier_reproduces_the_bound(path):
     # dual_bound at the reported u gives the reported bound, up to rounding
     if path == "dual":
         sdp = _ball_sdp()[1]
-        rep = _spectral_dual(_Scaled(sdp), CgalConfig(eps=1e-4, max_iters=20_000))
+        rep, _ = _spectral_dual(_Scaled(sdp), CgalConfig(eps=1e-4, max_iters=20_000))
         assert rep is not None and max(sdp.block_sizes) <= cgal._DENSE_CUTOFF
     else:
         rel = build(gen_dense(2, "ball", seed=0), int(path[-1]))
@@ -763,7 +781,7 @@ def test_solve_picks_the_path_by_block_size(monkeypatch, sizes, eps, dual):
     # the spectral dual path is tried exactly when eps > 0 and no block is
     # above the cutoff; a spy that declines sends every solve on to the loop
     calls = []
-    monkeypatch.setattr(cgal, "_spectral_dual", lambda d, cfg: calls.append(d.sdp.block_sizes))
+    monkeypatch.setattr(cgal, "_spectral_dual", lambda d, cfg: calls.append(d.sdp.block_sizes) or (None, None))
     layout = BlockLayout(sizes)
     rng = np.random.default_rng(3)
     x0 = np.zeros(layout.dim)
@@ -785,7 +803,7 @@ def test_solve_runs_one_operator_norm_across_a_fallback(monkeypatch):
     form, cfg = _ball_sdp(n=2, order=2)[1], CgalConfig(eps=1e-4, max_iters=5)
     rep = solve(form, cfg)
     # the path hands the loop its best multiplier, not a report
-    assert len(duals) == 1 and duals[0].shape == (form.n_rows,) and len(norms) == 1
+    assert len(duals) == 1 and duals[0][0] is None and duals[0][1].shape == (form.n_rows,) and len(norms) == 1
     ref = _cgal_loop(_Scaled(form), cfg)
     assert rep.x.tobytes() == ref.x.tobytes() and rep.iterations == ref.iterations
     assert rep.lower_bound >= ref.lower_bound
@@ -801,8 +819,8 @@ def test_fallback_keeps_the_dual_paths_bound():
     cfg = CgalConfig(eps=1e-4, max_iters=5000)
     rep = solve(sdp, cfg)
     alone = _cgal_loop(_Scaled(sdp), cfg)
-    u_dual = _spectral_dual(_Scaled(sdp), cfg)
-    assert isinstance(u_dual, np.ndarray)
+    none, u_dual = _spectral_dual(_Scaled(sdp), cfg)
+    assert none is None
     assert rep.path == "loop" and rep.x.tobytes() == alone.x.tobytes()
     assert rep.lower_bound >= alone.lower_bound and rep.lower_bound >= dual_bound(sdp, u_dual)
     assert abs(dual_bound(sdp, rep.u) - rep.lower_bound) <= 1e-12 * (1 + abs(rep.lower_bound))
@@ -872,7 +890,7 @@ def test_dual_bound_never_exceeds_a_feasible_value(data):
     slack = 1e-9 * (1 + abs(value))
     for scale in (0.1, 1.0, 10.0):
         assert dual_bound(sdp, scale * rng.standard_normal(m)) <= value + slack
-    rep = _spectral_dual(_Scaled(sdp), CgalConfig(eps=1e-4, max_iters=20_000))
+    rep, _ = _spectral_dual(_Scaled(sdp), CgalConfig(eps=1e-4, max_iters=20_000))
     loop = _cgal_loop(_Scaled(sdp), CgalConfig(eps=1e-4, max_iters=300))
     assert loop.lower_bound <= value + slack
     reports = [loop]
