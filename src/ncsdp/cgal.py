@@ -1,14 +1,20 @@
 """Block-diagonal SDP solver: a spectral dual path and the CGAL loop.
 
 Solves min <C, X> over block psd matrices with tr(X) = a and A svec(X) = b.
+The constant trace holds on each clique group g of blocks: rows zeta and on
+of an assembled A pin tr X_g = a_g for every group but the first, so X lies
+in a product of spectraplexes (_Groups reads the partition off those rows;
+a form without them is one group of trace a). The dual is then the
+unconstrained concave problem max_u f(u) = b.u + sum_g a_g lambda_min,g(C -
+A^T u), lambda_min,g the least eigenvalue over group g's blocks, and f(u) is
+a lower bound for every u, never below b.u + a lambda_min.
 solve dispatches on block size. When every block is at most _DENSE_CUTOFF,
-the spectral dual path runs first. With the trace fixed, the dual is the
-unconstrained concave problem max_u f(u) = b.u + a lambda_min(C - A^T u),
-and f(u) is a lower bound for every u. The path maximizes an
-entropy-smoothed f by L-BFGS, over all eigenpairs of every block. The
-smoothed gradient is b - A svec(W), W the softmin mixture of the
-eigenvectors of C - A^T u, psd with trace 1 (Nesterov 2007): a times W at
-the last u is the primal point, and its residual is the gradient L-BFGS drove
+the spectral dual path runs first. It maximizes an entropy-smoothed f by
+L-BFGS, over all eigenpairs of every block, one softmin per group. The
+smoothed gradient is b - A svec(W), W = sum_g (a_g / a) W_g with W_g the
+softmin mixture of group g's eigenvectors, psd with trace 1 (Nesterov
+2007): a times W at the last u is the primal point, with trace a_g on each
+group by construction, and its residual is the gradient L-BFGS drove
 down. The path returns only when that point passes the gap test. Otherwise,
 and for larger blocks, the conditional gradient augmented Lagrangian (CGAL)
 loop runs; after the dual path it starts from the multiplier of the largest
@@ -19,23 +25,26 @@ buffer per solve (_Blocks, over BlockLayout.squares): every block a dense
 square, the blocks of one size one (k, s, s) view of it, the views back to
 back. The dual path re-indexes c, A^T and A onto the upper triangles of the
 buffer once per solve, so an evaluation is one sparse product into the
-buffer, one eigh per view, one softmin over all eigenvalues, the mixture
-written back over the views, and one sparse product back to the gradient.
-L-BFGS takes its direction from the compact form of the last 20 steps
-(Byrd, Nocedal and Schnabel), one triangular solve each way, and keeps
-those steps from one smoothing level to the next, unless a level stalls on
-them. The CGAL loop, the audit and dual_bound fill both triangles of the
-whole buffer from an svec vector in one gather.
+buffer, one eigh per view, one softmin per group, the mixture written back
+over the views, and one sparse product back to the gradient. L-BFGS takes
+its direction from the compact form of the last 20 steps (Byrd, Nocedal
+and Schnabel), one triangular solve each way, and keeps those steps from
+one smoothing level to the next, unless a level stalls on them; its line
+search picks each trial by quadratic or secant interpolation. The CGAL
+loop, the audit and dual_bound fill both triangles of the whole buffer
+from an svec vector in one gather.
 
 Each CGAL iteration linearizes the augmented Lagrangian, finds the smallest
 eigenpair of the block-diagonal gradient, and moves toward the rank-one
 atom a vv* placed in the block that owns the smallest eigenvalue; the trace
 constraint is therefore maintained exactly by construction, and every
-iterate is a convex combination of psd matrices.
+iterate is a convex combination of psd matrices. The group trace rows are
+constraints to the loop like any other; only its bound is per group.
 
 Both paths run on one normalized copy of the data (_Scaled), stop on one
 gap test, residual <= eps and |c.x - f(u)| <= eps (1 + |f(u)|) in original
-units, and report through _report with the multiplier u of their bound.
+units, and report through _report with the multiplier u of their bound,
+whose trace-row entries are 0: f does not depend on them.
 
 The CGAL loop's eigenpair search makes one min_eigpair call per view: 1 x 1
 blocks in closed form, with eigenvector [1], one stacked eigh up to
@@ -188,9 +197,10 @@ class _Blocks:
 
     views holds one (k, s, s) view of buf per block size, in the order of
     stacks. The spectral dual path writes the upper triangles itself; load
-    fills both triangles from an svec vector. least gives the smallest
-    eigenpair (the CGAL loop), lows the least eigenvalue of every block (the
-    psd audit, and dual_bound) and floor the audit's verdict.
+    fills both triangles from an svec vector. least gives the least
+    eigenvalue of every block and the smallest eigenpair (the CGAL loop),
+    lows the least eigenvalue of every block (the psd audit, and dual_bound)
+    and floor the audit's verdict.
     """
 
     def __init__(self, layout: BlockLayout):
@@ -207,8 +217,8 @@ class _Blocks:
         np.take(x / self.layout.scale, self.cells, out=self.buf)
         return self.views
 
-    def least(self, g: np.ndarray, t: int) -> tuple[float, int, np.ndarray]:
-        """(eigenvalue, block, eigenvector) of the first block of g with the least eigenvalue.
+    def least(self, g: np.ndarray, t: int) -> tuple[np.ndarray, int, np.ndarray]:
+        """(least eigenvalue of every block, block, eigenvector) for the first block of g with the least eigenvalue.
 
         One min_eigpair call per view; a non-finite eigenvalue raises
         CgalError naming the first such block and t.
@@ -221,7 +231,7 @@ class _Blocks:
         _require_finite(lam, t)
         blk = int(lam.argmin())
         blocks, vecs = found[self.layout.sizes[blk]]
-        return float(lam[blk]), blk, vecs[np.searchsorted(blocks, blk)]
+        return lam, blk, vecs[np.searchsorted(blocks, blk)]
 
     def lows(self, x: np.ndarray) -> np.ndarray:
         """Least eigenvalue of every block of x, one eigvalsh per view."""
@@ -239,19 +249,71 @@ class _Blocks:
         return float(lam.min(initial=0.0, where=lam < 0.0))
 
 
+class _Groups:
+    """The clique groups of a standard form, read off its trace rows.
+
+    An assembled form ends in one trace row per clique group after the
+    first: row zeta + g - 1 has unit coefficients on the diagonal of every
+    block of group g and nowhere else, and b = a_g there. The blocks on no
+    such row are group 0, with trace a - sum_g a_g. block gives the group of
+    every block, traces the a_g, and rows the trace rows of A. Rows after
+    zeta of any other shape (a coefficient other than 1, a block on two rows
+    or only partly on one, an empty row, no block left for group 0, or a
+    negative a_g) give one group of trace a and no trace rows.
+    """
+
+    def __init__(self, sdp: StandardSdp):
+        layout, a = sdp.layout, float(sdp.trace)
+        sizes = np.asarray(layout.sizes)
+        self.block, self.traces, self.rows = np.zeros(sizes.size, dtype=np.intp), np.array([a]), slice(0, 0)
+        if not 0 <= sdp.zeta < sdp.n_rows:
+            return
+        a_mat, rhs = sdp.a_mat.tocsr(), sdp.b[sdp.zeta :]
+        ends = a_mat.indptr[sdp.zeta :]
+        pos, data, counts = a_mat.indices[ends[0] : ends[-1]], a_mat.data[ends[0] : ends[-1]], np.diff(ends)
+        blk, row = layout.block[pos], np.repeat(np.arange(1, counts.size + 1), counts)
+        group = np.zeros(sizes.size, dtype=np.intp)
+        group[blk] = row
+        on = group > 0
+        traces = np.concatenate([[a - float(rhs.sum())], rhs])
+        if (counts.all() and (data == 1.0).all() and np.array_equal(group[blk], row)
+                and np.unique(pos).size == pos.size and np.array_equal(layout.row[pos], layout.col[pos])
+                and np.array_equal(np.bincount(blk, minlength=sizes.size)[on], sizes[on])
+                and not on.all() and traces.min() >= 0.0):
+            self.block, self.traces, self.rows = group, traces, slice(sdp.zeta, sdp.n_rows)
+
+    def least(self, lam: np.ndarray) -> np.ndarray:
+        """The least of lam, one value per block, over each group's blocks."""
+        low = np.full(self.traces.size, np.inf)
+        np.minimum.at(low, self.block, lam)
+        return low
+
+    def free(self, u: np.ndarray) -> np.ndarray:
+        """u with its trace-row entries set to 0, in place: the bound does not depend on them."""
+        u[self.rows] = 0.0
+        return u
+
+
 def _certified(residual: float, objective: float, bound: float, eps: float) -> bool:
     """The gap test: residual <= eps and |objective - bound| <= eps (1 + |bound|)."""
     return residual <= eps and abs(objective - bound) <= eps * (1.0 + abs(bound))
 
 
 def dual_bound(sdp: StandardSdp, u: np.ndarray) -> float:
-    """The dual bound f(u) = b.u + a lambda_min(C - A^T u), in original units.
+    """The dual bound f(u) = b.u + sum_g a_g lambda_min,g(C - A^T u), in original units.
 
-    Every feasible X is psd with trace a, so <C, X> = b.u + <C - A^T u, X>
-    >= f(u): f(u) is a lower bound on the optimal value for every u.
+    lambda_min,g is the least eigenvalue over the blocks of clique group g,
+    and a_g its trace (_Groups; one group of trace a when sdp has no trace
+    rows). Every feasible X is psd with tr X_g = a_g on each group, so
+    <C, X> = b.u + <C - A^T u, X> >= f(u): f(u) is a lower bound on the
+    optimal value for every u, and never below b.u + a min_g lambda_min,g.
+    A trace row's multiplier shifts lambda_min,g by -u_g and b.u by a_g u_g,
+    which cancel, so f reads those entries of u as 0.
     """
-    lam = float(_Blocks(sdp.layout).lows(sdp.c - sdp.a_mat.T @ u).min())
-    return float(sdp.b @ u) + float(sdp.trace) * lam
+    groups = _Groups(sdp)
+    u = groups.free(np.array(u, dtype=float))
+    low = groups.least(_Blocks(sdp.layout).lows(sdp.c - sdp.a_mat.T @ u))
+    return float(sdp.b @ u) + float(groups.traces @ low)
 
 
 def _check_trace(tr: float, a: float, t: int) -> None:
@@ -266,11 +328,13 @@ class _Scaled:
     The trace a, c_norm = |c| (1 when c = 0), c_s = c / c_norm, b_norm =
     |b|, at = A^T as CSR, sigma, the largest singular value of A,
     estimated from below by Golub-Kahan-Lanczos bidiagonalization
-    (_operator_norm), and blocks, the dense-block buffer both paths use.
+    (_operator_norm), blocks, the dense-block buffer both paths use, and
+    groups, the clique groups read off the trace rows.
     """
 
     def __init__(self, sdp: StandardSdp):
         self.sdp, self.a = sdp, float(sdp.trace)
+        self.groups = _Groups(sdp)
         self.c_norm = float(np.linalg.norm(sdp.c)) or 1.0
         self.c_s = sdp.c / self.c_norm
         self.b_norm = float(np.linalg.norm(sdp.b))
@@ -308,11 +372,16 @@ def _report(
 class _SmoothedDual:
     """-f_mu(u) and its gradient for the normalized data (trace 1), counting evaluations.
 
-    f_mu(u) = b.u - mu log sum_j exp(-lambda_j / mu) over the eigenvalues of
-    all blocks of C - A^T u. It lies below f(u) = b.u + lambda_min. Its
-    gradient is b - A svec(W), where W is the softmin mixture of the
-    eigenvectors (trace 1, psd), so the gradient of -f_mu is also the
-    residual A svec(W) - b of that mixture.
+    With w_g = a_g / a the share of clique group g in the trace (_Groups),
+    f_mu(u) = b.u - sum_g w_g mu log sum_{j in g} exp(-lambda_j / mu), each
+    inner sum over the eigenvalues of the blocks of group g of C - A^T u. It
+    lies below f(u) = b.u + sum_g w_g lambda_min,g. Its gradient is
+    b - A svec(W), W = sum_g w_g W_g with W_g the softmin mixture of group
+    g's eigenvectors (trace 1, psd), so W has trace w_g on each group by
+    construction, and the gradient of -f_mu is also the residual
+    A svec(W) - b of that mixture. A trace row's entry of the gradient is
+    then 0 up to rounding. With one group this is the softmin over the
+    eigenvalues of all blocks.
 
     It works on the buffer of d.blocks (see the module docstring): mix
     fills the upper triangles with c_buf - at_buf u, reads them by eigh on
@@ -334,6 +403,9 @@ class _SmoothedDual:
         self.a_buf = sp.csr_matrix((a.data * scale / d.sigma, cols, a.indptr), shape=shape)
         self.at_buf = sp.csr_matrix((a.data / (d.sigma * scale), cols, a.indptr), shape=shape).T.tocsr()
         self.b_s = d.sdp.b / (d.sigma * d.a)
+        # the block and the group of every eigenvalue, in the order the views give them
+        self.owner = np.concatenate([np.repeat(blocks, s) for s, blocks in d.blocks.stacks])
+        self.group, self.share = d.groups.block[self.owner], d.groups.traces / d.a
         self.history, self.res_scale = history, res_scale
         self.mu = 1.0
         self.evals = 0
@@ -341,12 +413,13 @@ class _SmoothedDual:
         self.best, self.best_u = -math.inf, None  # the largest f(u) evaluated, and a copy of its u
 
     def mix(self, u: np.ndarray) -> tuple[float, float]:
-        """Write the softmin mixture W of C - A^T u over the views; return (lambda_min, mu log sum_j w_j).
+        """Write the mixture W of C - A^T u over the views; return (sum_g w_g lambda_min,g, sum_g w_g mu log s_g).
 
-        w_j = exp((lambda_min - lambda_j) / mu) runs over the eigenvalues of
-        all blocks, one eigh per view, and W = sum_j (w_j / sum) v_j v_j^T.
-        A non-finite least eigenvalue raises CgalError naming the first such
-        block and the evaluation.
+        Eigenvalue j of group g weighs w_g exp((lambda_min,g - lambda_j) / mu)
+        / s_g, with s_g the sum of the exponentials over group g; one eigh
+        per view, and W = sum_j weight_j v_j v_j^T. A non-finite least
+        eigenvalue raises CgalError naming the first such block and the
+        evaluation.
         """
         np.subtract(self.c_buf, self.at_buf @ u, out=self.blocks.buf)
         # a 1 x 1 block is its own eigenvalue, with eigenvector [1]
@@ -354,14 +427,14 @@ class _SmoothedDual:
         lam = np.concatenate([w for w, _ in eigs], axis=None)
         # a sum is finite only when every term is; past it, the first block whose least eigenvalue is not finite
         if not math.isfinite(lam.sum()):
-            owner = np.concatenate([np.repeat(blocks, s) for s, blocks in self.blocks.stacks])
             low = np.full(len(self.blocks.layout.sizes), np.inf)
-            np.minimum.at(low, owner, lam)
+            np.minimum.at(low, self.owner, lam)
             _require_finite(low, self.evals)
-        lam_min = float(lam.min())
-        weights = np.exp((lam_min - lam) / self.mu)
-        total = float(weights.sum())
-        weights /= total
+        low = np.full(self.share.size, np.inf)
+        np.minimum.at(low, self.group, lam)
+        weights = np.exp((low[self.group] - lam) / self.mu)
+        sums = np.bincount(self.group, weights, minlength=self.share.size)
+        weights *= (self.share / sums)[self.group]
         at = 0
         for view, (_, v) in zip(self.blocks.views, eigs):
             k, s = view.shape[:2]
@@ -370,16 +443,16 @@ class _SmoothedDual:
             else:
                 np.matmul(v * weights[at : at + k * s].reshape(k, 1, s), v.transpose(0, 2, 1), out=view)
             at += k * s
-        return lam_min, self.mu * math.log(total)
+        return float(self.share @ low), self.mu * float(self.share @ np.log(sums))
 
     def __call__(self, u: np.ndarray) -> tuple[float, np.ndarray]:
         self.evals += 1
-        lam_min, smooth = self.mix(u)
+        least, smooth = self.mix(u)
         grad = self.a_buf @ self.blocks.buf
         grad -= self.b_s
         if self.history is not None:
             self.history.append(math.sqrt(grad.dot(grad)) * self.res_scale)
-        self.plain = float(self.b_s @ u) + lam_min
+        self.plain = float(self.b_s @ u) + least
         if self.plain > self.best:
             self.best, self.best_u = self.plain, u.copy()
         return smooth - self.plain, grad
@@ -434,11 +507,16 @@ def _lbfgs(fg, u, f, g, pairs: _Pairs, gtol: float, max_evals: int, step0: float
     (_Pairs.direction), which may come from an earlier call; each step adds
     its pair to them. With none held the direction is -step0 g, and a
     direction that is not a descent direction empties pairs and is -step0 g.
-    The line search brackets a step that meets the weak Wolfe conditions,
-    doubling while the slope stays steep and halving past a rise, so a
-    stretch where the function is nearly linear costs a few evaluations. Stops when |g| <= gtol, when no step
-    decreases f, when f falls below floor, or after max_evals calls of fg.
-    Returns (u, f, g).
+    The line search brackets a step that meets the weak Wolfe conditions
+    from a first trial step of 1. Past a step lo that is still steep it
+    extrapolates by a secant on the slope through lo and the step before it,
+    kept within [2, 16] lo, so a stretch where the function is nearly linear
+    costs a few evaluations. Once a step hi rises too far, each trial is the
+    minimizer of the quadratic through f and the slope at lo and f at hi,
+    kept within [0.1, 0.5] of the way from lo to hi: on a quadratic, the
+    trial after the first rise is the exact minimizer along the direction.
+    Stops when |g| <= gtol, when no step decreases f, when f falls below
+    floor, or after max_evals calls of fg. Returns (u, f, g).
     """
     evals = 0
     while evals < max_evals and math.sqrt(g.dot(g)) > gtol:
@@ -448,7 +526,9 @@ def _lbfgs(fg, u, f, g, pairs: _Pairs, gtol: float, max_evals: int, step0: float
             pairs.m = 0
             q = step0 * g
             slope = -g.dot(q)
-        lo, hi, step = 0.0, math.inf, 1.0
+        # value and slope along -q at the last step that kept f low enough (lo),
+        # and the slope at the one before it (prev)
+        lo, f_lo, d_lo, hi, step = 0.0, f, slope, math.inf, 1.0
         best = None
         while evals < max_evals:
             u_new = u - step * q
@@ -457,16 +537,24 @@ def _lbfgs(fg, u, f, g, pairs: _Pairs, gtol: float, max_evals: int, step0: float
             if f_new < floor:
                 return u_new, f_new, g_new
             if f_new > f + 1e-4 * step * slope:
-                hi = step
+                hi, f_hi = step, f_new
             else:
                 best = (u_new, f_new, g_new)
-                if -g_new.dot(q) >= 0.9 * slope:
+                d_new = -g_new.dot(q)
+                if d_new >= 0.9 * slope:
                     break
-                lo = step
+                prev, d_prev = lo, d_lo
+                lo, f_lo, d_lo = step, f_new, d_new
             if hi == math.inf:
-                step = 2.0 * lo
+                # where the line through the two slopes crosses 0; no crossing ahead takes the cap
+                step = lo - d_lo * (lo - prev) / (d_lo - d_prev) if d_lo > d_prev else math.inf
+                step = min(max(step, 2.0 * lo), 16.0 * lo)
             elif hi - lo > 1e-12 * hi:
-                step = (lo + hi) / 2.0
+                # the quadratic's curvature is positive in exact arithmetic; rounding may take it to 0
+                width = hi - lo
+                curv = f_hi - f_lo - d_lo * width
+                step = lo - d_lo * width * width / (2.0 * curv) if curv > 0.0 else hi
+                step = min(max(step, lo + 0.1 * width), lo + 0.5 * width)
             else:
                 break
         if best is None:
@@ -481,20 +569,22 @@ def _spectral_dual(d: _Scaled, cfg: CgalConfig) -> tuple[SolveReport | None, np.
     """Maximize the smoothed dual, then certify the bound with its softmin mixture.
 
     Runs on the normalized data of _Scaled (objective over its norm, A over
-    its largest singular value, trace 1). The smoothing mu falls by tens
-    from 1e-2 to the first level at most 0.1 eps, each level times
-    max(1, |f|). Each level runs L-BFGS until the softmin mixture's
-    residual is 0.1 eps, both relative in original units and in normalized
-    units, ten times that for each level still to come. One L-BFGS memory
+    its largest singular value, trace 1), with one softmin per clique group
+    (_SmoothedDual). The smoothing mu falls by tens from 1e-2 to the first
+    level at most 0.1 eps, each level times max(1, |f|). Each level runs
+    L-BFGS until the softmin mixture's residual is 0.1 eps, both relative in
+    original units and in normalized units, ten times that for each level
+    still to come. One L-BFGS memory
     serves every level, so a level starts from the curvature the last one
     learned. A level that spends its _STAGE_EVALS budget on that memory
     empties it and gets one more budget; a level that spends its budget on
     an empty memory ends the path, and max_iters caps the evaluations in
     all. The primal point is a times the mixture at the last u, psd with
-    trace a by construction. Returns (report, report.u) when the report
-    passes the gap test. Otherwise returns (None, u) with u the multiplier,
-    in original units, of the largest f(u) over all evaluations, for the
-    CGAL loop to start its bound from.
+    trace a_g on each group by construction. Returns (report, report.u) when
+    the report passes the gap test. Otherwise returns (None, u) with u the
+    multiplier, in original units, of the largest f(u) over all
+    evaluations, for the CGAL loop to start its bound from. Either u has 0
+    on the trace rows.
     """
     sdp, a = d.sdp, d.a
     res_scale = d.sigma * a / (1.0 + d.b_norm)  # normalized residual norm to relative residual
@@ -530,12 +620,12 @@ def _spectral_dual(d: _Scaled, cfg: CgalConfig) -> tuple[SolveReport | None, np.
         t = dual.evals
         _check_trace(sdp.layout.trace(x), a, t)
         min_seen = d.blocks.floor(x, a, t) if cfg.check_psd else 0.0
-        u = d.c_norm * u / d.sigma
+        u = d.groups.free(d.c_norm * u / d.sigma)
         res_norm = float(np.linalg.norm(sdp.a_mat @ x - sdp.b))
         rep = _report(d, cfg, "dual", x, u, dual_bound(sdp, u), t, res_norm, min_seen=min_seen, history=history)
         if rep.converged:
             return rep, u
-    return None, d.c_norm * dual.best_u / d.sigma
+    return None, d.groups.free(d.c_norm * dual.best_u / d.sigma)
 
 
 def _cgal_loop(d: _Scaled, cfg: CgalConfig, u0: np.ndarray | None = None) -> SolveReport:
@@ -547,11 +637,15 @@ def _cgal_loop(d: _Scaled, cfg: CgalConfig, u0: np.ndarray | None = None) -> Sol
     regime regardless of instance scale; iterates, objective values, and
     residuals are kept and reported in original units throughout.
 
-    Each step's gradient is g = c / |c| + A^T mult, and its least eigenvalue
-    lam is what the step already computes. At u = -|c| mult, C - A^T u is
-    |c| g, so f(u) = |c| (a lam - b.mult): a certified lower bound at the
-    cost of one dot product. The report carries the best such bound and its
-    u, and the loop stops when ||A svec(X) - b|| / (1 + ||b||) <= eps and
+    Each step's gradient is g = c / |c| + A^T mult, and the least eigenvalue
+    of every block is what the step already computes; lam_g is the least
+    over the blocks of clique group g. At u = -|c| mult, C - A^T u is |c| g,
+    so f(u) = |c| (sum_g a_g lam_g - b.mult): a certified lower bound at the
+    cost of one minimum per group and two dot products. The atom still goes
+    to the block with the least eigenvalue of all, so the iterates do not
+    depend on the groups. The report carries the best such bound and its u,
+    with 0 on the trace rows, and the loop stops when
+    ||A svec(X) - b|| / (1 + ||b||) <= eps and
     |c.x - bound| <= eps (1 + |bound|). A multiplier u0 in original units
     (the spectral dual path's best) starts the best bound at dual_bound(sdp,
     u0); the iterates do not depend on it, only the step at which the gap
@@ -573,7 +667,7 @@ def _cgal_loop(d: _Scaled, cfg: CgalConfig, u0: np.ndarray | None = None) -> Sol
     min_seen = 0.0
     resid_hist: list[float] | None = [] if cfg.track_residuals else None
     cap_hits = 0
-    least, floor = d.blocks.least, d.blocks.floor
+    least, floor, groups = d.blocks.least, d.blocks.floor, d.groups
     add_outer, trace = layout.add_outer, layout.trace
     r = (ax - b) / res_scale
     mult = np.empty_like(r)  # the dual multiplier (z + beta r) / sigma
@@ -587,7 +681,7 @@ def _cgal_loop(d: _Scaled, cfg: CgalConfig, u0: np.ndarray | None = None) -> Sol
         g = at_mat @ mult
         g += c_scaled
         lam, blk, v = least(g, t)
-        f = c_norm * (a * lam - b.dot(mult))
+        f = c_norm * (float(groups.traces @ groups.least(lam)) - b.dot(mult))
         if f > bound:
             bound = f
             np.copyto(best, mult)
@@ -623,7 +717,8 @@ def _cgal_loop(d: _Scaled, cfg: CgalConfig, u0: np.ndarray | None = None) -> Sol
             break
 
     return _report(
-        d, cfg, "loop", x, -c_norm * best, bound, t, res_norm, min_seen=min_seen, cap_hits=cap_hits, history=resid_hist
+        d, cfg, "loop", x, groups.free(-c_norm * best), bound, t, res_norm,
+        min_seen=min_seen, cap_hits=cap_hits, history=resid_hist,
     )
 
 

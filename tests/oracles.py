@@ -281,29 +281,35 @@ def two_loop_direction(g: np.ndarray, pairs: deque, step0: float) -> np.ndarray:
     return q
 
 
-def smoothed_dual_by_blocks(scaled, u: np.ndarray, mu: float) -> tuple[float, np.ndarray, float, np.ndarray]:
+def smoothed_dual_by_blocks(scaled, u, mu: float, groups=None) -> tuple[float, np.ndarray, float, np.ndarray]:
     """(-f_mu(u), its gradient, f(u), svec(W)) of a solver's normalized data, one block at a time in svec form.
 
-    Every block of C - A^T u is read with layout_matrix and takes its own
-    eigh; the softmin weights run over all eigenvalues, and the mixture
+    groups lists (blocks, a_g) for every clique group; None is one group of
+    every block with the form's trace a. Every block of C - A^T u is read
+    with layout_matrix and takes its own eigh. Group g's softmin weights run
+    over its own blocks' eigenvalues, scaled by a_g / a, and the mixture
     V diag(w) V^T of each block goes back to svec through its upper
-    triangle and the layout's scale.
+    triangle and the layout's scale. f_mu(u) = b.u - sum_g (a_g / a) mu
+    log sum_j exp(-lambda_j / mu), and f(u) = b.u + sum_g (a_g / a)
+    lambda_min,g.
     """
     sdp, layout = scaled.sdp, scaled.sdp.layout
+    if groups is None:
+        groups = [(range(len(layout.sizes)), scaled.a)]
     a_s = sdp.a_mat / scaled.sigma
     b_s = sdp.b / (scaled.sigma * scaled.a)
     g = scaled.c_s - a_s.T @ u
-    eigs = [np.linalg.eigh(layout_matrix(layout, g, i)) for i in range(len(layout.sizes))]
-    lam = np.concatenate([w for w, _ in eigs])
-    lam_min = float(lam.min())
-    expo = np.exp((lam_min - lam) / mu)
-    total = float(expo.sum())
-    mix, at = np.zeros(layout.dim), 0
-    for i, (w, v) in enumerate(eigs):
-        block = (v * (expo[at : at + w.size] / total)) @ v.T
-        iu, ju = np.triu_indices(w.size)
-        span = slice(layout.offsets[i], layout.offsets[i + 1])
-        mix[span] = block[iu, ju] * layout.scale[span]
-        at += w.size
-    plain = float(b_s @ u) + lam_min
-    return mu * math.log(total) - plain, a_s @ mix - b_s, plain, mix
+    mix, plain, smooth = np.zeros(layout.dim), float(b_s @ u), 0.0
+    for blocks, a_g in groups:
+        eigs = {i: np.linalg.eigh(layout_matrix(layout, g, i)) for i in blocks}
+        lam_min = min(float(w.min()) for w, _ in eigs.values())
+        total = sum(float(np.exp((lam_min - w) / mu).sum()) for w, _ in eigs.values())
+        share = a_g / scaled.a
+        plain += share * lam_min
+        smooth += share * mu * math.log(total)
+        for i, (w, v) in eigs.items():
+            block = (v * (share * np.exp((lam_min - w) / mu) / total)) @ v.T
+            iu, ju = np.triu_indices(w.size)
+            span = slice(layout.offsets[i], layout.offsets[i + 1])
+            mix[span] = block[iu, ju] * layout.scale[span]
+    return smooth - plain, a_s @ mix - b_s, plain, mix

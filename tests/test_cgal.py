@@ -21,6 +21,7 @@ from ncsdp.cgal import (
     SolveReport,
     _Blocks,
     _cgal_loop,
+    _Groups,
     _operator_norm,
     _Pairs,
     _Scaled,
@@ -227,7 +228,9 @@ def test_block_eigs_matches_per_block_loop(monkeypatch, dense_cutoff):
                 assert np.array_equal(view[k], _dense_block(layout, g, i))
         lam_ref, blk_ref, v_ref = _reference_block_eigs(layout, g)
         lam, blk, v = blocks.least(g, t)
-        assert (lam, blk) == (lam_ref, blk_ref)
+        assert (lam[blk], blk) == (lam_ref, blk_ref)
+        # every block's least eigenvalue, which the per-group bound reads
+        assert lam.tolist() == [min_eigpair(_dense_block(layout, g, i))[0] for i in range(len(layout.sizes))]
         assert np.array_equal(v, v_ref)
         winners.append(blk)
     assert winners[-2] == 0  # equal blocks give equal eigenvalues on every path
@@ -235,35 +238,87 @@ def test_block_eigs_matches_per_block_loop(monkeypatch, dense_cutoff):
     assert len(set(winners)) > 2
 
 
-@pytest.mark.parametrize("sizes", [[1, 1, 1], [3, 1, 5, 2, 1, 3, 5], [64, 1, 7]], ids=["scalars", "mixed", "block-64"])
-def test_smoothed_dual_matches_per_block_svec(sizes):
-    # the dual path's stacked squares against one eigh per block in svec form
+def _psd_point(layout, rng, rank_gaps=None):
+    """svec of a random psd matrix per block: g g^T with s + gap columns, gap 0 unless given."""
+    x0 = np.zeros(layout.dim)
+    for i, s in enumerate(layout.sizes):
+        g = rng.standard_normal((s, s + (rank_gaps[i] if rank_gaps else 0)))
+        span = slice(layout.offsets[i], layout.offsets[i + 1])
+        x0[span] = (g @ g.T)[layout.row[span], layout.col[span]] * layout.scale[span]
+    return x0
+
+
+def _grouped_sdp(sizes, labels, c, rows, x0):
+    """rows, then one trace row per clique group after the first, labels giving each block's group; feasible at x0.
+
+    Trace row g has unit coefficients on the diagonal of every block of group
+    g and b = tr x0 over them; zeta counts the other rows, as assemble's do.
+    """
+    layout = BlockLayout(sizes)
+    traces = np.zeros((max(labels, default=0), layout.dim))
+    for i, g in enumerate(labels):
+        if g:
+            traces[g - 1, layout.diag[layout.block[layout.diag] == i]] = 1.0
+    full = np.vstack([np.reshape(rows, (-1, layout.dim)), traces])
+    sdp = _direct_sdp(sizes, c, full, full @ x0, trace=layout.trace(x0))
+    sdp.zeta = len(rows)
+    return sdp
+
+
+def _group_traces(layout, labels, x):
+    """The trace of x over the blocks of each group."""
+    diag = layout.diag
+    return np.bincount(np.asarray(labels)[layout.block[diag]], x[diag])
+
+
+@pytest.mark.parametrize(
+    "sizes, labels",
+    [([1, 1, 1], None), ([3, 1, 5, 2, 1, 3, 5], None), ([64, 1, 7], None),
+     ([3, 1, 5, 2], [0, 1, 1, 0]), ([3, 1, 5, 2, 1, 3, 5], [1, 0, 2, 2, 0, 1, 0])],
+    ids=["scalars", "mixed", "block-64", "two-groups", "three-groups"],
+)
+def test_smoothed_dual_matches_per_block_svec(sizes, labels):
+    # the dual path's stacked squares against one eigh per block in svec form,
+    # with one softmin per clique group when the form has trace rows
     layout = BlockLayout(sizes)
     rng = np.random.default_rng(len(sizes))
     c = rng.standard_normal(layout.dim)
     rows = rng.standard_normal((9, layout.dim)) * (rng.random((9, layout.dim)) < 0.3)
-    sdp = _direct_sdp(sizes, c, rows, rng.standard_normal(9), trace=2.5)
+    if labels is None:
+        sdp = _direct_sdp(sizes, c, rows, rng.standard_normal(9), trace=2.5)
+        groups = None
+    else:
+        x0 = _psd_point(layout, rng)
+        sdp = _grouped_sdp(sizes, labels, c, rows, x0)
+        traces = _group_traces(layout, labels, x0)
+        groups = [(np.flatnonzero(np.equal(labels, g)), a_g) for g, a_g in enumerate(traces)]
     d = _Scaled(sdp)
+    assert d.groups.block.tolist() == (labels or [0] * len(sizes))
+    if groups is not None:
+        assert np.abs(d.groups.traces - traces).max() <= 1e-12 * d.a
     history: list[float] = []
     dual = _SmoothedDual(d, history, 1.0)
     assert dual.at_buf.nnz == dual.a_buf.nnz == sdp.a_mat.nnz
     for mu in (1e-1, 1e-3):
         dual.mu = mu
         for _ in range(3):
-            u = rng.standard_normal(9)
+            u = rng.standard_normal(sdp.n_rows)
             value, grad = dual(u)
-            ref_value, ref_grad, ref_plain, _ = smoothed_dual_by_blocks(d, u, mu)
+            ref_value, ref_grad, ref_plain, _ = smoothed_dual_by_blocks(d, u, mu, groups)
             assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-12)
             assert np.abs(grad - ref_grad).max() <= 1e-12 * (1 + np.abs(ref_grad).max())
             assert dual.plain == pytest.approx(ref_plain, rel=1e-12, abs=1e-12)
             # mix at a fresh point leaves svec(W) on the buffer, and is not an evaluation
-            u = rng.standard_normal(9)
+            u = rng.standard_normal(sdp.n_rows)
             evals, logged = dual.evals, len(history)
             dual.mix(u)
             mixture = layout.scale * dual.blocks.buf[dual.blocks.place]
-            ref_mix = smoothed_dual_by_blocks(d, u, mu)[3]
+            ref_mix = smoothed_dual_by_blocks(d, u, mu, groups)[3]
             assert np.abs(mixture - ref_mix).max() <= 1e-12
             assert (dual.evals, len(history)) == (evals, logged)
+            if groups is not None:  # a times the mixture has trace a_g on each group
+                got = _group_traces(layout, labels, d.a * mixture)
+                assert np.abs(got - traces).max() <= 1e-12 * (1 + d.a)
 
 
 @pytest.mark.parametrize("n", [30, 5], ids=["fewer-pairs-than-unknowns", "more-pairs-than-unknowns"])
@@ -315,6 +370,35 @@ def test_lbfgs_starts_from_the_pairs_it_is_given():
     assert pairs.m == n + 1  # the step's pair joins the ones it was given
 
 
+@pytest.mark.parametrize("t_star", [0.3, 12.0], ids=["armijo-failure", "curvature-failure"])
+def test_line_search_interpolates_exactly_on_a_quadratic(t_star):
+    # with no pairs the direction is step0 g; step0 puts the line minimizer at
+    # t_star, so the first trial, step 1, rises too far (0.3) or is still too
+    # steep (12); the quadratic through f, the slope and f(1), or the secant
+    # through the slopes at 0 and 1, is exact on a quadratic
+    rng = np.random.default_rng(3)
+    n = 5
+    h = rng.standard_normal((n, n))
+    h = h @ h.T + np.eye(n)
+    center = rng.standard_normal(n)
+    trials = []
+
+    def fg(u):
+        trials.append(u)
+        d = u - center
+        return 0.5 * d @ h @ d, h @ d
+
+    u = np.zeros(n)
+    f, g = fg(u)
+    step0 = g.dot(g) / (t_star * g @ h @ g)
+    trials.clear()
+    cgal._lbfgs(fg, u, f, g, _Pairs(n), 1e-12, 2, step0, floor=-math.inf)
+    assert np.array_equal(trials[0], u - step0 * g)
+    want = u - t_star * step0 * g
+    assert np.linalg.norm(trials[1] - want) <= 1e-12 * np.linalg.norm(want)
+    assert abs((trials[1] - center) @ h @ g) <= 1e-12 * np.linalg.norm(h @ g) ** 2  # the minimizer along g
+
+
 def test_spectral_dual_keeps_one_memory_across_levels(monkeypatch):
     # eps = 1e-4 runs four smoothing levels; they share one _Pairs
     made = []
@@ -327,9 +411,9 @@ def test_spectral_dual_keeps_one_memory_across_levels(monkeypatch):
 
 
 def test_spectral_dual_retries_a_stalled_level_without_its_pairs(monkeypatch):
-    # on this form the mu = 1e-4 and 1e-5 levels each spend a whole budget on
-    # the pairs the coarser level left; emptied, they certify in about 40
-    # evaluations each, so the path certifies where it would otherwise end
+    # on this form the mu = 1e-4 level spends a whole budget on the pairs the
+    # coarser level left; emptied, it reaches its tolerance in 17 evaluations,
+    # so the path certifies where it would otherwise end
     held = []
     lbfgs = cgal._lbfgs
     monkeypatch.setattr(cgal, "_lbfgs", lambda fg, u, f, g, pairs, *a, **k:
@@ -337,7 +421,7 @@ def test_spectral_dual_retries_a_stalled_level_without_its_pairs(monkeypatch):
     rel = build(gen_dense(2, "polydisc", seed=7), 2)
     rep = solve(assemble(rel, certify(rel)), CgalConfig(eps=1e-4, max_iters=30_000))
     assert rep.path == "dual" and rep.converged
-    assert [m > 0 for m in held] == [False, True, True, False, True, False]
+    assert [m > 0 for m in held] == [False, True, True, False, True]
 
 
 def _reference_solve(sdp, cfg):
@@ -706,11 +790,7 @@ def test_spectral_dual_certifies_at_any_scale(trace, scale):
     sizes = [6, 3]
     layout = BlockLayout(sizes)
     rng = np.random.default_rng(84)
-    x0 = np.zeros(layout.dim)
-    for i, s in enumerate(sizes):
-        g = rng.standard_normal((s, s))
-        span = slice(layout.offsets[i], layout.offsets[i + 1])
-        x0[span] = (g @ g.T)[layout.row[span], layout.col[span]] * layout.scale[span]
+    x0 = _psd_point(layout, rng)
     x0 *= trace / layout.trace(x0)
     c = rng.standard_normal(layout.dim)
     rows = scale * rng.standard_normal((8, layout.dim))
@@ -757,19 +837,29 @@ def test_cgal_loop_reports_a_bound(monkeypatch):
             assert rep.u.tobytes() == ref.u.tobytes()
 
 
-@pytest.mark.parametrize("path", ["loop k=1", "loop k=2", "dual"])
+@pytest.mark.filterwarnings("ignore:clique chain")
+@pytest.mark.parametrize("path", ["loop k=1", "loop k=2", "dual", "clique loop", "clique dual"])
 def test_multiplier_reproduces_the_bound(path):
-    # dual_bound at the reported u gives the reported bound, up to rounding
-    if path == "dual":
+    # dual_bound at the reported u gives the reported bound, up to rounding;
+    # on a clique layout (three groups) the bound is the per-group one, and
+    # the trace rows' entries of u are 0
+    if path.startswith("clique"):
+        rel = build(gen_sparse(8, 3, seed=1), 1)
+        sdp = assemble(rel, certify(rel))
+        assert rel.n_groups == 3 and _Scaled(sdp).groups.traces.size == 3
+    elif path == "dual":
         sdp = _ball_sdp()[1]
-        rep, _ = _spectral_dual(_Scaled(sdp), CgalConfig(eps=1e-4, max_iters=20_000))
-        assert rep is not None and max(sdp.block_sizes) <= cgal._DENSE_CUTOFF
     else:
         rel = build(gen_dense(2, "ball", seed=0), int(path[-1]))
         sdp = assemble(rel, certify(rel))
+    if path.endswith("dual"):
+        rep, _ = _spectral_dual(_Scaled(sdp), CgalConfig(eps=1e-4, max_iters=20_000))
+        assert rep is not None and max(sdp.block_sizes) <= cgal._DENSE_CUTOFF
+    else:
         rep = _cgal_loop(_Scaled(sdp), CgalConfig(eps=1e-3, max_iters=3000))
     assert rep.u.shape == (sdp.n_rows,) and type(rep.lower_bound) is float
     assert abs(dual_bound(sdp, rep.u) - rep.lower_bound) <= 1e-12 * (1 + abs(rep.lower_bound))
+    assert not rep.u[sdp.zeta :].any()
 
 
 @pytest.mark.parametrize(
@@ -867,29 +957,63 @@ def test_solve_reports_its_path(eps, max_iters, path):
     assert rep.converged == (path == "dual")
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_dual_bound_never_exceeds_a_feasible_value(data):
-    # a psd X0 with trace a and b = A svec(X0) makes the form feasible, so
-    # every lower bound must stay at or below c.x0
+def _draw_grouped_form(data):
+    """A random form with one trace row per clique group after the first, feasible at a psd x0 of trace a.
+
+    Returns (sdp, x0, labels): block i is in group labels[i], numbered in
+    order of first appearance, so block 0 is in group 0.
+    """
     sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4), label="sizes")
+    drawn = data.draw(st.lists(st.integers(0, 3), min_size=len(sizes), max_size=len(sizes)), label="groups")
+    labels = [list(dict.fromkeys(drawn)).index(g) for g in drawn]
     m = data.draw(st.integers(0, 6), label="m")
     a = data.draw(st.floats(0.5, 5.0), label="trace")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     layout = BlockLayout(sizes)
-    x0 = np.zeros(layout.dim)
-    for i, s in enumerate(sizes):
-        g = rng.standard_normal((s, s + data.draw(st.integers(-s + 1, 1), label="rank gap")))
-        span = slice(layout.offsets[i], layout.offsets[i + 1])
-        x0[span] = (g @ g.T)[layout.row[span], layout.col[span]] * layout.scale[span]
+    gaps = [data.draw(st.integers(-s + 1, 1), label="rank gap") for s in sizes]
+    x0 = _psd_point(layout, rng, gaps)
     x0 *= a / layout.trace(x0)
-    c = rng.standard_normal(layout.dim)
-    rows = rng.standard_normal((m, layout.dim))
-    sdp = _direct_sdp(sizes, c, rows, rows @ x0, trace=a)
-    value = float(c @ x0)
+    sdp = _grouped_sdp(sizes, labels, rng.standard_normal(layout.dim), rng.standard_normal((m, layout.dim)), x0)
+    return sdp, x0, labels
+
+
+def _single_group_bound(sdp, u):
+    """b.u + a min_i lambda_min(block i of C - A^T u), the bound of one spectraplex of trace a."""
+    lam = min(np.linalg.eigvalsh(layout_matrix(sdp.layout, sdp.c - sdp.a_mat.T @ u, i))[0]
+              for i in range(len(sdp.block_sizes)))
+    return float(sdp.b @ u) + float(sdp.trace) * lam
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_per_group_bound_dominates_and_ignores_the_trace_rows(data):
+    # at any u the per-group bound is at least the one-spectraplex bound, and
+    # moving a trace row's multiplier does not change it
+    sdp, _, labels = _draw_grouped_form(data)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="u seed"))
+    assert _Scaled(sdp).groups.block.tolist() == labels
+    for scale in (0.1, 1.0, 10.0):
+        u = scale * rng.standard_normal(sdp.n_rows)
+        f, single = dual_bound(sdp, u), _single_group_bound(sdp, u)
+        assert f >= single - 1e-12 * (1 + abs(single))
+        for row in range(sdp.zeta, sdp.n_rows):
+            moved = u.copy()
+            moved[row] += scale * rng.standard_normal()
+            assert dual_bound(sdp, moved) == f
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_dual_bound_never_exceeds_a_feasible_value(data):
+    # a psd X0 with trace a and b = A svec(X0), trace rows included, makes the
+    # form feasible, so every lower bound must stay at or below c.x0
+    sdp, x0, labels = _draw_grouped_form(data)
+    layout, a = sdp.layout, sdp.trace
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="u seed"))
+    value = float(sdp.c @ x0)
     slack = 1e-9 * (1 + abs(value))
     for scale in (0.1, 1.0, 10.0):
-        assert dual_bound(sdp, scale * rng.standard_normal(m)) <= value + slack
+        assert dual_bound(sdp, scale * rng.standard_normal(sdp.n_rows)) <= value + slack
     rep, _ = _spectral_dual(_Scaled(sdp), CgalConfig(eps=1e-4, max_iters=20_000))
     loop = _cgal_loop(_Scaled(sdp), CgalConfig(eps=1e-4, max_iters=300))
     assert loop.lower_bound <= value + slack
@@ -897,11 +1021,80 @@ def test_dual_bound_never_exceeds_a_feasible_value(data):
     if rep is not None:
         assert rep.lower_bound <= value + slack
         assert rep.lower_bound == dual_bound(sdp, rep.u)
+        # the mixture keeps each group's trace
+        got, want = _group_traces(layout, labels, rep.x), _group_traces(layout, labels, x0)
+        assert np.abs(got - want).max() <= 1e-9 * a
         reports.append(rep)
     for r in reports:
-        for i in range(len(sizes)):
+        for i in range(len(sdp.block_sizes)):
             assert np.linalg.eigvalsh(layout_matrix(layout, r.x, i))[0] >= -1e-9 * a
         assert abs(layout.trace(r.x) - a) <= 1e-9 * a
+
+
+def _clique_form():
+    # o1-cliques' seed 1: gen_sparse(8, 3) at k = 1, three clique groups
+    rel = build(gen_sparse(8, 3, seed=1), 1)
+    return rel, assemble(rel, certify(rel))
+
+
+@pytest.mark.filterwarnings("ignore:clique chain")
+def test_partition_survives_the_text_format(tmp_path):
+    # the partition comes from the trace rows, which the text format keeps
+    # exactly; a first round trip may move an off-diagonal coefficient by an
+    # ulp (x / sqrt(2) sqrt(2)), and the form it reads back is a fixed point
+    # of the format, solved bit for bit alike
+    rel, sdp = _clique_form()
+    groups = _Groups(sdp)
+    assert groups.block.tolist() == [b.group for b in rel.blocks]
+    assert groups.traces.tolist() == list(certify(rel).group_traces)
+    assert groups.rows == slice(sdp.zeta, sdp.n_rows) and sdp.n_rows - sdp.zeta == rel.n_groups - 1
+    forms = [sdp]
+    for k in range(2):
+        write_sdp(forms[-1], str(tmp_path / f"f{k}.sdp"))
+        forms.append(read_sdp(str(tmp_path / f"f{k}.sdp")))
+    for form in forms[1:]:
+        back = _Groups(form)
+        assert (back.block.tobytes(), back.traces.tobytes(), back.rows) == (
+            groups.block.tobytes(), groups.traces.tobytes(), groups.rows)
+    assert (forms[2].a_mat != forms[1].a_mat).nnz == 0
+    first, second = (solve(f, CgalConfig(eps=1e-4, max_iters=30_000)) for f in forms[1:])
+    assert first.path == "dual" and first.converged
+    for field in ("objective", "residual", "iterations", "lower_bound", "stop_reason", "path"):
+        assert getattr(first, field) == getattr(second, field), field
+    assert first.x.tobytes() == second.x.tobytes() and first.u.tobytes() == second.u.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:clique chain")
+def test_tail_rows_of_another_shape_give_one_group():
+    # twice each trace row of the clique form is the same constraint, but not
+    # a trace row: the form then has one spectraplex of trace a, its bound is
+    # b.u + a min lambda bit for bit, and the loop runs as the reference does
+    sdp = _clique_form()[1]
+    rows = sp.diags(np.where(np.arange(sdp.n_rows) >= sdp.zeta, 2.0, 1.0))
+    doubled = StandardSdp(sdp.block_sizes, sdp.c, (rows @ sdp.a_mat).tocsr(), rows @ sdp.b, sdp.trace, sdp.zeta)
+    groups = _Groups(doubled)
+    assert groups.traces.tolist() == [sdp.trace] and not groups.block.any() and groups.rows == slice(0, 0)
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        u = rng.standard_normal(sdp.n_rows)
+        lam = float(_Blocks(sdp.layout).lows(doubled.c - doubled.a_mat.T @ u).min())
+        assert dual_bound(doubled, u) == float(doubled.b @ u) + float(doubled.trace) * lam
+        d = _Scaled(doubled)
+        value, grad = _SmoothedDual(d, None, 1.0)(u)
+        ref_value, ref_grad, _, _ = smoothed_dual_by_blocks(d, u, 1.0)
+        assert value == pytest.approx(ref_value, rel=1e-12) and np.abs(grad - ref_grad).max() <= 1e-12
+    # eps = 0 keeps the loop from stopping early: with either shape of the
+    # rows it takes the reference's steps, and only the clique form's bound
+    # moves, never down
+    cfg = CgalConfig(eps=0.0, max_iters=300)
+    for form in (doubled, sdp):
+        ref, rep = _reference_solve(form, cfg), _cgal_loop(_Scaled(form), cfg)
+        assert rep.x.tobytes() == ref["x"].tobytes() and rep.objective == ref["objective"]
+        assert rep.residual == ref["residual"] and rep.iterations == ref["iterations"]
+        if form is doubled:
+            assert rep.lower_bound == ref["lower_bound"] and rep.u.tobytes() == ref["u_best"].tobytes()
+        else:
+            assert rep.lower_bound >= ref["lower_bound"]
 
 
 def test_solve_does_not_import_scipy_optimize():
