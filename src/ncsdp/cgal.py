@@ -15,10 +15,13 @@ smoothed gradient is b - A svec(W), W = sum_g (a_g / a) W_g with W_g the
 softmin mixture of group g's eigenvectors, psd with trace 1 (Nesterov
 2007): a times W at the last u is the primal point, with trace a_g on each
 group by construction, and its residual is the gradient L-BFGS drove
-down. The path returns only when that point passes the gap test. Otherwise,
-and for larger blocks, the conditional gradient augmented Lagrangian (CGAL)
-loop runs; after the dual path it starts from the multiplier of the largest
-f(u) the path evaluated, so the report's bound is the better of the two.
+down. The gap test is the path's stop rule at every smoothing level: after
+each level whose mixture has residual within eps, read off that gradient,
+the path returns the mixture if it passes the test and goes on to the next
+level if not. When no level passes, and for larger blocks, the conditional
+gradient augmented Lagrangian (CGAL) loop runs; after the dual path it
+starts from the multiplier of the largest f(u) the path evaluated, so the
+report's bound is the better of the two.
 
 Both paths, the psd audit and dual_bound see the blocks through one
 buffer per solve (_Blocks, over BlockLayout.squares): every block a dense
@@ -566,7 +569,7 @@ def _lbfgs(fg, u, f, g, pairs: _Pairs, gtol: float, max_evals: int, step0: float
 
 
 def _spectral_dual(d: _Scaled, cfg: CgalConfig) -> tuple[SolveReport | None, np.ndarray]:
-    """Maximize the smoothed dual, then certify the bound with its softmin mixture.
+    """Maximize the smoothed dual level by level, until a level's softmin mixture certifies its bound.
 
     Runs on the normalized data of _Scaled (objective over its norm, A over
     its largest singular value, trace 1), with one softmin per clique group
@@ -574,15 +577,16 @@ def _spectral_dual(d: _Scaled, cfg: CgalConfig) -> tuple[SolveReport | None, np.
     level at most 0.1 eps, each level times max(1, |f|). Each level runs
     L-BFGS until the softmin mixture's residual is 0.1 eps, both relative in
     original units and in normalized units, ten times that for each level
-    still to come. One L-BFGS memory
-    serves every level, so a level starts from the curvature the last one
-    learned. A level that spends its _STAGE_EVALS budget on that memory
-    empties it and gets one more budget; a level that spends its budget on
-    an empty memory ends the path, and max_iters caps the evaluations in
-    all. The primal point is a times the mixture at the last u, psd with
-    trace a_g on each group by construction. Returns (report, report.u) when
-    the report passes the gap test. Otherwise returns (None, u) with u the
-    multiplier, in original units, of the largest f(u) over all
+    still to come. One L-BFGS memory serves every level, so a level starts
+    from the curvature the last one learned. A level that spends its
+    _STAGE_EVALS budget on that memory empties it and gets one more budget;
+    a level that spends its budget on an empty memory ends the path, and
+    max_iters caps the evaluations in all. After each level that does not
+    stall, the gradient is the mixture's residual; when that is within eps,
+    as the last level's tolerance is, the level's report on the primal
+    point a times the mixture returns as (report, report.u) if it passes
+    the gap test. Else the path goes on, and at its end returns (None, u)
+    with u the multiplier, in original units, of the largest f(u) over all
     evaluations, for the CGAL loop to start its bound from. Either u has 0
     on the trace rows.
     """
@@ -613,18 +617,20 @@ def _spectral_dual(d: _Scaled, cfg: CgalConfig) -> tuple[SolveReport | None, np.
             pairs.m = 0
         if f < -2.0 or stalled:  # a smaller mu is only harder
             break
-    else:  # every level reached its tolerance
+        # g is the mixture's residual in normalized units: no report before it is within eps
+        if math.sqrt(g.dot(g)) * res_scale > cfg.eps:
+            continue
         # a rejected line-search trial may have left its own mixture in the buffer
         dual.mix(u)
         x = a * (d.blocks.layout.scale * d.blocks.buf[d.blocks.place])
         t = dual.evals
         _check_trace(sdp.layout.trace(x), a, t)
         min_seen = d.blocks.floor(x, a, t) if cfg.check_psd else 0.0
-        u = d.groups.free(d.c_norm * u / d.sigma)
+        v = d.groups.free(d.c_norm * u / d.sigma)
         res_norm = float(np.linalg.norm(sdp.a_mat @ x - sdp.b))
-        rep = _report(d, cfg, "dual", x, u, dual_bound(sdp, u), t, res_norm, min_seen=min_seen, history=history)
+        rep = _report(d, cfg, "dual", x, v, dual_bound(sdp, v), t, res_norm, min_seen=min_seen, history=history)
         if rep.converged:
-            return rep, u
+            return rep, v
     return None, d.groups.free(d.c_norm * dual.best_u / d.sigma)
 
 

@@ -413,7 +413,8 @@ def test_spectral_dual_keeps_one_memory_across_levels(monkeypatch):
 def test_spectral_dual_retries_a_stalled_level_without_its_pairs(monkeypatch):
     # on this form the mu = 1e-4 level spends a whole budget on the pairs the
     # coarser level left; emptied, it reaches its tolerance in 17 evaluations,
-    # so the path certifies where it would otherwise end
+    # and its mixture passes the gap test, so the path certifies there where
+    # it would otherwise end
     held = []
     lbfgs = cgal._lbfgs
     monkeypatch.setattr(cgal, "_lbfgs", lambda fg, u, f, g, pairs, *a, **k:
@@ -421,7 +422,54 @@ def test_spectral_dual_retries_a_stalled_level_without_its_pairs(monkeypatch):
     rel = build(gen_dense(2, "polydisc", seed=7), 2)
     rep = solve(assemble(rel, certify(rel)), CgalConfig(eps=1e-4, max_iters=30_000))
     assert rep.path == "dual" and rep.converged
-    assert [m > 0 for m in held] == [False, True, True, False, True]
+    assert [m > 0 for m in held] == [False, True, True, False]
+
+
+def _spy_levels(monkeypatch):
+    """Record the mu of every L-BFGS run of the spectral path, and the iterations of every report it builds."""
+    mus, reports = [], []
+    lbfgs, report = cgal._lbfgs, cgal._report
+    monkeypatch.setattr(cgal, "_lbfgs", lambda fg, *a, **k: mus.append(fg.mu) or lbfgs(fg, *a, **k))
+    monkeypatch.setattr(cgal, "_report", lambda *a, **k: reports.append(report(*a, **k)) or reports[-1])
+    return mus, reports
+
+
+@pytest.mark.filterwarnings("ignore:clique chain")
+def test_spectral_dual_stops_at_the_first_level_that_certifies(monkeypatch):
+    # eps = 1e-4 schedules four smoothing levels; on this form the second
+    # level's mixture already has residual and gap within eps, so the path
+    # returns there after 30 evaluations, where running every level took 33
+    mus, reports = _spy_levels(monkeypatch)
+    rel = build(gen_sparse(9, 3, seed=1), 1)
+    sdp = assemble(rel, certify(rel))
+    rep = solve(sdp, CgalConfig(eps=1e-4, max_iters=150_000))
+    assert rep.path == "dual" and rep.converged and rep.iterations == 30
+    assert len(set(mus)) == 2 and len(reports) == 1 and reports[0] is rep
+    assert rep.lower_bound == dual_bound(sdp, rep.u)
+    assert rep.residual <= 1e-4 and abs(rep.gap) <= 1e-4 * (1 + abs(rep.lower_bound))
+    # the two-letter ball at order 1: the mixture at u = 0 certifies, so one evaluation is enough
+    form = _ball_sdp()[1]
+    one = solve(form, CgalConfig(eps=1e-4, max_iters=1))
+    assert one.path == "dual" and one.converged and one.iterations == 1
+    assert one.lower_bound == dual_bound(form, one.u)
+
+
+@pytest.mark.filterwarnings("ignore:clique chain")
+def test_spectral_dual_goes_on_past_a_failed_gap_test(monkeypatch):
+    # o1-cliques' s2-clique form: the third level's mixture is within eps in
+    # residual but not in gap, so the path runs the fourth level, which
+    # certifies; the residual history covers every evaluation of both
+    mus, reports = _spy_levels(monkeypatch)
+    rel = build(gen_sparse(9, 3, seed=2), 1)
+    assert rel.n_groups > 1
+    sdp = assemble(rel, certify(rel))
+    rep = solve(sdp, CgalConfig(eps=1e-4, max_iters=30_000, track_residuals=True))
+    assert rep.path == "dual" and rep.converged
+    assert len(set(mus)) == 4 and len(reports) == 2 and reports[1] is rep
+    first = reports[0]
+    assert not first.converged and first.residual <= 1e-4 and first.iterations < rep.iterations
+    assert len(rep.residual_history) == rep.iterations
+    assert rep.lower_bound == dual_bound(sdp, rep.u)
 
 
 def _reference_solve(sdp, cfg):
@@ -764,10 +812,10 @@ def test_stop_rule_consistent_across_accuracy():
     ],
 )
 def test_spectral_dual_certifies_cgal_cap_instances(make, order, bound):
-    # with one L-BFGS memory across the smoothing levels they take 82 and 189
-    # evaluations at one, two and four BLAS threads alike, where a new memory
-    # at each level took 256 and 255
-    evals = 150 if order == 1 else 230
+    # stopping at the first smoothing level whose mixture passes the gap test,
+    # they take 30 and 105 evaluations at one, two and four BLAS threads
+    # alike, where running every level took 33 and 182
+    evals = 32 if order == 1 else 140
     rel = build(make(), order)
     sdp = assemble(rel, certify(rel))
     t0 = time.perf_counter()
@@ -949,9 +997,10 @@ def test_solve_accepts_zero_eps_and_one_iteration():
 
 @pytest.mark.parametrize("eps, max_iters, path", [(1e-4, 100_000, "dual"), (0.0, 100, "loop"), (1e-4, 1, "loop")])
 def test_solve_reports_its_path(eps, max_iters, path):
-    # eps = 0 skips the dual path; one dual evaluation cannot certify, so the
-    # loop takes over, and the report says which of the two produced it
-    _, sdp = _ball_sdp()
+    # eps = 0 skips the dual path; one dual evaluation cannot certify this
+    # order-2 form, so the loop takes over, and the report says which of the
+    # two produced it
+    _, sdp = _ball_sdp(n=2, order=2)
     rep = solve(sdp, CgalConfig(eps=eps, max_iters=max_iters))
     assert rep.path == path
     assert rep.converged == (path == "dual")
