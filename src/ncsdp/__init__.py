@@ -18,7 +18,6 @@ from .free_algebra import (
     WordBasis,
     basis_size,
     canonicalize,
-    evaluate,
     evaluate_scalar,
 )
 from .generator import gen_dense, gen_sparse
@@ -27,10 +26,10 @@ from .relaxation import (
     Relaxation,
     build,
     minimal_order,
-    moment_vector_from_evaluation,
+    moment_vector_at_point,
 )
 from .sparsity import CliqueAssignmentError, CliqueDecomposition, decompose
-from .standard_form import CountStats, StandardSdp, assemble, count_stats, read_sdp, recover_moments, write_sdp
+from .standard_form import CountStats, StandardSdp, assemble, count_stats, read_sdp, write_sdp
 
 __version__ = "0.1.0"
 
@@ -59,15 +58,13 @@ __all__ = [
     "count_stats",
     "decompose",
     "dual_bound",
-    "evaluate",
     "evaluate_scalar",
     "gen_dense",
     "gen_sparse",
     "min_eigpair",
     "minimal_order",
-    "moment_vector_from_evaluation",
+    "moment_vector_at_point",
     "read_sdp",
-    "recover_moments",
     "solve",
     "verify",
     "write_sdp",

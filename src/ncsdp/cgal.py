@@ -296,6 +296,12 @@ class _Groups:
         u[self.rows] = 0.0
         return u
 
+    def bound(self, sdp: StandardSdp, blocks: _Blocks, u: np.ndarray) -> float:
+        """dual_bound(sdp, u), for the groups of sdp, on a block buffer of its layout."""
+        u = self.free(np.array(u, dtype=float))
+        low = self.least(blocks.lows(sdp.c - sdp.a_mat.T @ u))
+        return float(sdp.b @ u) + float(self.traces @ low)
+
 
 def _certified(residual: float, objective: float, bound: float, eps: float) -> bool:
     """The gap test: residual <= eps and |objective - bound| <= eps (1 + |bound|)."""
@@ -313,10 +319,7 @@ def dual_bound(sdp: StandardSdp, u: np.ndarray) -> float:
     A trace row's multiplier shifts lambda_min,g by -u_g and b.u by a_g u_g,
     which cancel, so f reads those entries of u as 0.
     """
-    groups = _Groups(sdp)
-    u = groups.free(np.array(u, dtype=float))
-    low = groups.least(_Blocks(sdp.layout).lows(sdp.c - sdp.a_mat.T @ u))
-    return float(sdp.b @ u) + float(groups.traces @ low)
+    return _Groups(sdp).bound(sdp, _Blocks(sdp.layout), u)
 
 
 def _check_trace(tr: float, a: float, t: int) -> None:
@@ -628,7 +631,8 @@ def _spectral_dual(d: _Scaled, cfg: CgalConfig) -> tuple[SolveReport | None, np.
         min_seen = d.blocks.floor(x, a, t) if cfg.check_psd else 0.0
         v = d.groups.free(d.c_norm * u / d.sigma)
         res_norm = float(np.linalg.norm(sdp.a_mat @ x - sdp.b))
-        rep = _report(d, cfg, "dual", x, v, dual_bound(sdp, v), t, res_norm, min_seen=min_seen, history=history)
+        bound = d.groups.bound(sdp, d.blocks, v)
+        rep = _report(d, cfg, "dual", x, v, bound, t, res_norm, min_seen=min_seen, history=history)
         if rep.converged:
             return rep, v
     return None, d.groups.free(d.c_norm * dual.best_u / d.sigma)
@@ -669,11 +673,11 @@ def _cgal_loop(d: _Scaled, cfg: CgalConfig, u0: np.ndarray | None = None) -> Sol
     z = np.zeros(a_mat.shape[0])
     ax = a_mat @ x
 
-    bound = -math.inf if u0 is None else dual_bound(sdp, u0)
+    least, floor, groups = d.blocks.least, d.blocks.floor, d.groups
+    bound = -math.inf if u0 is None else groups.bound(sdp, d.blocks, u0)
     min_seen = 0.0
     resid_hist: list[float] | None = [] if cfg.track_residuals else None
     cap_hits = 0
-    least, floor, groups = d.blocks.least, d.blocks.floor, d.groups
     add_outer, trace = layout.add_outer, layout.trace
     r = (ax - b) / res_scale
     mult = np.empty_like(r)  # the dual multiplier (z + beta r) / sigma
@@ -740,12 +744,14 @@ def solve(sdp: StandardSdp, cfg: CgalConfig | None = None) -> SolveReport:
     Every report carries a certified lower_bound, the best over both paths,
     the multiplier u that gives it, and the gap to its objective, and stops
     on "gap" or "max_iters", and names the path that produced x ("dual" or
-    "loop"). runtime covers both paths. ValueError when max_iters < 1 or eps
-    is negative or not finite.
+    "loop"). runtime covers both paths. ValueError when max_iters < 1, when
+    eps is negative or not finite, or when the trace is not finite and > 0.
     """
     cfg = cfg or CgalConfig()
     if cfg.max_iters < 1 or not (math.isfinite(cfg.eps) and cfg.eps >= 0.0):
         raise ValueError(f"need max_iters >= 1 and a finite eps >= 0, got {cfg.max_iters} and {cfg.eps!r}")
+    if not (math.isfinite(sdp.trace) and sdp.trace > 0.0):
+        raise ValueError(f"need a finite trace > 0, got {sdp.trace!r}")
     t0 = time.perf_counter()
     d = _Scaled(sdp)
     rep, u0 = None, None

@@ -12,9 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import Iterable, Mapping, Sequence
 
 Word = tuple[int, ...]
 
@@ -63,7 +61,7 @@ def canonicalize(w: Word, mode: SymmetryMode = SymmetryMode.STAR_ONLY) -> Word:
 class WordBasis:
     """All words of degree <= degree_bound over a letter set, graded-lex sorted."""
 
-    __slots__ = ("letters", "degree_bound", "words", "index")
+    __slots__ = ("words",)
 
     def __init__(
         self,
@@ -87,22 +85,10 @@ class WordBasis:
         words: list[Word] = [EMPTY_WORD]
         for r in range(1, degree_bound + 1):
             words.extend(itertools.product(lets, repeat=r))
-        self.letters = lets
-        self.degree_bound = degree_bound
         self.words = words
-        self.index = {w: i for i, w in enumerate(words)}
 
     def __len__(self) -> int:
         return len(self.words)
-
-    def __iter__(self) -> Iterator[Word]:
-        return iter(self.words)
-
-    def position(self, w: Word) -> int:
-        try:
-            return self.index[tuple(w)]
-        except KeyError:
-            raise KeyError(f"word {w} not in basis") from None
 
 
 class NcPolynomial:
@@ -219,42 +205,12 @@ class NcPolynomial:
         return f"NcPolynomial({self.n}, {' '.join(parts)}{tail})"
 
 
-def word_value(w: Word, mats: Sequence[np.ndarray], dim: int) -> np.ndarray:
-    """Product of the matrices selected by the letters of w."""
-    if not w:
-        return np.eye(dim)
-    out = mats[w[0] - 1]
-    for j in w[1:]:
-        out = out @ mats[j - 1]
-    return out
-
-
-def evaluate(p: NcPolynomial, mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Evaluate p at a tuple of symmetric matrices (letter j -> mats[j-1]).
-
-    The result is symmetrized to wash out roundoff from the word products.
-    """
-    ms = [np.asarray(m, dtype=float) for m in mats]
-    if len(ms) != p.n:
-        raise ValueError(f"expected {p.n} matrices, got {len(ms)}")
-    if not ms:
-        raise ValueError("empty matrix tuple")
-    dim = ms[0].shape[0]
-    for m in ms:
-        if m.ndim != 2 or m.shape != (dim, dim):
-            raise ValueError("matrices must be square and of equal size")
-    acc = np.zeros((dim, dim))
-    for w, c in p.terms.items():
-        acc += c * word_value(w, ms, dim)
-    return (acc + acc.T) / 2.0
-
-
 def evaluate_scalar(p: NcPolynomial, x: Sequence[float]) -> float:
-    """Commutative evaluation of p at a scalar point: evaluate at 1 x 1 matrices, bit for bit.
+    """Commutative evaluation of p at a scalar point, as at 1 x 1 matrices.
 
     Each word's product is taken left to right and the terms are summed in
-    order, as there; its symmetrization (a + a) / 2 is kept, so that a sum
-    past half the float range still becomes inf.
+    order. The sum is symmetrized as (a + a) / 2, as a matrix value would be,
+    so that a sum past half the float range still becomes inf.
     """
     if len(x) != p.n:
         raise ValueError(f"expected {p.n} coordinates, got {len(x)}")

@@ -28,9 +28,7 @@ from .free_algebra import (
     WordBasis,
     basis_size,
     canonicalize,
-    evaluate,
     evaluate_scalar,
-    word_value,
 )
 
 
@@ -203,13 +201,6 @@ class Relaxation:
         return KeyWords(self.key_words)
 
     @functools.cached_property
-    def key_index(self) -> dict[Word, int]:
-        return {w: i for i, w in enumerate(self.keys)}
-
-    def key_of(self, w: Word) -> int:
-        return self.key_index[canonicalize(tuple(w), self.mode)]
-
-    @functools.cached_property
     def forms(self) -> tuple[EntryForms, EntryForms]:
         """(psd, eq) entry forms, on first use. psd entries are the svec positions
         of `layout` (a moment entry is one term of weight 1); eq entries run
@@ -262,7 +253,7 @@ def _entry_forms(rel: Relaxation) -> tuple[EntryForms, EntryForms]:
     w1, w2, u_r and v_c. A letter outside clique j raises ValueError.
     """
     cliques = rel.decomp.cliques
-    first, power, msize, tab_off, key_off, length, num = _word_tables(tuple(map(len, cliques)), rel.order)
+    first, power, msize, tab_off, key_base, length, num = _word_tables(tuple(map(len, cliques)), rel.order)
     blocks = [*rel.blocks, *rel.eq_blocks]
     terms = [b.terms for b in blocks]
     # per term: len(w1), numeral of reverse(w1), len(w2), numeral of w2
@@ -313,7 +304,7 @@ def _entry_forms(rel: Relaxation) -> tuple[EntryForms, EntryForms]:
             index[side] += first.ravel()[np.repeat(flat[side, e0:e1], reps) + w_len[side][term]]
         lo, hi = np.minimum(*index), np.maximum(*index)
         del index
-        hi += np.repeat(key_off[grp], reps) - lo * (lo - 1) // 2 - lo
+        hi += np.repeat(key_base[grp], reps) - lo * (lo - 1) // 2 - lo
         hi += lo * np.repeat(msize[grp], reps)
         ident = np.repeat(np.arange(e0, e1) * rel.n_keys, reps) + moment_keys[hi]
         del lo, hi
@@ -469,65 +460,26 @@ def build(
     )
 
 
-def moment_vector_from_evaluation(
-    rel: Relaxation,
-    mats: Sequence[np.ndarray],
-    v: np.ndarray | None = None,
-    feas_tol: float = 1e-8,
-) -> np.ndarray:
-    """Moment vector of an evaluation of the problem variables.
+def moment_vector_at_point(rel: Relaxation, x: Sequence[float], feas_tol: float = 1e-8) -> np.ndarray:
+    """Moment vector of a scalar point x, the 1 x 1 matrices x_j in either mode.
 
-    In eigenvalue mode y_w = <v, w(A) v> for a unit vector v; in trace mode
-    y_w is the normalized trace of w(A). Infeasibility of A beyond feas_tol
-    only warns, so deliberately infeasible probes remain possible. At a
-    scalar point (1 x 1 matrices) both modes give the product of the
-    coordinates, computed for all keys at once, and the constraints are
-    checked on the coordinates.
+    y_w is the product of w's coordinates, taken left to right; an
+    underflowed product keeps its sign. A constraint violated beyond
+    feas_tol at x only warns, so deliberately infeasible probes remain
+    possible. ValueError when x does not have one coordinate per letter.
     """
-    ms = [np.asarray(m, dtype=float) for m in mats]
-    if len(ms) != rel.problem.n:
-        raise ValueError(f"expected {rel.problem.n} matrices, got {len(ms)}")
-    dim = ms[0].shape[0]
-    for m in ms:
-        if m.shape != (dim, dim):
-            raise ValueError("matrices must be square and of equal size")
-
-    vv: np.ndarray | None = None
-    if rel.mode is SymmetryMode.STAR_ONLY:
-        if v is None:
-            raise ValueError("eigenvalue mode needs a vector v")
-        vv = np.asarray(v, dtype=float)
-        if vv.shape != (dim,):
-            raise ValueError("v must match the matrix size")
-        nrm = float(np.linalg.norm(vv))
-        if nrm == 0.0:
-            raise ValueError("v must be nonzero")
-        vv = vv / nrm
-
-    point = [float(m[0, 0]) for m in ms] if dim == 1 else None
+    point = [float(a) for a in x]
+    if len(point) != rel.problem.n:
+        raise ValueError(f"expected {rel.problem.n} coordinates, got {len(point)}")
     for i, g in enumerate(rel.problem.inequalities):
-        lam = evaluate_scalar(g, point) if point else float(np.linalg.eigvalsh(evaluate(g, ms)).min())
-        if lam < -feas_tol:
-            warnings.warn(f"inequality {i} violated by {-lam:.3g} at the given tuple")
+        if (lam := evaluate_scalar(g, point)) < -feas_tol:
+            warnings.warn(f"inequality {i} violated by {-lam:.3g} at the given point")
     for i, h in enumerate(rel.problem.equalities):
-        dev = abs(evaluate_scalar(h, point)) if point else float(np.abs(evaluate(h, ms)).max())
-        if dev > feas_tol:
-            warnings.warn(f"equality {i} off by {dev:.3g} at the given tuple")
-
-    if point:
-        # at a scalar point y_w is the product of w's coordinates, taken left
-        # to right: word_value's value, but an underflowed product keeps its
-        # sign (-0.0 where matmul gives +0.0); letter 0 pads words with a 1.0
-        vals = np.array([1.0] + point)[rel.key_words]
-        y = np.ones(rel.n_keys)
-        for column in vals.T:
-            y *= column
-        return y
-    y = np.empty(rel.n_keys)
-    if vv is not None:
-        for i, w in enumerate(rel.keys):
-            y[i] = float(vv @ word_value(w, ms, dim) @ vv)
-    else:
-        for i, w in enumerate(rel.keys):
-            y[i] = float(np.trace(word_value(w, ms, dim))) / dim
+        if (dev := abs(evaluate_scalar(h, point))) > feas_tol:
+            warnings.warn(f"equality {i} off by {dev:.3g} at the given point")
+    # letter 0 pads words with a 1.0
+    vals = np.array([1.0] + point)[rel.key_words]
+    y = np.ones(rel.n_keys)
+    for column in vals.T:
+        y *= column
     return y

@@ -17,7 +17,7 @@ A(X) = b then say exactly that X comes from a moment vector:
 Everything is expressed in svec coordinates: each block's upper triangle,
 row-major, with off-diagonal entries scaled by sqrt(2), so that inner
 products of symmetric matrices become dot products. `BlockLayout` owns
-that format; assembly, the moment maps, the text format and the solver all
+that format; assembly, the moment map, the text format and the solver all
 go through it.
 """
 
@@ -133,7 +133,7 @@ class CountStats:
 
 @dataclass
 class StandardSdp:
-    """min <C, X> s.t. A svec(X) = b, X psd block-diagonal, tr(X) = trace."""
+    """min <C, X> s.t. A svec(X) = b, X psd block-diagonal, tr(X) = trace; write_sdp writes every field."""
 
     block_sizes: list[int]
     c: np.ndarray
@@ -141,8 +141,6 @@ class StandardSdp:
     b: np.ndarray
     trace: float
     zeta: int
-    scales: tuple[np.ndarray, ...] | None = None
-    rep_entry: np.ndarray | None = None  # svec position of each moment key's representative
 
     @property
     def layout(self) -> BlockLayout:
@@ -269,26 +267,13 @@ def assemble(rel: Relaxation, cert: CtpCertificate) -> StandardSdp:
         b=b,
         trace=cert.trace_constant,
         zeta=zeta,
-        scales=cert.block_scales,
-        rep_entry=rep_pos,
     )
 
 
-def recover_moments(sdp: StandardSdp, x: np.ndarray) -> np.ndarray:
-    """Moment vector read off the representative entries of an svec iterate."""
-    if sdp.rep_entry is None or sdp.scales is None:
-        raise ValueError("moment recovery requires an assembled standard form")
-    layout = sdp.layout
-    pos = sdp.rep_entry
-    return x[pos] / layout.scale[pos] / layout.diag_products(sdp.scales)[pos]
-
-
-def x_from_moments(sdp: StandardSdp, rel: Relaxation, y: np.ndarray) -> np.ndarray:
-    """svec of P D_k(y) P, the exact feasible image of a moment vector of rel."""
-    if sdp.scales is None:
-        raise ValueError("requires an assembled standard form")
-    layout = sdp.layout
-    return rel.forms[0].values(y) * layout.diag_products(sdp.scales) * layout.scale
+def x_from_moments(rel: Relaxation, cert: CtpCertificate, y: np.ndarray) -> np.ndarray:
+    """svec of P D_k(y) P, the exact image of a moment vector of rel in the standard form of assemble(rel, cert)."""
+    layout = rel.layout
+    return rel.forms[0].values(y) * layout.diag_products(cert.block_scales) * layout.scale
 
 
 _ENTRY = np.dtype([("t", np.int64), ("blk", np.int64), ("i", np.int64), ("j", np.int64), ("val", float)])
@@ -379,7 +364,8 @@ def _data_lines(fh, meta: dict):
 def _header(lines, meta: dict) -> tuple[int, list[int], np.ndarray]:
     """Constraint count, block sizes and right hand side from the first data lines.
 
-    ValueError also when meta's trace or the right hand side is not finite.
+    ValueError also on a block size below 1, and when meta's trace or the
+    right hand side is not finite.
     """
     header = list(itertools.islice(lines, 1))
     m = int(header[0]) if header else 0
@@ -392,6 +378,8 @@ def _header(lines, meta: dict) -> tuple[int, list[int], np.ndarray]:
     sizes = [int(s) for s in header[2].split()]
     if len(sizes) != nblocks:
         raise ValueError("block size list does not match block count")
+    if min(sizes, default=1) < 1:
+        raise ValueError(f"block size {min(sizes)} below 1")
     b = np.array([float(v) for v in header[3].split()] if m else [])
     if b.shape != (m,):
         raise ValueError("right hand side length does not match constraint count")
@@ -446,8 +434,7 @@ def _entries(parts, layout: BlockLayout, m: int) -> tuple[np.ndarray, np.ndarray
 
 
 def read_sdp(path: str) -> StandardSdp:
-    """Read a standard form written by write_sdp. Solvable but anonymous:
-    the moment-recovery maps are not part of the text format.
+    """Read a standard form written by write_sdp.
 
     Comment lines (first character " or *) and blank lines may appear
     anywhere; a trace= or zeta= token in any comment line counts, and the
@@ -456,8 +443,8 @@ def read_sdp(path: str) -> StandardSdp:
     parsed table is ever held.
 
     Raises ValueError on a malformed file, including an entry outside the
-    upper triangle of its block, a constraint index above the row count, or
-    a non-finite trace, right hand side or entry.
+    upper triangle of its block, a constraint index above the row count, a
+    block size below 1, or a non-finite trace, right hand side or entry.
     """
     with warnings.catch_warnings(), open(path) as fh:
         # loadtxt's notes on an empty table and on blank lines under max_rows

@@ -1,12 +1,14 @@
 """Reference implementations that the tests compare the library against.
 
 Each one is the plain loop or dense gather that an array pass in `src/`
-replaced, kept here so results can be checked entry for entry; with them
-is a problem that more than one test file builds.
+replaced, kept here so results can be checked entry for entry, or a map
+that only the tests use (key lookups, matrix evaluations); with them is a
+problem that more than one test file builds.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 
@@ -51,6 +53,47 @@ def riesz(p: NcPolynomial, key_index: dict[Word, int], mode: SymmetryMode) -> di
         key = key_index[canonicalize(w, mode)]
         out[key] = out.get(key, 0.0) + c
     return {k: c for k, c in out.items() if c != 0.0}
+
+
+@functools.lru_cache(maxsize=4)
+def key_index(rel) -> dict[Word, int]:
+    """Each key word of a relaxation mapped to its key."""
+    return {w: i for i, w in enumerate(rel.keys)}
+
+
+def key_of(rel, w: Word) -> int:
+    """The key of any word of rel: its canonical word's place in rel.keys."""
+    return key_index(rel)[canonicalize(tuple(w), rel.mode)]
+
+
+def word_matrix(w: Word, mats) -> np.ndarray:
+    """The product of the matrices of w's letters (letter j -> mats[j - 1]), left to right."""
+    out = mats[w[0] - 1] if w else np.eye(len(mats[0]))
+    for j in w[1:]:
+        out = out @ mats[j - 1]
+    return out
+
+
+def evaluate(p: NcPolynomial, mats) -> np.ndarray:
+    """p at a tuple of symmetric matrices, symmetrized to wash out the roundoff of the word products."""
+    acc = np.zeros((len(mats[0]), len(mats[0])))
+    for w, c in p.terms.items():
+        acc += c * word_matrix(w, mats)
+    return (acc + acc.T) / 2.0
+
+
+def moment_vector_from_evaluation(rel, mats, v=None) -> np.ndarray:
+    """Moment vector of matrices, key by key: <v, w(A) v> for v / |v|, or tr w(A) / dim without v."""
+    if v is None:
+        return np.array([float(np.trace(word_matrix(w, mats))) / len(mats[0]) for w in rel.keys])
+    v = v / np.linalg.norm(v)
+    return np.array([float(v @ word_matrix(w, mats) @ v) for w in rel.keys])
+
+
+def representatives(rel) -> np.ndarray:
+    """The svec position of each key's representative: the first moment entry of build's scan that carries it."""
+    moment_pos = np.flatnonzero(np.array([b.is_moment for b in rel.blocks])[rel.layout.block])
+    return moment_pos[np.unique(np.concatenate(rel.moment_keys), return_index=True)[1]]
 
 
 def layout_matrix(layout, x: np.ndarray, i: int) -> np.ndarray:
@@ -132,7 +175,7 @@ def trace_identity_by_words(rel, cert) -> np.ndarray:
 
     Walks every diagonal word u* g u of every psd block (weight g^2, the
     squared scale) and every word u_r* h u_c of every equality block
-    (weight H[r, c]), maps it to its key with `rel.key_of` and subtracts
+    (weight H[r, c]), maps it to its key with `key_of` and subtracts
     the trace constant at the empty word.
     """
     out = np.zeros(rel.n_keys)
@@ -140,14 +183,14 @@ def trace_identity_by_words(rel, cert) -> np.ndarray:
         terms = {(): 1.0} if block.poly is None else block.poly.terms
         for u, g in zip(block.basis.words, scale):
             for w, c in terms.items():
-                out[rel.key_of(u[::-1] + w + u)] += g * g * c
+                out[key_of(rel, u[::-1] + w + u)] += g * g * c
     for block, h in zip(rel.eq_blocks, cert.eq_multipliers):
         words = block.basis.words
         for r, u in enumerate(words):
             for c, v in enumerate(words):
                 for w, co in block.poly.terms.items():
-                    out[rel.key_of(u[::-1] + w + v)] += h[r, c] * co
-    out[rel.key_of(())] -= cert.trace_constant
+                    out[key_of(rel, u[::-1] + w + v)] += h[r, c] * co
+    out[key_of(rel, ())] -= cert.trace_constant
     return out
 
 
@@ -164,15 +207,9 @@ def assemble_by_lexsort(rel, cert):
     layout = rel.layout
     prod = layout.diag_products(cert.block_scales)
     weight = 1.0 / prod
-    # a key's representative is its first entry in build's scan (svec order), which numbers
-    # keys as it meets them: an entry is a first exactly where the running maximum grows
     moment = np.array([b.is_moment for b in rel.blocks])[layout.block]
-    moment_pos = np.flatnonzero(moment)
-    moment_keys = np.concatenate(rel.moment_keys)
-    dup = np.zeros(moment_keys.size, dtype=bool)
-    np.less_equal(moment_keys[1:], np.maximum.accumulate(moment_keys)[:-1], out=dup[1:])
-    rep_pos = moment_pos[~dup]
-    own_pos = np.concatenate([rep_pos[:1], moment_pos[dup], np.flatnonzero(~moment)])
+    rep_pos = representatives(rel)
+    own_pos = np.concatenate([rep_pos[:1], np.setdiff1d(np.flatnonzero(moment), rep_pos), np.flatnonzero(~moment)])
     n_own = own_pos.size
 
     # a sharing or localizing row subtracts its entry's form; an equality
@@ -226,8 +263,6 @@ def assemble_by_lexsort(rel, cert):
         b=b,
         trace=cert.trace_constant,
         zeta=zeta,
-        scales=cert.block_scales,
-        rep_entry=rep_pos,
     )
 
 

@@ -23,14 +23,13 @@ from ncsdp.free_algebra import (
     SymmetryMode,
     WordBasis,
     basis_size,
-    evaluate,
 )
 from ncsdp.generator import gen_dense, gen_sparse
 from ncsdp.lp import LpInstance, solve_lp
-from ncsdp.relaxation import Problem, build, moment_vector_from_evaluation
+from ncsdp.relaxation import Problem, build
 from ncsdp.sparsity import dense_decomposition
 from ncsdp.standard_form import assemble, count_stats
-from oracles import block_matrix, check_lp_optimum
+from oracles import block_matrix, check_lp_optimum, evaluate, moment_vector_from_evaluation
 
 EPS = 1e-4  # pipeline accuracy used by every solve below
 

@@ -36,7 +36,7 @@ from ncsdp.free_algebra import NcPolynomial, SymmetryMode
 from ncsdp.generator import gen_dense, gen_sparse
 from ncsdp.relaxation import Problem, build
 from ncsdp.sparsity import dense_decomposition
-from ncsdp.standard_form import BlockLayout, StandardSdp, assemble, read_sdp, recover_moments, write_sdp
+from ncsdp.standard_form import BlockLayout, StandardSdp, assemble, read_sdp, write_sdp
 from oracles import layout_matrix, remember_pair, smoothed_dual_by_blocks, two_loop_direction
 
 
@@ -472,6 +472,29 @@ def test_spectral_dual_goes_on_past_a_failed_gap_test(monkeypatch):
     assert rep.lower_bound == dual_bound(sdp, rep.u)
 
 
+@pytest.mark.filterwarnings("ignore:clique chain")
+def test_groups_are_read_once_per_solve(monkeypatch):
+    # the gap tests and the loop's starting bound evaluate f on the solve's own
+    # groups and block buffer; on the s2-clique form the dual path runs two gap
+    # tests, and with a budget of 5 evaluations it hands its multiplier to the loop
+    made = []
+
+    class Counted(cgal._Groups):
+        def __init__(self, sdp):
+            made.append(sdp)
+            super().__init__(sdp)
+
+    monkeypatch.setattr(cgal, "_Groups", Counted)
+    _, reports = _spy_levels(monkeypatch)
+    rel = build(gen_sparse(9, 3, seed=2), 1)
+    sdp = assemble(rel, certify(rel))
+    rep = solve(sdp, CgalConfig(eps=1e-4, max_iters=30_000))
+    assert rep.path == "dual" and len(reports) == 2 and len(made) == 1
+    made.clear()
+    rep = solve(sdp, CgalConfig(eps=1e-4, max_iters=5))
+    assert rep.path == "loop" and len(made) == 1
+
+
 def _reference_solve(sdp, cfg):
     # the solver loop as it was before 1 x 1 blocks were read from the
     # gradient: one eigensolve per block, np.linalg.norm, and r recomputed
@@ -689,8 +712,8 @@ def test_solve_ball_relaxation():
     # the relaxation value of sum X_j over the unit ball is -sqrt(n)
     assert rep.objective == pytest.approx(-np.sqrt(2.0), abs=1e-2)
     assert rep.min_iterate_eig >= -1e-9 * sdp.trace
-    y = recover_moments(sdp, rep.x)
-    assert y[0] == pytest.approx(1.0, abs=1e-3)
+    # the pin row reads y_1 off the iterate
+    assert (sdp.a_mat @ rep.x)[0] == pytest.approx(1.0, abs=1e-3)
     # iterates keep the constant trace to working precision
     diag_sum = 0.0
     pos = 0
@@ -985,6 +1008,15 @@ def test_solve_rejects_bad_budget(field, value):
     _, sdp = _ball_sdp()
     with pytest.raises(ValueError, match="max_iters >= 1 and a finite eps >= 0"):
         solve(sdp, CgalConfig(**{field: value}))
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-4])
+@pytest.mark.parametrize("trace", [-1.0, 0.0, math.nan, math.inf])
+def test_solve_rejects_a_trace_that_is_not_finite_and_positive(trace, eps):
+    # one 2 x 2 block, C = I, no rows: no psd matrix has trace -1, and trace 0 leaves only X = 0
+    sdp = StandardSdp([2], np.array([1.0, 0.0, 1.0]), sp.csr_matrix((0, 3)), np.zeros(0), trace, 0)
+    with pytest.raises(ValueError, match=f"need a finite trace > 0, got {trace!r}"):
+        solve(sdp, CgalConfig(eps=eps))
 
 
 def test_solve_accepts_zero_eps_and_one_iteration():

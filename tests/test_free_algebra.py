@@ -1,6 +1,5 @@
 import itertools
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,9 +12,7 @@ from ncsdp.free_algebra import (
     WordBasis,
     basis_size,
     canonicalize,
-    evaluate,
     evaluate_scalar,
-    word_value,
 )
 
 
@@ -56,15 +53,11 @@ def test_word_basis_order_and_index():
     basis = WordBasis((1, 2), 2)
     assert basis.words == [(), (1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)]
     assert len(basis) == basis_size(2, 2)
-    for i, w in enumerate(basis):
-        assert basis.position(w) == i
-    with pytest.raises(KeyError):
-        basis.position((3,))
+    assert len(set(basis.words)) == len(basis)  # each word has one index
 
 
 def test_word_basis_letters_cleanup():
     basis = WordBasis([3, 1, 3], 1)
-    assert basis.letters == (1, 3)
     assert basis.words == [(), (1,), (3,)]
 
 
@@ -102,33 +95,11 @@ def test_polynomial_rejects_bad_letters():
         NcPolynomial(2, {(3,): 1.0})
 
 
-def test_evaluate_matches_hand_expansion():
-    n = 2
-    p = NcPolynomial(n, {(): 1.0, (1, 2): 0.5, (2, 1): 0.5})
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((3, 3))
-    b = rng.standard_normal((3, 3))
-    a, b = (a + a.T) / 2, (b + b.T) / 2
-    got = evaluate(p, [a, b])
-    want = np.eye(3) + (a @ b + b @ a) / 2
-    assert np.allclose(got, want)
-    assert np.allclose(got, got.T)
-
-
-def test_evaluate_validates_shapes():
-    p = NcPolynomial(2, {(1,): 1.0})
-    with pytest.raises(ValueError):
-        evaluate(p, [np.eye(2)])
-    with pytest.raises(ValueError):
-        evaluate(p, [np.eye(2), np.eye(3)])
-
-
-def test_word_value_and_scalar():
-    mats = [np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])]
-    assert np.allclose(word_value((1, 2), mats, 2), mats[0] @ mats[1])
-    assert np.allclose(word_value((), mats, 2), np.eye(2))
+def test_evaluate_scalar():
     p = NcPolynomial(2, {(1, 2): 2.0, (): -1.0})
     assert evaluate_scalar(p, [3.0, 0.5]) == pytest.approx(2.0 * 1.5 - 1.0)
+    with pytest.raises(ValueError, match="expected 2 coordinates"):
+        evaluate_scalar(p, [3.0])
 
 
 def _key_count(n: int, k: int, mode: SymmetryMode) -> int:

@@ -6,17 +6,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncsdp import relaxation
-from ncsdp.free_algebra import EMPTY_WORD, NcPolynomial, SymmetryMode, canonicalize, evaluate, evaluate_scalar, word_value
+from ncsdp.free_algebra import EMPTY_WORD, NcPolynomial, SymmetryMode, canonicalize, evaluate_scalar
 from ncsdp.generator import gen_dense, gen_sparse
 from ncsdp.relaxation import (
     Problem,
     build,
     half_degree,
     minimal_order,
-    moment_vector_from_evaluation,
+    moment_vector_at_point,
 )
 from ncsdp.sparsity import CliqueDecomposition
-from oracles import block_matrix, cancelling_problem, objective_value, riesz, scan_keys
+from oracles import (
+    block_matrix,
+    cancelling_problem,
+    evaluate,
+    key_index,
+    key_of,
+    moment_vector_from_evaluation,
+    objective_value,
+    riesz,
+    scan_keys,
+    word_matrix,
+)
 
 
 def walked_form(rel, block, r, c) -> dict[int, float]:
@@ -27,7 +38,7 @@ def walked_form(rel, block, r, c) -> dict[int, float]:
     out: dict[int, float] = {}
     for w, coeff in terms.items():
         try:
-            key = rel.key_index[canonicalize(u_star + w + v, rel.mode)]
+            key = key_index(rel)[canonicalize(u_star + w + v, rel.mode)]
         except KeyError:
             raise ValueError(
                 f"word {u_star + w + v} is not realized by any moment block; "
@@ -132,7 +143,7 @@ def test_key_sharing_across_cliques():
     assert rel.block_sizes == [3, 3]
     # shared letter 2 words appear once
     assert len(rel.keys) == 9
-    k22 = rel.key_of((2, 2))
+    k22 = key_of(rel, (2, 2))
     # entry (2, 2) of the first moment block and (1, 1) of the second
     assert rel.moment_keys[0][5] == k22
     assert rel.moment_keys[1][3] == k22
@@ -147,7 +158,7 @@ def test_entry_form_localizing():
     psd, _ = rel.forms
     at = psd.entry == rel.layout.offsets[loc]
     form = dict(zip(psd.key[at].tolist(), psd.coeff[at].tolist()))
-    want = riesz(prob.inequalities[0], rel.key_index, rel.mode)
+    want = riesz(prob.inequalities[0], key_index(rel), rel.mode)
     assert form == want
 
 
@@ -219,9 +230,9 @@ def test_riesz_modes_and_missing_key():
     x1, x2 = NcPolynomial.letter(n, 1), NcPolynomial.letter(n, 2)
     prob = ball_problem(n, objective=x1 * x2 + x2 * x1)
     rel = build(prob, order=1)
-    assert rel.objective == {rel.key_of((1, 2)): 2.0}
+    assert rel.objective == {key_of(rel, (1, 2)): 2.0}
     relt = build(prob, order=1, mode=SymmetryMode.STAR_CYCLIC)
-    assert relt.objective == {relt.key_of((1, 2)): 2.0}
+    assert relt.objective == {key_of(relt, (1, 2)): 2.0}
     # an objective word outside the given cover has no key
     bad = CliqueDecomposition(cliques=((1,), (2,)), ineq_groups=((0,), ()), eq_groups=((), ()))
     with pytest.raises(ValueError, match=r"word \(1, 2\) has no moment index"):
@@ -235,7 +246,7 @@ def test_cyclic_mode_merges_keys():
     assert len(tr.keys) < len(eig.keys)
     # the cyclic class of x1 x2 x1 x2 collapses onto x1 x1 x2 x2 classes only
     # when rotations allow; spot check one merged pair
-    assert tr.key_of((1, 2, 1, 2)) == tr.key_of((2, 1, 2, 1))
+    assert key_of(tr, (1, 2, 1, 2)) == key_of(tr, (2, 1, 2, 1))
 
 
 def assert_keys_match_scan(prob: Problem, order: int, mode: SymmetryMode):
@@ -244,7 +255,7 @@ def assert_keys_match_scan(prob: Problem, order: int, mode: SymmetryMode):
     assert list(rel.keys) == keys
     assert rel.n_keys == len(keys)
     assert [m.tolist() for m in rel.moment_keys] == moment_keys
-    assert rel.objective == riesz(prob.objective, rel.key_index, mode)
+    assert rel.objective == riesz(prob.objective, key_index(rel), mode)
     return rel
 
 
@@ -294,9 +305,9 @@ def test_moment_vector_from_evaluation_eig():
     mats = [scale * m for m in mats]
     v = rng.standard_normal(4)
     y = moment_vector_from_evaluation(rel, mats, v=v)
-    assert y[rel.key_of(())] == pytest.approx(1.0)
+    assert y[key_of(rel, ())] == pytest.approx(1.0)
     vv = v / np.linalg.norm(v)
-    assert y[rel.key_of((1, 2))] == pytest.approx(float(vv @ mats[0] @ mats[1] @ vv))
+    assert y[key_of(rel, (1, 2))] == pytest.approx(float(vv @ mats[0] @ mats[1] @ vv))
     # moment block equals the Gram matrix of the basis at (A, v)
     m0 = block_matrix(rel, 0, y)
     assert np.allclose(m0[0], [1.0, vv @ mats[0] @ vv, vv @ mats[1] @ vv])
@@ -307,61 +318,31 @@ def test_moment_vector_from_evaluation_eig():
     assert objective_value(rel, y) == pytest.approx(float(vv @ (mats[0] + mats[1]) @ vv))
 
 
-def test_moment_vector_from_evaluation_trace():
-    prob = ball_problem(2)
-    rel = build(prob, order=2, mode=SymmetryMode.STAR_CYCLIC)
-    mats = [np.diag([0.3, -0.2]), np.diag([-0.1, 0.4])]
-    y = moment_vector_from_evaluation(rel, mats)
-    for w in ((1, 2), (1, 1, 2), (1, 2, 2, 1)):
-        prod = np.eye(2)
-        for letter in w:
-            prod = prod @ mats[letter - 1]
-        assert y[rel.key_of(w)] == pytest.approx(float(np.trace(prod)) / 2)
-
-
-def test_moment_vector_validation_and_warnings():
-    prob = ball_problem(2)
-    rel = build(prob, order=1)
-    with pytest.raises(ValueError):
-        moment_vector_from_evaluation(rel, [np.eye(2)], v=np.ones(2))
-    with pytest.raises(ValueError):
-        moment_vector_from_evaluation(rel, [np.eye(2), np.eye(2)])  # missing v
-    with pytest.raises(ValueError):
-        moment_vector_from_evaluation(rel, [np.eye(2), np.eye(2)], v=np.zeros(2))
-    with pytest.warns(UserWarning, match="inequality 0"):
-        moment_vector_from_evaluation(rel, [np.eye(2), np.eye(2)], v=np.ones(2))
-
-
 @pytest.mark.parametrize("mode", [SymmetryMode.STAR_ONLY, SymmetryMode.STAR_CYCLIC])
 @pytest.mark.parametrize("problem", ["ball", "chain"])
 def test_moment_vector_at_scalar_point_matches_word_products(problem, mode):
-    # at 1 x 1 matrices the keys are evaluated in one pass; the per-key
-    # word_value loop it replaced is the reference, bit for bit at these
-    # anchors, where no product underflows (an underflowed product is -0.0
-    # in the pass and +0.0 through word_value's matmul)
+    # the keys are evaluated in one pass; the per-key matrix products of the
+    # oracle are the reference, bit for bit at these anchors, where no
+    # product underflows (an underflowed product is -0.0 in the pass and
+    # +0.0 through a 1 x 1 matmul)
     prob = gen_dense(4, kind="ball", seed=2) if problem == "ball" else gen_sparse(9, 3, seed=1)
     rel = build(prob, order=2, mode=mode)
     mats = [np.array([[a]]) for a in prob.anchor]
-    vv = np.ones(1)
-    if mode is SymmetryMode.STAR_ONLY:
-        ref = np.array([float(vv @ word_value(w, mats, 1) @ vv) for w in rel.keys])
-    else:
-        ref = np.array([float(np.trace(word_value(w, mats, 1))) / 1 for w in rel.keys])
-    y = moment_vector_from_evaluation(rel, mats, v=-2.0 * vv)
+    ref = moment_vector_from_evaluation(rel, mats, v=np.ones(1) if mode is SymmetryMode.STAR_ONLY else None)
+    y = moment_vector_at_point(rel, prob.anchor)
     assert max(map(len, rel.keys)) == 4
     assert y.tobytes() == ref.tobytes()
-    # the same checks as at any other size
-    with pytest.raises(ValueError, match="expected 9 matrices" if problem == "chain" else "expected 4"):
-        moment_vector_from_evaluation(rel, mats[:-1], v=vv)
+    with pytest.raises(ValueError, match="expected 9 coordinates" if problem == "chain" else "expected 4"):
+        moment_vector_at_point(rel, prob.anchor[:-1])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        moment_vector_from_evaluation(rel, [np.array([[3.0]])] * prob.n, v=vv)
-    assert any("at the given tuple" in str(w.message) for w in caught)
+        moment_vector_at_point(rel, [3.0] * prob.n)
+    assert any("at the given point" in str(w.message) for w in caught)
 
 
 def test_scalar_anchor_check_matches_matrix_evaluation():
-    # at 1 x 1 matrices the constraints are evaluated on the coordinates; the
-    # warnings and moments must be those of the 1 x 1 matrix evaluation
+    # the constraints are evaluated on the coordinates; the warnings and
+    # moments must be those of the 1 x 1 matrix evaluation
     n = 3
     x = [NcPolynomial.letter(n, j) for j in range(1, n + 1)]
     one = NcPolynomial.constant(n, 1.0)
@@ -378,19 +359,19 @@ def test_scalar_anchor_check_matches_matrix_evaluation():
                 for i, g in enumerate(ineqs):
                     lam = float(np.linalg.eigvalsh(evaluate(g, mats)).min())
                     if lam < -1e-8:
-                        expected.append(f"inequality {i} violated by {-lam:.3g} at the given tuple")
+                        expected.append(f"inequality {i} violated by {-lam:.3g} at the given point")
                 for i, h in enumerate(eqs):
                     dev = float(np.abs(evaluate(h, mats)).max())
                     if dev > 1e-8:
-                        expected.append(f"equality {i} off by {dev:.3g} at the given tuple")
-                ref = np.array([float(word_value(w, mats, 1)[0, 0]) for w in rel.keys])
+                        expected.append(f"equality {i} off by {dev:.3g} at the given point")
+                ref = np.array([float(word_matrix(w, mats)[0, 0]) for w in rel.keys])
             assert expected  # every point is infeasible
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                y = moment_vector_from_evaluation(rel, mats, v=np.ones(1))
+                y = moment_vector_at_point(rel, point)
             assert [str(w.message) for w in caught if w.category is UserWarning] == expected
             # equal as numbers; a product that underflows keeps its sign here,
-            # while the 1 x 1 matmul of word_value gives +0.0
+            # while the 1 x 1 matmul of word_matrix gives +0.0
             assert np.array_equal(y, ref)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import tracemalloc
 import warnings
@@ -12,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from ncsdp.ctp import PROV_LP, certify
 from ncsdp.free_algebra import NcPolynomial, SymmetryMode
 from ncsdp.generator import gen_dense, gen_sparse
-from ncsdp.relaxation import Problem, build, minimal_order, moment_vector_from_evaluation
+from ncsdp.relaxation import Problem, build, minimal_order, moment_vector_at_point
 from ncsdp.sparsity import dense_decomposition
 from ncsdp.standard_form import (
     BlockLayout,
@@ -20,11 +21,18 @@ from ncsdp.standard_form import (
     assemble,
     count_stats,
     read_sdp,
-    recover_moments,
     write_sdp,
     x_from_moments,
 )
-from oracles import assemble_by_lexsort, cancelling_problem, layout_matrix, objective_value, write_sdp_per_entry
+from oracles import (
+    assemble_by_lexsort,
+    cancelling_problem,
+    layout_matrix,
+    moment_vector_from_evaluation,
+    objective_value,
+    representatives,
+    write_sdp_per_entry,
+)
 
 
 def ball_problem(n: int) -> Problem:
@@ -103,12 +111,13 @@ def test_svec_index_layout():
 
 def test_moment_representatives():
     rel = build(ball_problem(2), order=2)
-    sdp = assemble(rel, certify(rel))
+    cert = certify(rel)
+    sdp = assemble(rel, cert)
     layout = sdp.layout
     moment_pos = np.flatnonzero([rel.blocks[b].is_moment for b in layout.block])
     scan = np.concatenate(rel.moment_keys).tolist()
     key_at = dict(zip(moment_pos.tolist(), scan))
-    rep = sdp.rep_entry.tolist()
+    rep = representatives(rel).tolist()
     assert len(rep) == len(rel.keys)
     assert rep[0] == 0
     for key, pos in enumerate(rep):
@@ -121,7 +130,7 @@ def test_moment_representatives():
     assert len(dup) == moment_ut - len(rel.keys)
     # sharing row i ties the i-th repeated entry of the scan to its key's
     # representative; both carry the key
-    weight = 1.0 / layout.diag_products(sdp.scales) / layout.scale
+    weight = 1.0 / layout.diag_products(cert.block_scales) / layout.scale
     for row, pos in enumerate(dup, start=1):
         a_row = sdp.a_mat.getrow(row)
         assert sorted(a_row.indices.tolist()) == sorted([pos, rep[key_at[pos]]])
@@ -251,7 +260,7 @@ def test_assemble_matches_lexsort_oracle(name, mode):
     for part in ("data", "indices", "indptr"):
         a, b = getattr(got.a_mat, part), getattr(ref.a_mat, part)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
-    for part in ("b", "c", "rep_entry"):
+    for part in ("b", "c"):
         a, b = getattr(got, part), getattr(ref, part)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
 
@@ -270,7 +279,7 @@ def test_assemble_peak_memory_is_a_small_multiple_of_its_output():
     finally:
         tracemalloc.stop()
     a = sdp.a_mat
-    out = sum(x.nbytes for x in (a.data, a.indices, a.indptr, sdp.b, sdp.c, sdp.rep_entry))
+    out = sum(x.nbytes for x in (a.data, a.indices, a.indptr, sdp.b, sdp.c))
     assert len(rel.forms[1].key) > 0.9 * a.nnz
     assert peak <= 3.5 * out
 
@@ -297,7 +306,7 @@ def test_feasible_point_satisfies_standard_form():
     mats = random_contraction_tuple(2, 3, rng)
     v = rng.standard_normal(3)
     y = moment_vector_from_evaluation(rel, mats, v=v)
-    x = x_from_moments(sdp, rel, y)
+    x = x_from_moments(rel, cert, y)
     assert np.abs(sdp.a_mat @ x - sdp.b).max() <= 1e-10
     assert sdp.b[0] == 1.0
     # objective transfers through the rescaling
@@ -307,17 +316,20 @@ def test_feasible_point_satisfies_standard_form():
     assert sum(np.trace(m) for m in blocks) == pytest.approx(sdp.trace, abs=1e-10)
     for m in blocks:
         assert np.linalg.eigvalsh(m).min() >= -1e-10
-    # the moment map inverts on representatives
-    assert np.abs(recover_moments(sdp, x) - y).max() <= 1e-12
+    # each key's representative entry carries y_key times its weight
+    rep = representatives(rel)
+    weight = sdp.layout.scale * sdp.layout.diag_products(cert.block_scales)
+    assert np.abs(x[rep] / weight[rep] - y).max() <= 1e-12
 
 
 def test_zero_matrices_give_feasible_point():
     prob = ball_problem(3)
     rel = build(prob, order=1)
-    sdp = assemble(rel, certify(rel))
+    cert = certify(rel)
+    sdp = assemble(rel, cert)
     y = np.zeros(len(rel.keys))
     y[0] = 1.0
-    x = x_from_moments(sdp, rel, y)
+    x = x_from_moments(rel, cert, y)
     assert np.abs(sdp.a_mat @ x - sdp.b).max() <= 1e-12
     blocks = svec_to_blocks(sdp, x)
     assert sum(np.trace(m) for m in blocks) == pytest.approx(sdp.trace)
@@ -332,10 +344,8 @@ def test_group_trace_rows():
     assert rel.n_groups == 2
     assert sdp.n_rows == sdp.zeta + 1
     assert sdp.b[-1] == pytest.approx(cert.group_traces[1])
-    anchor = prob.anchor
-    mats = [np.array([[float(t)]]) for t in anchor]
-    y = moment_vector_from_evaluation(rel, mats, v=np.ones(1))
-    x = x_from_moments(sdp, rel, y)
+    y = moment_vector_at_point(rel, prob.anchor)
+    x = x_from_moments(rel, cert, y)
     assert np.abs(sdp.a_mat @ x - sdp.b).max() <= 1e-9
     blocks = svec_to_blocks(sdp, x)
     g1 = sum(
@@ -346,10 +356,13 @@ def test_group_trace_rows():
 
 def test_write_read_round_trip(tmp_path):
     rel = build(ball_problem(2), order=2)
-    sdp = assemble(rel, certify(rel))
+    cert = certify(rel)
+    sdp = assemble(rel, cert)
     path = str(tmp_path / "ball.sdp")
     write_sdp(sdp, path)
     back = read_sdp(path)
+    # a form holds exactly what its text file holds
+    assert [f.name for f in dataclasses.fields(StandardSdp)] == ["block_sizes", "c", "a_mat", "b", "trace", "zeta"]
     assert back.block_sizes == sdp.block_sizes
     assert back.trace == sdp.trace
     assert back.zeta == sdp.zeta
@@ -359,10 +372,8 @@ def test_write_read_round_trip(tmp_path):
     # the reread instance solves the same feasibility system
     y = np.zeros(len(rel.keys))
     y[0] = 1.0
-    x = x_from_moments(sdp, rel, y)
+    x = x_from_moments(rel, cert, y)
     assert np.abs(back.a_mat @ x - back.b).max() <= 1e-12
-    with pytest.raises(ValueError):
-        recover_moments(back, x)
 
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
@@ -405,6 +416,9 @@ def test_read_sdp_rejects_malformed(tmp_path):
     head = '"trace=2.0 zeta=1\n1\n2\n2 1\n1.0\n'
     cases = [
         ('"trace=2.0 zeta=2\n1\n2\n3\n1.0\n', "block size"),
+        ('"trace=2.0 zeta=1\n1\n2\n2 0\n1.0\n', "block size 0 below 1"),
+        ('"trace=2.0 zeta=1\n1\n1\n0\n1.0\n', "block size 0 below 1"),
+        ('"trace=2.0 zeta=1\n1\n1\n-2\n1.0\n', "block size -2 below 1"),
         ('"trace=2.0\n1\n2\n', "header"),
         ('"trace=2.0\n1\n1\n2\n', "header"),  # one constraint but no right hand side
         (head + "1 1 1 3 1.0\n", "upper triangle"),  # column past the block
